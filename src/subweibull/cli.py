@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 from . import dist, montecarlo, orlicz, tau, verify
 from .concentration import VectorModel, psi_tail_bound
@@ -31,14 +32,6 @@ EXIT_NUMERIC = 3
 
 # ---------------------------------------------------------------------------
 # output formatting
-
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
 
 
 def dumps17(obj, indent: int = 0) -> str:
@@ -58,7 +51,8 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        # JSON spells the non-finite floats NaN, Infinity and -Infinity
+        return montecarlo.format_cell(obj) if math.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if obj is None:
@@ -88,11 +82,11 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _payload_text(payload: dict, fmt: str) -> str:
+    """One JSON object, or a CSV header and row from its keys and values."""
+    if fmt == "csv":
+        return montecarlo.csv_text(payload, [payload.values()])
+    return dumps17(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +173,13 @@ def cmd_norm(args: argparse.Namespace) -> int:
         result = orlicz.psi_norm_empirical(draws, p, tol)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    payload = result.to_json()
     if args.format == "csv":
-        text = _rows_to_csv(
+        text = montecarlo.csv_text(
             ["value", "p", "method", "bracket_lo", "bracket_hi", "residual"],
             [[result.value, result.p, result.method, *result.bracket, result.residual]],
         )
     else:
-        text = dumps17(payload) + "\n"
+        text = dumps17(asdict(result)) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 
@@ -213,9 +206,9 @@ def cmd_tau(args: argparse.Namespace) -> int:
     result = tau.tau_norm(cumulant, tol)
     if args.format == "csv":
         rows = [[result.value, t, s] for t, s in result.margin_profile]
-        text = _rows_to_csv(["value", "t", "slack"], rows)
+        text = montecarlo.csv_text(["value", "t", "slack"], rows)
     else:
-        text = dumps17(result.to_json()) + "\n"
+        text = dumps17(asdict(result)) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 
@@ -237,11 +230,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
         raise ParameterError(f"--f must be one of {sorted(table)}, got {fname!r}")
     value = tau.convex_conjugate(table[fname], t, bound)
     payload = {"f": fname, "t": t, "search_bound": bound, "value": value}
-    if args.format == "csv":
-        text = _rows_to_csv(["f", "t", "search_bound", "value"], [[fname, t, bound, value]])
-    else:
-        text = dumps17(payload) + "\n"
-    _emit(text, args.output)
+    _emit(_payload_text(payload, args.format), args.output)
     return EXIT_OK
 
 
@@ -255,12 +244,7 @@ def cmd_tailbound(args: argparse.Namespace) -> int:
     clamp = bool(_merge(args, cfg, "clamp", False))
     value = psi_tail_bound(float(norm), float(p), float(t), clamp=clamp)
     payload = {"norm": float(norm), "p": float(p), "t": float(t), "clamp": clamp, "value": value}
-    if args.format == "csv":
-        text = _rows_to_csv(["norm", "p", "t", "clamp", "value"],
-                            [[float(norm), float(p), float(t), clamp, value]])
-    else:
-        text = dumps17(payload) + "\n"
-    _emit(text, args.output)
+    _emit(_payload_text(payload, args.format), args.output)
     return EXIT_OK
 
 
@@ -277,14 +261,7 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
         "n": int(n), "t": float(t), "k": float(k), "c1": c1,
         "value": bound.value, "min_form": bound.min_form,
     }
-    if args.format == "csv":
-        text = _rows_to_csv(
-            ["n", "t", "k", "c1", "value", "min_form"],
-            [[int(n), float(t), float(k), c1, bound.value, bound.min_form]],
-        )
-    else:
-        text = dumps17(payload) + "\n"
-    _emit(text, args.output)
+    _emit(_payload_text(payload, args.format), args.output)
     return EXIT_OK
 
 
@@ -311,7 +288,7 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
         if args.tails_output:
             _atomic_write(args.tails_output, montecarlo.tails_to_csv([report]))
     else:
-        _emit(dumps17(report.to_json()) + "\n", args.output)
+        _emit(dumps17(asdict(report)) + "\n", args.output)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -61,32 +62,29 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _indexed_map(fn: Callable[[int], float], count: int) -> np.ndarray:
-    """fn(j) for j in range(count), slot-assembled so thread layout is moot."""
-    out = np.empty(count, dtype=float)
-    workers = min(worker_count(), count)
-    if workers <= 1:
-        for j in range(count):
-            out[j] = fn(j)
-        return out
-    chunk = -(-count // workers)
-
-    def run(start: int) -> None:
-        for j in range(start, min(start + chunk, count)):
-            out[j] = fn(j)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(0, count, chunk)))
-    return out
+@contextmanager
+def worker_threads(count: int):
+    """Run the body with ``SUBWEIBULL_THREADS`` set to ``count``, then restore it."""
+    saved = os.environ.get(ENV_THREADS)
+    os.environ[ENV_THREADS] = str(count)
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(ENV_THREADS, None)
+        else:
+            os.environ[ENV_THREADS] = saved
 
 
 def _indexed_blocks(
-    fill: Callable[[int, int], np.ndarray], count: int, block: int
+    fill: Callable[[int, int], np.ndarray | list[float]], count: int, block: int
 ) -> np.ndarray:
-    """Assemble fill(j0, j1) for fixed-size index blocks into one array.
+    """Assemble fill(j0, j1) for consecutive index blocks of size ``block`` into one array.
 
-    Block boundaries depend only on ``block``, never on the worker count, so
-    the result is bitwise identical for any thread layout.
+    Each block writes only its own slots, so the result depends on ``fill``
+    and the block boundaries, never on which thread ran a block.  A caller
+    that derives ``block`` from the worker count needs a ``fill`` whose value
+    at j does not depend on the boundaries.
     """
     out = np.empty(count, dtype=float)
     starts = list(range(0, count, block))
@@ -186,12 +184,16 @@ def bootstrap_interval(
     """95% percentile bootstrap interval for the empirical deviation norm."""
     n = devs.size
 
-    def one(r: int) -> float:
-        gen = RandomStream(seed, BOOTSTRAP_STREAM_BASE + r).generator()
-        idx = gen.integers(0, n, size=n)
-        return psi_norm_empirical(devs[idx], p, tol=1e-4).value
+    def fill(r0: int, r1: int) -> list[float]:
+        norms = []
+        for r in range(r0, r1):
+            gen = RandomStream(seed, BOOTSTRAP_STREAM_BASE + r).generator()
+            idx = gen.integers(0, n, size=n)
+            norms.append(psi_norm_empirical(devs[idx], p, tol=1e-4).value)
+        return norms
 
-    norms = _indexed_map(one, resamples)
+    # resample r keys its own stream, so one block per worker is safe
+    norms = _indexed_blocks(fill, resamples, -(-resamples // worker_count()))
     return float(np.quantile(norms, 0.025)), float(np.quantile(norms, 0.975))
 
 
@@ -313,27 +315,6 @@ class ConcentrationReport:
     thm14_bound: float
     tail_rows: tuple[TailRow, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "p": self.p,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "center": self.center,
-            "emp_dev_norm": self.emp_dev_norm,
-            "boot_lo": self.boot_lo,
-            "boot_hi": self.boot_hi,
-            "prop13_C": self.prop13_C,
-            "prop13_bound": self.prop13_bound,
-            "thm14_C": self.thm14_C,
-            "thm14_bound": self.thm14_bound,
-            "tail_rows": [
-                {"t": r.t, "freq": r.freq, "se": r.se, "bound": r.bound, "C": r.C}
-                for r in self.tail_rows
-            ],
-        }
-
 
 def run_report(plan: ExperimentPlan, *, bootstrap: bool = True) -> ConcentrationReport:
     """Full per-(family, n) record: norms, fitted constants, tail comparison.
@@ -424,42 +405,33 @@ def loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:
 # serialization
 
 REPORT_COLUMNS = (
-    "family,p,n,trials,seed,center,emp_dev_norm,boot_lo,boot_hi,"
-    "prop13_C,prop13_bound,thm14_C,thm14_bound"
+    "family", "p", "n", "trials", "seed", "center", "emp_dev_norm", "boot_lo", "boot_hi",
+    "prop13_C", "prop13_bound", "thm14_C", "thm14_bound",
 )
-TAIL_COLUMNS = "family,p,n,t,freq,se,bound,C"
+TAIL_COLUMNS = ("family", "p", "n", "t", "freq", "se", "bound", "C")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def format_cell(value) -> str:
+    """Floats at 17 significant digits (``nan``, ``inf`` when not finite), else str."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    """Comma-separated text: the header line, then one line per row."""
+    lines = [",".join(header)] + [",".join(map(format_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def reports_to_csv(reports: Sequence[ConcentrationReport]) -> str:
-    lines = [REPORT_COLUMNS]
-    for r in reports:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.family, r.p, r.n, r.trials, r.seed, r.center, r.emp_dev_norm,
-                    r.boot_lo, r.boot_hi, r.prop13_C, r.prop13_bound, r.thm14_C,
-                    r.thm14_bound,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(REPORT_COLUMNS, ([getattr(r, c) for c in REPORT_COLUMNS] for r in reports))
 
 
 def tails_to_csv(reports: Sequence[ConcentrationReport]) -> str:
-    lines = [TAIL_COLUMNS]
-    for r in reports:
-        for row in r.tail_rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (r.family, r.p, r.n, row.t, row.freq, row.se, row.bound, row.C)
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        TAIL_COLUMNS,
+        (
+            (r.family, r.p, r.n, row.t, row.freq, row.se, row.bound, row.C)
+            for r in reports
+            for row in r.tail_rows
+        ),
+    )

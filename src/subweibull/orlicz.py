@@ -68,15 +68,6 @@ class OrliczNormResult:
     bracket: tuple[float, float]
     residual: float
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "p": self.p,
-            "method": self.method,
-            "bracket": [self.bracket[0], self.bracket[1]],
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
 class EquivalenceConstants:

@@ -245,12 +245,6 @@ class TauNormResult:
     value: float
     margin_profile: tuple[tuple[float, float], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "margin_profile": [[t, s] for t, s in self.margin_profile],
-        }
-
 
 _GRID_POINTS = 10_001
 _REFINEMENTS = 3

@@ -1,55 +1,38 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-The expensive Monte Carlo experiments are produced once per worker-thread
-setting by a module fixture and shared across criteria 7, 8 and 9.
+Every criterion calls the invariant's one definition in ``subweibull.verify``
+and adds its time gate.  The expensive Monte Carlo experiments are produced
+once per worker-thread setting by a module fixture and shared across
+criteria 7, 8 and 9, which apply verify's predicates to them.
 """
 
-import math
-import os
 import time
 
-import numpy as np
 import pytest
 
-from subweibull import (
-    DistributionSpec,
-    ExperimentPlan,
-    VectorModel,
-    convex_conjugate,
-    exp_centered,
-    lemma_concavity,
-    lemma_phi1_power,
-    lemma_xalfa,
-    phi1,
-    phi1_min_inequality,
-    phi_inf,
-    power_norm_identity,
-    psi_norm_analytic,
-    psi_norm_quadrature,
-    tau_feasible,
-    tau_norm,
-    thm14_bound,
-    thm14_tail_bound,
-)
-from subweibull.montecarlo import (
-    ENV_THREADS,
-    default_t_grid,
-    growth_suite,
-    loglog_slope,
-    reports_to_csv,
-    run_report,
-    tails_to_csv,
-)
-from subweibull.tau import iid_sum
+from subweibull import DistributionSpec, ExperimentPlan, VectorModel, verify
+from subweibull.montecarlo import growth_suite, run_report, worker_threads
 
-N_GRID = (16, 64, 256, 1024, 4096)
 TRIALS = 100_000
 SEED = 20_240_817
+PNORMAL2 = DistributionSpec.pnormal(2.0)
+PNORMAL3 = DistributionSpec.pnormal(3.0)
 
 
-def _report(num: int, ok: bool, detail: str) -> None:
+def _report(num: int, results, elapsed: float | None = None, gate_s: float | None = None):
+    ok = all(r.passed for r in results)
+    detail = "; ".join(r.detail for r in results)
+    if gate_s is not None:
+        ok = ok and elapsed < gate_s
+        detail += f", {elapsed:.2f}s (< {gate_s:g} s)"
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} | {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def _timed(num: int, gate_s: float, *checks) -> None:
+    t0 = time.perf_counter()
+    results = [check() for check in checks]
+    _report(num, results, time.perf_counter() - t0, gate_s)
 
 
 # ---------------------------------------------------------------------------
@@ -57,119 +40,27 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_closed_form_norms():
-    t0 = time.perf_counter()
-    cases = [
-        (DistributionSpec.exponential(), 1.0, 2.0),
-        (DistributionSpec.weibull(1.0, 1.0), 1.0, 1.0 * 2.0),
-        (DistributionSpec.weibull(2.0, 1.0), 2.0, 1.0 * 2.0**0.5),
-        (DistributionSpec.weibull(3.0, 2.0), 3.0, 2.0 * 2.0 ** (1.0 / 3.0)),
-    ] + [
-        (DistributionSpec.pnormal(p), p, (8.0 / 3.0) ** (1.0 / p))
-        for p in (1.0, 2.0, 3.0, 4.0)
-    ]
-    worst = 0.0
-    for spec, p, expected in cases:
-        value = psi_norm_quadrature(spec, p, tol=1e-8).value
-        worst = max(worst, abs(value - expected) / expected)
-        assert psi_norm_analytic(spec, p).value == pytest.approx(expected, rel=1e-14)
-    elapsed = time.perf_counter() - t0
-    _report(
-        1,
-        worst <= 1e-6 and elapsed < 10.0,
-        f"8 norms, max rel err {worst:.2e}, {elapsed:.2f}s (< 10 s)",
-    )
+    _timed(1, 10.0, verify.check_closed_form_table)
 
 
 def test_criterion_2_tau_norms():
-    t0 = time.perf_counter()
-    value = tau_norm(exp_centered(), tol=1e-8).value
-    ok = abs(value - 2.0) <= 1e-6
-    worst_sum = 0.0
-    for n in (1, 4, 9, 100):
-        got = tau_norm(iid_sum(exp_centered(), n), tol=1e-6).value
-        worst_sum = max(worst_sum, abs(got - (math.sqrt(n) + 1.0)))
-    elapsed = time.perf_counter() - t0
-    _report(
-        2,
-        ok and worst_sum <= 1e-4 and elapsed < 5.0,
-        f"centered value {value:.8f}, sum errs <= {worst_sum:.2e}, {elapsed:.2f}s (< 5 s)",
-    )
+    _timed(2, 5.0, verify.check_tau_values)
 
 
 def test_criterion_3_conjugacy_suite():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for t in np.linspace(-10.0, 10.0, 1000):
-        got = convex_conjugate(phi_inf, float(t), search_bound=2.0)
-        worst = max(worst, abs(got - float(phi1(t))))
-    elapsed = time.perf_counter() - t0
-    _report(
-        3,
-        worst <= 1e-9 and elapsed < 1.0,
-        f"1000 grid points, max err {worst:.2e}, {elapsed:.2f}s (< 1 s)",
-    )
+    _timed(3, 1.0, verify.check_conjugacy)
 
 
 def test_criterion_4_lemma_property_suite():
-    t0 = time.perf_counter()
-    cases = 100_000
-    gen = np.random.default_rng(SEED)
-    a = gen.uniform(0.0, 100.0, cases)
-    b = gen.uniform(0.0, 100.0, cases)
-    p1 = gen.uniform(1.0, 10.0, cases)
-    f1 = int(np.count_nonzero(~lemma_concavity(a, b, p1)))
-    x = gen.uniform(0.0, 20.0, cases)
-    d = gen.uniform(0.0, 10.0, cases)
-    f2 = int(np.count_nonzero(~lemma_xalfa(x, d, p1)))
-    g = gen.uniform(0.0, 20.0, cases)
-    p2 = gen.uniform(2.0, 10.0, cases)
-    f3 = int(np.count_nonzero(~lemma_phi1_power(g, p2)))
-    u = gen.uniform(0.0, 50.0, cases)
-    f4 = int(np.count_nonzero(~phi1_min_inequality(u)))
-    elapsed = time.perf_counter() - t0
-    _report(
-        4,
-        f1 == f2 == f3 == f4 == 0 and elapsed < 5.0,
-        f"4 x {cases} cases, failures {f1}/{f2}/{f3}/{f4}, {elapsed:.2f}s (< 5 s)",
-    )
+    _timed(4, 5.0, lambda: verify.check_lemma_batches(seed=SEED))
 
 
 def test_criterion_5_power_norm_identity():
-    t0 = time.perf_counter()
-    cases = [
-        (DistributionSpec.pnormal(2.0), 2.0, 1.0),
-        (DistributionSpec.exponential(), 2.0, 0.5),
-        (DistributionSpec.weibull(2.0, 1.0), 2.0, 1.0),
-    ]
-    worst = 0.0
-    for spec, p, r in cases:
-        lhs, rhs = power_norm_identity(spec, p, r)
-        worst = max(worst, abs(lhs - rhs))
-    elapsed = time.perf_counter() - t0
-    _report(
-        5,
-        worst <= 1e-5 and elapsed < 10.0,
-        f"3 identities, max |lhs-rhs| {worst:.2e}, {elapsed:.2f}s (< 10 s)",
-    )
+    _timed(5, 10.0, verify.check_power_identity)
 
 
 def test_criterion_6_mgf_domination():
-    t0 = time.perf_counter()
-    cum = exp_centered()
-    worst = -math.inf
-    for t in np.linspace(-0.5, 0.5, 1000):
-        worst = max(worst, float(cum.value(float(t))) - float(phi_inf(2.0 * float(t))))
-    # tightness at the window boundary: the curvature gap closes there and
-    # the domination fails for any smaller constant
-    boundary_gap = abs(float(cum.curvature(0.5)) - 4.0)
-    tight = tau_feasible(cum, 2.0) and not tau_feasible(cum, 2.0 * (1.0 - 1e-3))
-    elapsed = time.perf_counter() - t0
-    _report(
-        6,
-        worst <= 1e-12 and boundary_gap <= 1e-9 and tight and elapsed < 1.0,
-        f"max violation {worst:.2e}, boundary curvature gap {boundary_gap:.1e}, "
-        f"tight={tight}, {elapsed:.2f}s (< 1 s)",
-    )
+    _timed(6, 1.0, verify.check_tau_mgf_domination, verify.check_tau_tightness)
 
 
 # ---------------------------------------------------------------------------
@@ -179,92 +70,37 @@ def test_criterion_6_mgf_domination():
 @pytest.fixture(scope="module")
 def experiment_runs():
     runs = {}
-    saved = os.environ.get(ENV_THREADS)
-    try:
-        for workers in ("8", "1"):
-            os.environ[ENV_THREADS] = workers
+    for workers in (8, 1):
+        with worker_threads(workers):
             t0 = time.perf_counter()
-            gauss = growth_suite(DistributionSpec.pnormal(2.0), 2.0, N_GRID, TRIALS, SEED)
-            expo = growth_suite(DistributionSpec.exponential(), 1.0, N_GRID, TRIALS, SEED)
+            gauss = growth_suite(PNORMAL2, 2.0, verify.N_GRID, TRIALS, SEED)
+            expo = growth_suite(DistributionSpec.exponential(), 1.0, verify.N_GRID, TRIALS, SEED)
             growth_elapsed = time.perf_counter() - t0
             t0 = time.perf_counter()
-            tail_plan = ExperimentPlan(
-                VectorModel(DistributionSpec.pnormal(3.0), 256, 3.0),
-                TRIALS,
-                SEED,
-                t_grid=default_t_grid(VectorModel(DistributionSpec.pnormal(3.0), 256, 3.0)),
-            )
-            tail_report = run_report(tail_plan)
-            tail_elapsed = time.perf_counter() - t0
+            tail = run_report(ExperimentPlan(VectorModel(PNORMAL3, 256, 3.0), TRIALS, SEED))
             runs[workers] = {
                 "gauss": gauss,
                 "expo": expo,
-                "tail": tail_report,
-                "growth_csv": reports_to_csv(gauss + expo),
-                "tails_csv": tails_to_csv([tail_report]),
+                "tail": tail,
                 "growth_elapsed": growth_elapsed,
-                "tail_elapsed": tail_elapsed,
+                "tail_elapsed": time.perf_counter() - t0,
             }
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_THREADS, None)
-        else:
-            os.environ[ENV_THREADS] = saved
     return runs
 
 
 def test_criterion_7_growth_contrast(experiment_runs):
-    run = experiment_runs["8"]
-    gauss, expo = run["gauss"], run["expo"]
-    slope_g = loglog_slope(N_GRID, [r.emp_dev_norm for r in gauss])
-    single_c = max(r.thm14_C for r in gauss)
-    k2 = psi_norm_analytic(DistributionSpec.pnormal(2.0), 2.0).value
-    dominates = all(
-        thm14_bound(2.0, k2, 1.0, single_c) >= r.emp_dev_norm for r in gauss
-    )
-    slope_e = loglog_slope(N_GRID, [r.emp_dev_norm for r in expo])
-    elapsed = run["growth_elapsed"]
-    ok = (
-        -0.1 <= slope_g <= 0.1
-        and single_c <= 8.0
-        and dominates
-        and 0.4 <= slope_e <= 0.6
-        and elapsed < 300.0
-    )
-    _report(
-        7,
-        ok,
-        f"dimension-free slope {slope_g:+.4f} (C={single_c:g}, dominates all n={dominates}), "
-        f"sqrt-law slope {slope_e:.4f}, {elapsed:.1f}s (< 300 s)",
-    )
+    run = experiment_runs[8]
+    result = verify.growth_contrast(PNORMAL2, run["gauss"], run["expo"])
+    _report(7, [result], run["growth_elapsed"], 300.0)
 
 
 def test_criterion_8_tail_domination(experiment_runs):
-    run = experiment_runs["8"]
+    run = experiment_runs[8]
     single_c = max(r.thm14_C for r in run["gauss"])  # calibrated in criterion 7
-    report = run["tail"]
-    k3 = psi_norm_analytic(DistributionSpec.pnormal(3.0), 3.0).value
-    violations = 0
-    for row in report.tail_rows:
-        bound = thm14_tail_bound(3.0, k3, 1.0, row.t, single_c)
-        if row.freq > bound + 3.0 * row.se:
-            violations += 1
-    elapsed = run["tail_elapsed"]
-    ok = len(report.tail_rows) == 12 and violations == 0 and elapsed < 120.0
-    _report(
-        8,
-        ok,
-        f"12-point grid, {violations} violations at C={single_c:g}, "
-        f"{elapsed:.1f}s (< 120 s)",
-    )
+    result = verify.tail_domination([(PNORMAL3, run["tail"])], constant=single_c)
+    _report(8, [result], run["tail_elapsed"], 120.0)
 
 
 def test_criterion_9_thread_reproducibility(experiment_runs):
-    same_growth = experiment_runs["1"]["growth_csv"] == experiment_runs["8"]["growth_csv"]
-    same_tails = experiment_runs["1"]["tails_csv"] == experiment_runs["8"]["tails_csv"]
-    _report(
-        9,
-        same_growth and same_tails,
-        f"1 vs 8 worker threads: growth CSV identical={same_growth}, "
-        f"tails CSV identical={same_tails}",
-    )
+    reports = {w: run["gauss"] + run["expo"] + [run["tail"]] for w, run in experiment_runs.items()}
+    _report(9, [verify.csv_reproducibility(reports)])

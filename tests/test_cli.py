@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from subweibull import verify
 from subweibull.cli import dumps17, main
 
 
@@ -154,6 +155,48 @@ def test_concentrate_csv(tmp_path, capsys):
     assert lines[0].startswith("family,p,n,trials,seed,center,")
     assert lines[1].startswith("pnormal,2,16,10000,7,")
     assert tails_path.read_text().splitlines()[0] == "family,p,n,t,freq,se,bound,C"
+
+
+def _canned_checks(monkeypatch, *passed):
+    results = [verify.CheckResult(f"stub.{i}", ok, "canned") for i, ok in enumerate(passed)]
+    monkeypatch.setattr(verify, "run_all", lambda trials, seed: results)
+
+
+def test_verify_all_pass_exits_0(monkeypatch, capsys):
+    _canned_checks(monkeypatch, True, True, True)
+    code, out = run_cli(capsys, "verify")
+    assert code == 0
+    assert out.splitlines()[-1] == "3/3 checks passed"
+
+
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    _canned_checks(monkeypatch, True, False, True)
+    code, out = run_cli(capsys, "verify")
+    assert code == 1
+    assert [line.split()[:2] for line in out.splitlines() if line.startswith("FAIL")] == [
+        ["FAIL", "stub.1"]
+    ]
+    assert out.splitlines()[-1] == "2/3 checks passed"
+
+
+def test_run_all_calls_every_check_once(monkeypatch):
+    names = [name for name in vars(verify) if name.startswith("check_")]
+    calls = {}
+
+    def stub(name):
+        def check(**budget):
+            calls.setdefault(name, []).append(budget)
+            return verify.CheckResult(name, True, "")
+
+        return check
+
+    for name in names:
+        monkeypatch.setattr(verify, name, stub(name))
+    results = verify.run_all(trials=1_000, seed=5)
+    assert [r.name for r in results] == names
+    assert all(len(calls[name]) == 1 for name in names)
+    assert calls["check_growth_rates"] == [{"trials": 1_000, "seed": 5}]
+    assert calls["check_bound_domination"] == [{"seed": 5}]
 
 
 def test_unknown_flag_exits_2(capsys):
