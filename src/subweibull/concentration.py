@@ -76,17 +76,29 @@ def family_tail_params(spec: DistributionSpec) -> TailBoundParams:
 # norms and bound formulas
 
 
-def lp_norm(x, p: float) -> float:
-    """(sum |x_i|**p)**(1/p) with pairwise summation and overflow guarding."""
+def lp_norm(x, p: float):
+    """(sum |x_i|**p)**(1/p) with pairwise summation and overflow guarding.
+
+    A 1-D ``x`` gives a float; a 2-D ``x`` gives an array with the norm of
+    each row, bitwise equal to the 1-D call on that row.
+    """
     if not p >= 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
     a = np.abs(np.asarray(x, dtype=float))
-    if a.size == 0:
-        return 0.0
-    top = float(a.max())
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
+    if a.ndim > 2:
+        raise ParameterError(f"x must be 1-D or 2-D, got shape {a.shape}")
+    rows = np.atleast_2d(a)
+    if rows.shape[1] == 0:
+        norms = np.zeros(rows.shape[0])
+    else:
+        top = rows.max(axis=1)
+        # an all-zero row sums zeros and keeps its norm at 0
+        scaled = rows / np.where(top == 0.0, 1.0, top)[:, None]
+        scaled **= p
+        sums = np.add.reduce(scaled, axis=1)
+        # Python float pow: np.power can differ from it in the last bit
+        norms = np.array([t * s ** (1.0 / p) for t, s in zip(top.tolist(), sums.tolist())])
+    return float(norms[0]) if a.ndim < 2 else norms
 
 
 def prop13_bound(n: int, p: float, K_p: float, C: float = DEFAULT_UNIVERSAL_C) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NoClosedFormError, ParameterError
 from .quadrature import improper_integral
-from .streams import RandomStream
+from .streams import RandomStream, uniform_block
 
 FAMILY_EXP = "exp"
 FAMILY_WEIBULL = "weibull"
@@ -367,15 +367,11 @@ def sample_streams(
     """Row i holds sample(spec, RandomStream(seed, start + i), count).
 
     Batches the arithmetic of many substreams into whole-matrix operations;
-    the per-row values are identical to per-stream calls because every
-    transform is elementwise.
+    the per-row values are identical to per-stream calls because
+    ``uniform_block`` draws each stream's uniforms and every transform is
+    elementwise.
     """
-    if stop <= start:
-        raise ParameterError(f"need stop > start, got [{start}, {stop})")
-    k = uniforms_per_draw(spec) * int(count)
-    u = np.empty((stop - start, k))
-    for i, j in enumerate(range(start, stop)):
-        u[i] = RandomStream(seed, j).uniforms(k)
+    u = uniform_block(seed, start, stop, uniforms_per_draw(spec) * int(count))
     return _transform_uniforms(spec, u)
 
 

@@ -38,6 +38,7 @@ from .tau import bernstein_bound
 
 BOOTSTRAP_STREAM_BASE = 1 << 40
 BOOTSTRAP_RESAMPLES = 200
+LOCKSTEP_VALUES = 16_384
 
 MIN_TRIALS_NORM = 1_000
 MIN_TRIALS_TAIL = 10_000
@@ -162,11 +163,7 @@ def deviations(plan: ExperimentPlan) -> np.ndarray:
 
     def fill(j0: int, j1: int) -> np.ndarray:
         rows = sample_streams(spec, plan.seed, j0, j1, model.n)
-        return np.fromiter(
-            (abs(lp_norm(row, model.p) - center) for row in rows),
-            dtype=float,
-            count=j1 - j0,
-        )
+        return np.abs(lp_norm(rows, model.p) - center)
 
     return _indexed_blocks(fill, plan.trials, block)
 
@@ -183,13 +180,17 @@ def bootstrap_interval(
 ) -> tuple[float, float]:
     """95% percentile bootstrap interval for the empirical deviation norm."""
     n = devs.size
+    # resamples bisected in lockstep: about LOCKSTEP_VALUES sample values at a time
+    chunk = max(1, LOCKSTEP_VALUES // n)
 
     def fill(r0: int, r1: int) -> list[float]:
         norms = []
-        for r in range(r0, r1):
-            gen = RandomStream(seed, BOOTSTRAP_STREAM_BASE + r).generator()
-            idx = gen.integers(0, n, size=n)
-            norms.append(psi_norm_empirical(devs[idx], p, tol=1e-4).value)
+        for c0 in range(r0, r1, chunk):
+            idx = np.stack([
+                RandomStream(seed, BOOTSTRAP_STREAM_BASE + r).generator().integers(0, n, size=n)
+                for r in range(c0, min(c0 + chunk, r1))
+            ])
+            norms += [result.value for result in psi_norm_empirical(devs[idx], p, tol=1e-4)]
         return norms
 
     # resample r keys its own stream, so one block per worker is safe

@@ -129,25 +129,54 @@ def _bisect_norm(
     tol: float,
     method: str,
     *,
-    lo_start: float,
+    lo_start,
     k_max: float,
     polish_residual: bool,
-) -> OrliczNormResult:
-    """Smallest K with phi(K) <= 2, for nonincreasing phi."""
+) -> list[OrliczNormResult]:
+    """Smallest K with phi(K) <= 2, one result per row, for nonincreasing phi.
+
+    ``phi(K, rows)`` evaluates the rows with (increasing) indices ``rows`` at
+    the matching entries of the array ``K``; ``lo_start`` holds one floor per
+    row.  Each row runs its own ``_bisect_row``; the rows advance in lockstep,
+    one batched phi call per step, so a row's result does not depend on the
+    other rows.
+    """
     if tol <= 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
+    searches = [
+        _bisect_row(lo, p, tol, method, k_max, polish_residual)
+        for lo in np.array(lo_start, dtype=float, ndmin=1).tolist()
+    ]
+    results: list = [None] * len(searches)
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    while asks:
+        rows = list(asks)
+        values = phi(np.array([asks[i] for i in rows]), np.array(rows)).tolist()
+        for i, value in zip(rows, values):
+            try:
+                asks[i] = searches[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del asks[i]
+    return results
+
+
+def _bisect_row(
+    lo_start: float, p: float, tol: float, method: str, k_max: float, polish_residual: bool
+):
+    """One row of ``_bisect_norm``: yields each K to evaluate and receives phi(K)."""
     lo = lo_start
-    f_lo = phi(lo)
+    f_lo = f_start = yield lo
     # degenerate laws may already satisfy the condition at the floor
     shrink = 0
     while f_lo <= 2.0 and shrink < 1000:
         lo *= 0.5
         if lo < 1e-300:
-            return OrliczNormResult(0.0, p, method, (0.0, lo_start), abs(phi(lo_start) - 2.0))
-        f_lo = phi(lo)
+            return OrliczNormResult(0.0, p, method, (0.0, lo_start), abs(f_start - 2.0))
+        f_lo = yield lo
         shrink += 1
     hi = max(2.0 * lo, 1.0)
-    f_hi = phi(hi)
+    f_hi = yield hi
     expansions = 0
     while f_hi > 2.0:
         lo, f_lo = hi, f_hi
@@ -157,13 +186,13 @@ def _bisect_norm(
             raise DivergenceError(
                 f"exponential moment stays above 2 for every K up to {k_max:g}"
             )
-        f_hi = phi(hi)
+        f_hi = yield hi
     for _ in range(MAX_BISECTIONS):
         residual = abs(f_hi - 2.0)
         if hi - lo <= tol and (not polish_residual or residual <= RESIDUAL_TARGET):
             break
         mid = 0.5 * (lo + hi)
-        f_mid = phi(mid)
+        f_mid = yield mid
         # the exponential moment must be nonincreasing in K on the bracket
         monotone = (
             f_mid <= f_lo * (1.0 + 1e-9) if math.isfinite(f_mid) else math.isinf(f_lo)
@@ -190,10 +219,10 @@ def psi_norm_quadrature_canonical(
 ) -> OrliczNormResult:
     if p <= 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
-    phi = lambda K: exp_moment(law, p, K, center)
+    phi = lambda K, rows: np.array([exp_moment(law, p, k, center) for k in K.tolist()])
     return _bisect_norm(
         phi, p, tol, METHOD_QUADRATURE, lo_start=1e-6, k_max=k_max, polish_residual=True
-    )
+    )[0]
 
 
 def psi_norm_quadrature(
@@ -203,8 +232,12 @@ def psi_norm_quadrature(
     return psi_norm_quadrature_canonical(canonical(spec), p, tol, k_max=k_max)
 
 
-def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL) -> OrliczNormResult:
+def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     """Sample version: smallest K with mean exp(|x_i/K|**p) <= 2.
+
+    A 1-D ``samples`` gives one result.  A 2-D ``samples`` holds one sample
+    per row and gives a list with one result per row, each bitwise equal to
+    the 1-D call on that row; the rows are bisected in lockstep.
 
     The estimator is consistent but biased low in small samples (extreme
     tails go unobserved); no correction is applied.
@@ -214,25 +247,39 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL) -> OrliczNor
     if tol <= 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     a = np.abs(np.asarray(samples, dtype=float))
-    n = a.size
+    if a.ndim > 2:
+        raise ParameterError(f"samples must be 1-D or 2-D, got shape {a.shape}")
+    rows = np.atleast_2d(a)
+    n = rows.shape[1]
     if n < 100:
         raise InsufficientSamplesError(f"need at least 100 samples, got {n}")
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(rows)):
         raise ParameterError("samples must be finite")
-    top = float(a.max())
-    if top == 0.0:
-        return OrliczNormResult(0.0, p, METHOD_EMPIRICAL, (0.0, tol), 1.0)
+    top = rows.max(axis=1)
+    live = np.flatnonzero(top > 0.0)
 
-    def phi(K: float) -> float:
+    def phi(K: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # exp(min((x/K)**p, cap)) in one buffer; in place gives the same bits
+        terms = rows[live[idx]]
         with np.errstate(over="ignore"):
-            return float(np.mean(np.exp(np.minimum((a / K) ** p, _EXP_CAP))))
+            terms /= K[:, None]
+            terms **= p
+            np.minimum(terms, _EXP_CAP, out=terms)
+            np.exp(terms, out=terms)
+            # np.mean of a row, bit for bit
+            return np.add.reduce(terms, axis=1) / n
 
     # at this K the largest sample alone pushes the mean above 2; the floor
     # at tol is corrected downward by the bisection if it overshoots
-    lo = max(tol, top / math.log(2.0 * n) ** (1.0 / p))
-    return _bisect_norm(
+    lo = np.maximum(tol, top[live] / math.log(2.0 * n) ** (1.0 / p))
+    found = _bisect_norm(
         phi, p, tol, METHOD_EMPIRICAL, lo_start=lo, k_max=1e18, polish_residual=False
     )
+    # an all-zero row has norm 0
+    results = [OrliczNormResult(0.0, p, METHOD_EMPIRICAL, (0.0, tol), 1.0)] * len(rows)
+    for i, result in zip(live.tolist(), found):
+        results[i] = result
+    return results if a.ndim == 2 else results[0]
 
 
 _ANALYTIC_TABLE_NOTE = (

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from subweibull import verify
+from subweibull import montecarlo, verify
 from subweibull.cli import dumps17, main
 
 
@@ -197,6 +197,28 @@ def test_run_all_calls_every_check_once(monkeypatch):
     assert all(len(calls[name]) == 1 for name in names)
     assert calls["check_growth_rates"] == [{"trials": 1_000, "seed": 5}]
     assert calls["check_bound_domination"] == [{"seed": 5}]
+
+
+@pytest.mark.parametrize("inflated", [False, True])
+def test_bound_domination_fails_on_inflated_exp_frequencies(monkeypatch, inflated):
+    def canned_report(plan, bootstrap):
+        # rows whose own bound is generous, as a constant fitted to them would be
+        spec = plan.model.coordinate_spec
+        freq = 0.9 if inflated and spec.family == "exp" else 0.0
+        rows = tuple(
+            montecarlo.TailRow(t=t, freq=freq if t > 0.0 else 1.0, se=1e-3, bound=2.0, C=1.055)
+            for t in plan.effective_t_grid()
+        )
+        nan = math.nan
+        return montecarlo.ConcentrationReport(
+            spec.family, plan.model.p, plan.model.n, plan.trials, plan.seed,
+            nan, nan, nan, nan, nan, nan, nan, nan, rows,
+        )
+
+    monkeypatch.setattr(montecarlo, "run_report", canned_report)
+    result = verify.check_bound_domination()
+    assert result.passed is not inflated
+    assert ("exp n=100: 12 rows, 0 violations" in result.detail) is not inflated
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -52,6 +52,34 @@ def test_lp_norm_overflow_guarded():
     assert lp_norm(x, 2.0) == pytest.approx(1e200 * math.sqrt(2.0), rel=1e-14)
 
 
+def _lp_norm_reference(x, p):
+    """One vector at a time, as a plain 1-D reduction."""
+    a = np.abs(np.asarray(x, dtype=float))
+    top = float(a.max())
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 5, 16, 1000, 10_000])
+def test_lp_norm_rows_match_one_dimensional(n, p):
+    rows = np.random.default_rng(n).standard_normal((6, n))
+    rows[1] = 0.0
+    rows[2] *= 1e200
+    rows[3] = np.abs(rows[3]) * 1e-300
+    norms = lp_norm(rows, p)
+    assert norms.shape == (6,)
+    for row, norm in zip(rows, norms):
+        assert norm == lp_norm(row, p) == _lp_norm_reference(row, p)
+    assert norms[1] == 0.0
+
+
+def test_lp_norm_rows_reject_higher_rank():
+    with pytest.raises(ParameterError):
+        lp_norm(np.ones((2, 2, 2)), 2.0)
+
+
 def test_lp_norm_rejects_small_p():
     with pytest.raises(ParameterError):
         lp_norm([1.0], 0.5)

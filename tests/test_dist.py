@@ -246,6 +246,21 @@ def test_sample_streams_matches_per_stream_calls():
         assert np.array_equal(block[i], sample(spec, RandomStream(5, j), 50))
 
 
+def test_sample_streams_builds_one_generator(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    block = sample_streams(EXP, 11, 0, 1000, 4)
+    monkeypatch.setattr(np.random, "Philox", philox)
+    assert len(built) <= 1
+    assert np.array_equal(block[999], sample(EXP, RandomStream(11, 999), 4))
+
+
 def test_sample_count_validation():
     with pytest.raises(ParameterError):
         sample(EXP, RandomStream(0, 0), 0)

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from subweibull.dist import moment_abs_quadrature
 from subweibull.montecarlo import (
     ENV_THREADS,
     deviations,
+    growth_suite,
     loglog_slope,
     reports_to_csv,
     tails_to_csv,
@@ -102,6 +106,27 @@ def test_reproducible_across_worker_counts(threads):
         outputs.append(run_report(plan))
     assert outputs[0] == outputs[1] == outputs[2]
     assert reports_to_csv([outputs[0]]) == reports_to_csv([outputs[2]])
+
+
+def _digests(reports):
+    return {
+        "report_csv_sha256": hashlib.sha256(reports_to_csv(reports).encode()).hexdigest(),
+        "tails_csv_sha256": hashlib.sha256(tails_to_csv(reports).encode()).hexdigest(),
+    }
+
+
+def test_csv_bits_match_reference_digests():
+    # the benchmark's recorded outputs at the acceptance seed; read, never written
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json"
+    reference = json.loads(path.read_text())
+    seed = 20_240_817
+    grid = (16, 64, 256, 1024, 4096)
+    growth = growth_suite(DistributionSpec.pnormal(2.0), 2.0, grid, 1_000, seed) + growth_suite(
+        EXP, 1.0, grid, 1_000, seed
+    )
+    assert _digests(growth) == reference["growth"][str(seed)]["digest"]
+    tail = run_report(ExperimentPlan(VectorModel(EXP, 16, 1.0), 20_000, seed))
+    assert _digests([tail]) == reference["tail_small_n"][str(seed)]["digest"]
 
 
 def test_deviation_norm_band_gaussian_case():

@@ -20,6 +20,7 @@ from subweibull import (
     psi_norm_quadrature,
     sample,
 )
+from subweibull import orlicz
 from subweibull.dist import canonical
 
 EXP = DistributionSpec.exponential()
@@ -165,6 +166,108 @@ def test_empirical_pnormal3_matches_analytic():
     draws = sample(spec, RandomStream(31, 1), 1_000_000)
     got = psi_norm_empirical(draws, 3.0).value
     assert abs(got - (8.0 / 3.0) ** (1.0 / 3.0)) <= 0.05
+
+
+def _empirical_reference(samples, p, tol):
+    """The sample norm one row at a time, bisected with Python floats."""
+    a = np.abs(np.asarray(samples, dtype=float))
+    n = a.size
+    top = float(a.max())
+    if top == 0.0:
+        return 0.0
+    phi = lambda K: float(np.mean(np.exp(np.minimum((a / K) ** p, 708.0))))
+    lo = max(tol, top / math.log(2.0 * n) ** (1.0 / p))
+    f_lo = phi(lo)
+    while f_lo <= 2.0:
+        lo *= 0.5
+        f_lo = phi(lo)
+    hi = max(2.0 * lo, 1.0)
+    while phi(hi) > 2.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if phi(mid) <= 2.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bootstrap_like_rows():
+    draws = np.abs(sample(EXP, RandomStream(3, 0), 1_000))
+    rows = np.stack([draws[RandomStream(3, 1 + r).generator().integers(0, 1_000, 1_000)]
+                     for r in range(5)])
+    rows[1] = 0.0
+    rows[2] *= 1e-9  # the floor at tol overshoots: the shrink path
+    rows[3] = 1e6  # equal samples: the bracket expands
+    return rows
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_empirical_rows_match_single_rows(p):
+    rows = _bootstrap_like_rows()
+    tol = 1e-4
+    results = psi_norm_empirical(rows, p, tol)
+    assert len(results) == len(rows)
+    for row, result in zip(rows, results):
+        assert result == psi_norm_empirical(row, p, tol)
+        assert result.value == _empirical_reference(row, p, tol)
+    assert results[1].value == 0.0
+
+
+def test_empirical_rows_reject_like_single_rows():
+    with pytest.raises(InsufficientSamplesError):
+        psi_norm_empirical(np.ones((3, 50)), 1.0)
+    bad = np.ones((3, 200))
+    bad[2, 7] = math.nan
+    with pytest.raises(ParameterError):
+        psi_norm_empirical(bad, 1.0)
+    with pytest.raises(ParameterError):
+        psi_norm_empirical(np.ones((3, 200)), 1.0, tol=0.0)
+    with pytest.raises(ParameterError):
+        psi_norm_empirical(np.ones((3, 200)), 0.0)
+
+
+def _table_phi(f):
+    return lambda K, rows: np.array([f(k, r) for k, r in zip(K.tolist(), rows.tolist())])
+
+
+def _healthy(K):
+    return 4.0 / K  # phi(K) <= 2 from K = 2 on
+
+
+def test_bisect_rows_match_single_rows():
+    lo_start = [0.3, 0.7, 5.0]
+    batch = orlicz._bisect_norm(
+        _table_phi(lambda K, r: _healthy(K) * (1 + r)), 1.0, 1e-9, "t",
+        lo_start=lo_start, k_max=1e9, polish_residual=True,
+    )
+    for r, start in enumerate(lo_start):
+        alone = orlicz._bisect_norm(
+            _table_phi(lambda K, _: _healthy(K) * (1 + r)), 1.0, 1e-9, "t",
+            lo_start=start, k_max=1e9, polish_residual=True,
+        )
+        assert batch[r] == alone[0]
+        assert batch[r].value == pytest.approx(2.0 * (1 + r), rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "bad_row, error",
+    [
+        (lambda K: 3.0, DivergenceError),  # never drops to 2
+        (lambda K: 5.0 if 1.0 < K < 2.0 else (2.5 if K <= 1.0 else 1.0), VerificationError),
+    ],
+)
+def test_bisect_rows_raise_like_single_rows(bad_row, error):
+    phi = lambda K, r: bad_row(K) if r == 1 else _healthy(K)
+    with pytest.raises(error):
+        orlicz._bisect_norm(_table_phi(phi), 1.0, 1e-6, "t",
+                            lo_start=[1.0, 1.0], k_max=1e9, polish_residual=False)
+    with pytest.raises(error):
+        orlicz._bisect_norm(_table_phi(lambda K, _: bad_row(K)), 1.0, 1e-6, "t",
+                            lo_start=1.0, k_max=1e9, polish_residual=False)
 
 
 def test_empirical_monotone_mean_exp():

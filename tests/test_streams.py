@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from subweibull import ParameterError, RandomStream
+from subweibull.montecarlo import BOOTSTRAP_STREAM_BASE
+from subweibull.streams import uniform_block
 
 
 def test_same_handle_same_sequence():
@@ -50,3 +52,49 @@ def test_rejects_bad_fields(bad):
 def test_rejects_bad_count():
     with pytest.raises(ParameterError):
         RandomStream(0, 0).uniforms(0)
+
+
+# ---------------------------------------------------------------------------
+# block fill: one re-keyed generator for many streams
+
+
+@pytest.mark.parametrize("count", [1, 3, 5, 17, 1000])
+@pytest.mark.parametrize("start", [0, 9])
+def test_uniform_block_matches_per_stream(start, count):
+    block = uniform_block(424242, start, start + 6, count)
+    assert block.shape == (6, count)
+    for i in range(6):
+        assert np.array_equal(block[i], RandomStream(424242, start + i).uniforms(count))
+
+
+@pytest.mark.parametrize(
+    "seed, start",
+    [
+        (2**64 - 1, 2**64 - 4),  # the last four streams of the largest seed
+        (20_240_817, BOOTSTRAP_STREAM_BASE + 195),  # bootstrap substreams
+    ],
+)
+def test_uniform_block_matches_at_large_indices(seed, start):
+    block = uniform_block(seed, start, start + 4, 5)
+    for i in range(4):
+        assert np.array_equal(block[i], RandomStream(seed, start + i).uniforms(5))
+
+
+@pytest.mark.parametrize(
+    "seed, start, stop, count",
+    [
+        (-1, 0, 1, 4),
+        (2**64, 0, 1, 4),
+        (1.5, 0, 1, 4),
+        (True, 0, 1, 4),
+        (0, -1, 1, 4),
+        (0, 2**64 - 1, 2**64 + 1, 4),  # the last index is past 64 bits
+        (0, 1.5, 3, 4),
+        (0, 5, 5, 4),  # empty range
+        (0, 5, 3, 4),
+        (0, 0, 1, 0),
+    ],
+)
+def test_uniform_block_rejects_bad_input(seed, start, stop, count):
+    with pytest.raises(ParameterError):
+        uniform_block(seed, start, stop, count)
