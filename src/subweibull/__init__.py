@@ -55,7 +55,6 @@ from .montecarlo import (
     TailRow,
     calibrate_constant,
     center_value,
-    deviation_norm_estimate,
     growth_suite,
     loglog_slope,
     run_report,

@@ -93,16 +93,20 @@ def _payload_text(payload: dict, fmt: str) -> str:
 # config handling
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
+def _load_config(args: argparse.Namespace) -> dict:
+    """The --config JSON object; every key must name one of the subcommand's flags."""
+    if not args.config:
         return {}
     try:
-        with open(path) as handle:
+        with open(args.config) as handle:
             cfg = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"cannot read config {path}: {exc}") from exc
+        raise ParameterError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParameterError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - set(vars(args)))
+    if unknown:
+        raise ParameterError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
     return cfg
 
 
@@ -150,8 +154,7 @@ def _parse_grid(raw) -> tuple[float, ...]:
 # subcommands
 
 
-def cmd_norm(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+def cmd_norm(args: argparse.Namespace, cfg: dict) -> int:
     spec = _build_spec(_merge(args, cfg, "family"), _parse_params(_merge(args, cfg, "param")))
     p = _merge(args, cfg, "p")
     if p is None:
@@ -197,8 +200,7 @@ def _build_cumulant(name: str | None, n, sigma) -> tau.Cumulant:
     raise ParameterError(f"--cumulant must be one of {_CUMULANTS}, got {name!r}")
 
 
-def cmd_tau(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+def cmd_tau(args: argparse.Namespace, cfg: dict) -> int:
     cumulant = _build_cumulant(
         _merge(args, cfg, "cumulant"), _merge(args, cfg, "n"), _merge(args, cfg, "sigma")
     )
@@ -213,8 +215,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_conjugate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+def cmd_conjugate(args: argparse.Namespace, cfg: dict) -> int:
     fname = _merge(args, cfg, "f", "phi_inf")
     t = _merge(args, cfg, "t")
     if t is None:
@@ -234,8 +235,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_tailbound(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+def cmd_tailbound(args: argparse.Namespace, cfg: dict) -> int:
     norm = _merge(args, cfg, "norm")
     p = _merge(args, cfg, "p")
     t = _merge(args, cfg, "t")
@@ -248,8 +248,7 @@ def cmd_tailbound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bernstein(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+def cmd_bernstein(args: argparse.Namespace, cfg: dict) -> int:
     n = _merge(args, cfg, "n")
     t = _merge(args, cfg, "t")
     k = _merge(args, cfg, "k")
@@ -265,8 +264,7 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_concentrate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+def cmd_concentrate(args: argparse.Namespace, cfg: dict) -> int:
     spec = _build_spec(_merge(args, cfg, "family"), _parse_params(_merge(args, cfg, "param")))
     p = _merge(args, cfg, "p")
     n = _merge(args, cfg, "n")
@@ -279,8 +277,6 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
         trials=int(trials),
         seed=int(seed),
         t_grid=_parse_grid(_merge(args, cfg, "t_grid")),
-        constant_grid=_parse_grid(_merge(args, cfg, "constant_grid"))
-        or montecarlo.default_constant_grid(),
     )
     report = montecarlo.run_report(plan)
     if args.format == "csv":
@@ -292,8 +288,7 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
     trials = int(_merge(args, cfg, "trials", 100_000 if args.full else 20_000))
     seed = int(_merge(args, cfg, "seed", 777))
     results = verify.run_all(trials=trials, seed=seed)
@@ -377,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--t-grid", dest="t_grid", help="comma-separated tail checkpoints")
-    sp.add_argument("--constant-grid", dest="constant_grid", help="comma-separated candidates")
     sp.add_argument("--tails-output", dest="tails_output", help="CSV path for tail rows")
     sp.set_defaults(fn=cmd_concentrate)
 
@@ -395,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_config(args))
     except (ParameterError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,8 +14,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,9 +43,8 @@ LOCKSTEP_VALUES = 16_384
 MIN_TRIALS_NORM = 1_000
 MIN_TRIALS_TAIL = 10_000
 
-TARGET_PROP13 = "prop13"
-TARGET_THM14 = "thm14"
-TARGET_BERNSTEIN = "bernstein"
+# candidate universal constants, ascending
+CONSTANT_GRID = tuple(np.geomspace(0.5, 32.0, 40).tolist())
 
 ENV_THREADS = "SUBWEIBULL_THREADS"
 
@@ -104,10 +103,6 @@ def _indexed_blocks(
     return out
 
 
-def default_constant_grid() -> tuple[float, ...]:
-    return tuple(np.geomspace(0.5, 32.0, 40))
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything needed to reproduce one experiment, seeds included."""
@@ -116,7 +111,6 @@ class ExperimentPlan:
     trials: int
     seed: int
     t_grid: tuple[float, ...] = ()
-    constant_grid: tuple[float, ...] = field(default_factory=default_constant_grid)
 
     def __post_init__(self) -> None:
         if not isinstance(self.trials, (int, np.integer)) or self.trials < MIN_TRIALS_NORM:
@@ -129,10 +123,6 @@ class ExperimentPlan:
         ):
             raise ParameterError("t_grid must be nonnegative and strictly increasing")
         object.__setattr__(self, "t_grid", grid)
-        cg = tuple(float(c) for c in self.constant_grid)
-        if not cg or any(c <= 0.0 for c in cg):
-            raise ParameterError("constant_grid must be nonempty and positive")
-        object.__setattr__(self, "constant_grid", tuple(sorted(cg)))
 
     def effective_t_grid(self) -> tuple[float, ...]:
         return self.t_grid if self.t_grid else default_t_grid(self.model)
@@ -166,13 +156,6 @@ def deviations(plan: ExperimentPlan) -> np.ndarray:
         return np.abs(lp_norm(rows, model.p) - center)
 
     return _indexed_blocks(fill, plan.trials, block)
-
-
-def deviation_norm_estimate(plan: ExperimentPlan, *, devs: np.ndarray | None = None) -> float:
-    """Empirical order-p norm of the absolute norm deviations."""
-    if devs is None:
-        devs = deviations(plan)
-    return psi_norm_empirical(devs, plan.model.p).value
 
 
 def bootstrap_interval(
@@ -239,59 +222,48 @@ def coordinate_norm(spec: DistributionSpec, p: float) -> float:
         return psi_norm_quadrature(spec, p).value
 
 
-def _bound_fn(plan: ExperimentPlan, target: str) -> Callable[[float, float], float]:
-    """bound(C, t) for the calibration target; t ignored for norm targets."""
-    model = plan.model
-    spec = model.coordinate_spec
-    k_p = coordinate_norm(spec, model.p)
-    if target == TARGET_PROP13:
-        return lambda C, _t: prop13_bound(model.n, model.p, k_p, C)
-    if target == TARGET_THM14:
-        l_p = moment_abs(spec, model.p) ** (1.0 / model.p)
-        return lambda C, _t: thm14_bound(model.p, k_p, l_p, C)
-    if target == TARGET_BERNSTEIN:
-        k_1 = coordinate_norm(spec, 1.0)
-        n = model.n
-        # the plan's t grid lives on the sum scale; the bound is for averages
-        return lambda C, t: bernstein_bound(n, t / n, k_1, C).value
-    raise ParameterError(f"unknown calibration target {target!r}")
+class ModelBounds(NamedTuple):
+    """A model's bounds as functions of the universal constant C."""
+
+    prop13: Callable[[float], float]
+    thm14: Callable[[float], float] | None  # None unless p >= 2 with iid coordinates
+    tail: Callable[[float, float], float]  # tail(t, C)
 
 
-def calibrate_constant(
-    plan: ExperimentPlan,
-    target: str,
-    *,
-    devs: np.ndarray | None = None,
-    emp_norm: float | None = None,
-    rows: Sequence[tuple[float, float, float]] | None = None,
-) -> float:
-    """Smallest grid constant whose bound dominates the empirical evidence.
+def model_bounds(model: VectorModel) -> ModelBounds:
+    """The model's deviation and tail bounds, with each coordinate norm computed once.
 
-    Norm targets require bound(C) >= empirical deviation norm; the tail
-    target requires bound(C, t) >= freq - 3*SE at every grid t.  Raises
-    ``NoFeasibleConstantError`` when even the largest candidate fails, which
-    flags either a bug or an undersized grid.
+    The tail bound is the dimension-free one when p >= 2 and the coordinates
+    are iid, else the Bernstein bound for averages.
     """
-    bound = _bound_fn(plan, target)
-    if target in (TARGET_PROP13, TARGET_THM14):
-        if emp_norm is None:
-            emp_norm = deviation_norm_estimate(plan, devs=devs)
-        feasible = lambda C: bound(C, 0.0) >= emp_norm
-    else:
-        if rows is None:
-            rows = tail_exceedance(plan, devs=devs)
-        feasible = lambda C: all(
-            bound(C, t) >= freq - 3.0 * se for t, freq, se in rows
+    spec, n, p = model.coordinate_spec, model.n, model.p
+    k_p = coordinate_norm(spec, p)
+    prop13 = lambda C: prop13_bound(n, p, k_p, C)
+    if p >= 2.0 and model.iid:
+        l_p = moment_abs(spec, p) ** (1.0 / p)
+        return ModelBounds(
+            prop13,
+            lambda C: thm14_bound(p, k_p, l_p, C),
+            lambda t, C: thm14_tail_bound(p, k_p, l_p, t, C),
         )
-    for C in plan.constant_grid:
-        try:
-            if feasible(C):
-                return C
-        except ParameterError:
-            continue  # candidate outside the bound's own domain (e.g. C1 < 1)
+    k_1 = k_p if p == 1.0 else coordinate_norm(spec, 1.0)
+    # the plan's t grid lives on the sum scale; the bound is for averages
+    return ModelBounds(prop13, None, lambda t, C: bernstein_bound(n, t / n, k_1, C).value)
+
+
+def calibrate_constant(dominates: Callable[[float], bool], floor: float = 0.0) -> float:
+    """Smallest ``CONSTANT_GRID`` point C >= ``floor`` with ``dominates(C)``.
+
+    ``floor`` keeps the scan inside a bound's own domain.  Raises
+    ``NoFeasibleConstantError`` when no such point dominates, which flags
+    either a bug or an undersized grid.
+    """
+    for C in CONSTANT_GRID:
+        if C >= floor and dominates(C):
+            return C
     raise NoFeasibleConstantError(
-        f"no constant in [{plan.constant_grid[0]:g}, {plan.constant_grid[-1]:g}] "
-        f"dominates the {target} evidence"
+        f"no constant in [{max(floor, CONSTANT_GRID[0]):g}, {CONSTANT_GRID[-1]:g}] "
+        "dominates the evidence"
     )
 
 
@@ -325,7 +297,7 @@ def run_report(plan: ExperimentPlan, *, bootstrap: bool = True) -> Concentration
     Bernstein bound at its fitted constant.
     """
     model = plan.model
-    spec = model.coordinate_spec
+    bounds = model_bounds(model)
     devs = deviations(plan)
     emp = psi_norm_empirical(devs, model.p).value
     if bootstrap:
@@ -333,37 +305,31 @@ def run_report(plan: ExperimentPlan, *, bootstrap: bool = True) -> Concentration
     else:
         boot_lo = boot_hi = math.nan
 
-    p13_c = calibrate_constant(plan, TARGET_PROP13, emp_norm=emp)
-    k_p = coordinate_norm(spec, model.p)
-    p13_val = prop13_bound(model.n, model.p, k_p, p13_c)
-
-    if model.p >= 2.0 and model.iid:
-        t14_c = calibrate_constant(plan, TARGET_THM14, emp_norm=emp)
-        l_p = moment_abs(spec, model.p) ** (1.0 / model.p)
-        t14_val = thm14_bound(model.p, k_p, l_p, t14_c)
-    else:
+    p13_c = calibrate_constant(lambda C: bounds.prop13(C) >= emp)
+    if bounds.thm14 is None:
         t14_c = t14_val = math.nan
+    else:
+        t14_c = calibrate_constant(lambda C: bounds.thm14(C) >= emp)
+        t14_val = bounds.thm14(t14_c)
 
     rows: tuple[TailRow, ...] = ()
     if plan.trials >= MIN_TRIALS_TAIL:
         freq_rows = tail_exceedance(plan, devs=devs)
-        if model.p >= 2.0 and model.iid:
-            l_p = moment_abs(spec, model.p) ** (1.0 / model.p)
-            tail_c = t14_c
-            tail_bound = lambda t: thm14_tail_bound(model.p, k_p, l_p, t, tail_c)
+        if bounds.thm14 is None:
+            # the Bernstein bound needs C1 >= 1
+            tail_c = calibrate_constant(
+                lambda C: all(bounds.tail(t, C) >= freq - 3.0 * se for t, freq, se in freq_rows),
+                floor=1.0,
+            )
         else:
-            tail_c = calibrate_constant(plan, TARGET_BERNSTEIN, rows=freq_rows)
-            k_1 = coordinate_norm(spec, 1.0)
-            tail_bound = lambda t: bernstein_bound(
-                model.n, t / model.n, k_1, tail_c
-            ).value
+            tail_c = t14_c
         rows = tuple(
-            TailRow(t=t, freq=freq, se=se, bound=tail_bound(t), C=tail_c)
+            TailRow(t=t, freq=freq, se=se, bound=bounds.tail(t, tail_c), C=tail_c)
             for t, freq, se in freq_rows
         )
 
     return ConcentrationReport(
-        family=spec.family,
+        family=model.coordinate_spec.family,
         p=model.p,
         n=model.n,
         trials=plan.trials,
@@ -373,7 +339,7 @@ def run_report(plan: ExperimentPlan, *, bootstrap: bool = True) -> Concentration
         boot_lo=boot_lo,
         boot_hi=boot_hi,
         prop13_C=p13_c,
-        prop13_bound=p13_val,
+        prop13_bound=bounds.prop13(p13_c),
         thm14_C=t14_c,
         thm14_bound=t14_val,
         tail_rows=rows,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
+from scipy.stats import gamma as gamma_law, ks_2samp
 
 from . import concentration as conc
 from . import dist, montecarlo, orlicz, tau
@@ -468,13 +468,8 @@ def growth_contrast(
     """
     slope_free = montecarlo.loglog_slope([r.n for r in free], [r.emp_dev_norm for r in free])
     single_c = max(r.thm14_C for r in free)
-    p = free[0].p
-    bound = conc.thm14_bound(
-        p,
-        montecarlo.coordinate_norm(free_spec, p),
-        dist.moment_abs(free_spec, p) ** (1.0 / p),
-        single_c,
-    )
+    free_model = conc.VectorModel(free_spec, free[0].n, free[0].p)
+    bound = montecarlo.model_bounds(free_model).thm14(single_c)
     dominates = all(bound >= r.emp_dev_norm for r in free)
     slope_sqrt = montecarlo.loglog_slope(
         [r.n for r in sqrt_law], [r.emp_dev_norm for r in sqrt_law]
@@ -511,18 +506,16 @@ def tail_domination(
 ) -> CheckResult:
     """Every report has a 12-point tail grid whose frequencies stay within 3 SE of the bound.
 
-    The bound is each row's own, at the report's fitted constant, or, given
-    ``constant``, the dimension-free tail bound at that single constant.
+    The bound is each row's own, or, given ``constant``, the report model's
+    tail bound at that single constant (dimension-free for p >= 2).
     """
     ok = True
     details = []
     for spec, report in cases:
         bound = lambda row: row.bound
         if constant is not None:
-            p = report.p
-            k_p = montecarlo.coordinate_norm(spec, p)
-            l_p = dist.moment_abs(spec, p) ** (1.0 / p)
-            bound = lambda row: conc.thm14_tail_bound(p, k_p, l_p, row.t, constant)
+            tail = montecarlo.model_bounds(conc.VectorModel(spec, report.n, report.p)).tail
+            bound = lambda row: tail(row.t, constant)
         rows = report.tail_rows
         bad = [row for row in rows if row.freq > bound(row) + 3.0 * row.se]
         ok &= len(rows) == 12 and not bad
@@ -531,19 +524,18 @@ def tail_domination(
     return _result("mc.bound_domination", ok, "; ".join(details) + at)
 
 
-def _bernstein_at_floor(spec: dist.DistributionSpec, report) -> montecarlo.ConcentrationReport:
-    """The report with its tail rows bounded by the averages Bernstein bound at C1 = 1.
+def _exact_exp_tail(report: montecarlo.ConcentrationReport) -> montecarlo.ConcentrationReport:
+    """A 1-norm report of unit exponentials with its tail rows bounded by the exact tail.
 
-    A report's own Bernstein constant is fitted to the same rows with the
-    same 3-SE rule that :func:`tail_domination` applies, so it cannot fail
-    there.  C1 = 1, the floor of the bound's domain, gives the tightest
-    Bernstein bound whose constant is not fitted to the rows.
+    The 1-norm of n unit exponentials is their sum S ~ Gamma(n, 1), centered
+    at n, so P(|S - n| >= t) = P(S >= n + t) + P(S <= n - t).  The report's
+    own Bernstein constant is fitted to these rows with the 3-SE rule that
+    :func:`tail_domination` applies, so it cannot fail there, and even at
+    C1 = 1 the Bernstein bound stays above 0.6 on the whole grid.
     """
-    k_1 = montecarlo.coordinate_norm(spec, 1.0)
-    rows = tuple(
-        replace(row, bound=tau.bernstein_bound(report.n, row.t / report.n, k_1, 1.0).value, C=1.0)
-        for row in report.tail_rows
-    )
+    n = report.n
+    exact = lambda t: float(gamma_law.sf(n + t, n) + gamma_law.cdf(n - t, n))
+    rows = tuple(replace(row, bound=exact(row.t), C=math.nan) for row in report.tail_rows)
     return replace(report, tail_rows=rows)
 
 
@@ -555,7 +547,7 @@ def check_bound_domination(trials: int = 10_000, seed: int = 778) -> CheckResult
     ):
         plan = montecarlo.ExperimentPlan(conc.VectorModel(spec, n, p), trials, seed)
         report = montecarlo.run_report(plan, bootstrap=False)
-        cases.append((spec, _bernstein_at_floor(spec, report) if p < 2.0 else report))
+        cases.append((spec, _exact_exp_tail(report) if p < 2.0 else report))
     return tail_domination(cases)
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -113,6 +114,25 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out)["method"] == "quadrature"
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (
+            ("concentrate", "--family", "exp", "--p", "1", "--n", "16", "--trials", "1000",
+             "--seed", "1"),
+            {"constant_grid": "1,2,4,8,16,32"},
+        ),
+        (("norm", "--family", "exp", "--p", "1"), {"metod": "analytic"}),
+    ],
+)
+def test_config_unknown_key_exits_2(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(key))
+    code, out = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+
+
 def test_output_file_atomic(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, _ = run_cli(
@@ -219,6 +239,23 @@ def test_bound_domination_fails_on_inflated_exp_frequencies(monkeypatch, inflate
     result = verify.check_bound_domination()
     assert result.passed is not inflated
     assert ("exp n=100: 12 rows, 0 violations" in result.detail) is not inflated
+
+
+def test_bound_domination_fails_on_one_inflated_exp_row(monkeypatch):
+    real_report = montecarlo.run_report
+
+    def inflated_report(plan, bootstrap):
+        report = real_report(plan, bootstrap=bootstrap)
+        if report.family != "exp":
+            return report
+        rows = list(report.tail_rows)
+        rows[5] = replace(rows[5], freq=rows[5].freq + 0.02)
+        return replace(report, tail_rows=tuple(rows))
+
+    monkeypatch.setattr(montecarlo, "run_report", inflated_report)
+    result = verify.check_bound_domination()
+    assert not result.passed
+    assert "exp n=100: 12 rows, 1 violations" in result.detail
 
 
 def test_unknown_flag_exits_2(capsys):

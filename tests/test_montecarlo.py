@@ -18,18 +18,22 @@ from subweibull import (
     bernstein_bound,
     calibrate_constant,
     center_value,
-    deviation_norm_estimate,
     lp_norm,
+    prop13_bound,
+    psi_norm_empirical,
     run_report,
     sample,
     tail_exceedance,
 )
+from subweibull import montecarlo
 from subweibull.dist import moment_abs_quadrature
 from subweibull.montecarlo import (
+    CONSTANT_GRID,
     ENV_THREADS,
     deviations,
     growth_suite,
     loglog_slope,
+    model_bounds,
     reports_to_csv,
     tails_to_csv,
 )
@@ -57,8 +61,6 @@ def test_plan_validation():
         ExperimentPlan(model, 2000, 0, t_grid=(1.0, 0.5))
     with pytest.raises(ParameterError):
         ExperimentPlan(model, 2000, 0, t_grid=(-1.0, 0.5))
-    with pytest.raises(ParameterError):
-        ExperimentPlan(model, 2000, 0, constant_grid=())
 
 
 def test_degenerate_coordinate_rejected_at_construction():
@@ -131,14 +133,14 @@ def test_csv_bits_match_reference_digests():
 
 def test_deviation_norm_band_gaussian_case():
     plan = ExperimentPlan(VectorModel(DistributionSpec.pnormal(2.0), 256, 2.0), 20_000, 11)
-    value = deviation_norm_estimate(plan)
+    value = psi_norm_empirical(deviations(plan), 2.0).value
     assert 0.5 <= value <= 2.5
 
 
 def test_single_coordinate_centering_ceiling():
     # deviation of a single absolute gaussian from its L2 norm
     plan = ExperimentPlan(VectorModel(DistributionSpec.pnormal(2.0), 1, 2.0), 20_000, 12)
-    value = deviation_norm_estimate(plan)
+    value = psi_norm_empirical(deviations(plan), 2.0).value
     assert value <= 2.0 * math.sqrt(8.0 / 3.0) + 1e-6
 
 
@@ -180,36 +182,58 @@ def test_exp_average_tail_below_bernstein():
 
 
 def test_calibrate_trivial_huge_constant():
-    plan = ExperimentPlan(
-        VectorModel(EXP, 16, 1.0), 2_000, 7, constant_grid=(1e6,)
-    )
-    assert calibrate_constant(plan, "prop13") == 1e6
+    assert calibrate_constant(lambda C: C >= CONSTANT_GRID[-1]) == CONSTANT_GRID[-1]
 
 
 def test_calibrate_infeasible_grid():
-    plan = ExperimentPlan(
-        VectorModel(EXP, 16, 1.0), 2_000, 7, constant_grid=(1e-6,)
-    )
     with pytest.raises(NoFeasibleConstantError):
-        calibrate_constant(plan, "prop13")
+        calibrate_constant(lambda C: False)
 
 
-def test_calibrate_unknown_target():
-    plan = ExperimentPlan(VectorModel(EXP, 16, 1.0), 2_000, 7)
+def test_calibrate_propagates_parameter_error():
+    def dominates(C):
+        raise ParameterError("bad input")
+
     with pytest.raises(ParameterError):
-        calibrate_constant(plan, "nope")
+        calibrate_constant(dominates)
 
 
 def test_calibrate_returns_smallest_feasible():
+    assert CONSTANT_GRID == tuple(np.geomspace(0.5, 32.0, 40))
     plan = ExperimentPlan(VectorModel(EXP, 64, 1.0), 2_000, 7)
-    c = calibrate_constant(plan, "prop13")
-    emp = deviation_norm_estimate(plan)
-    from subweibull import prop13_bound
-
+    emp = psi_norm_empirical(deviations(plan), 1.0).value
+    c = calibrate_constant(lambda C: prop13_bound(64, 1.0, 2.0, C) >= emp)
+    i = CONSTANT_GRID.index(c)
+    assert i > 0
     assert prop13_bound(64, 1.0, 2.0, c) >= emp
-    smaller = [g for g in plan.constant_grid if g < c]
-    if smaller:
-        assert prop13_bound(64, 1.0, 2.0, smaller[-1]) < emp
+    assert prop13_bound(64, 1.0, 2.0, CONSTANT_GRID[i - 1]) < emp
+
+
+def test_bernstein_fit_evaluates_no_constant_below_one(monkeypatch):
+    seen = []
+
+    def recording_bound(n, t, K, C1):
+        seen.append(C1)
+        return bernstein_bound(n, t, K, C1)
+
+    monkeypatch.setattr(montecarlo, "bernstein_bound", recording_bound)
+    report = run_report(ExperimentPlan(VectorModel(EXP, 16, 1.0), 10_000, 4), bootstrap=False)
+    assert seen and min(seen) >= 1.0
+    assert report.tail_rows[0].C >= 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, p", [(DistributionSpec.pnormal(2.0), 2.0), (EXP, 1.0)], ids=["thm14", "bernstein"]
+)
+def test_report_bounds_are_model_bounds_at_fitted_constants(spec, p):
+    model = VectorModel(spec, 16, p)
+    report = run_report(ExperimentPlan(model, 10_000, 4), bootstrap=False)
+    bounds = model_bounds(model)
+    assert report.prop13_bound == bounds.prop13(report.prop13_C)
+    if bounds.thm14 is not None:
+        assert report.thm14_bound == bounds.thm14(report.thm14_C)
+    assert report.tail_rows
+    assert [r.bound for r in report.tail_rows] == [bounds.tail(r.t, r.C) for r in report.tail_rows]
 
 
 # ---------------------------------------------------------------------------
