@@ -11,13 +11,14 @@ import sys
 
 from subweibull import DistributionSpec
 from subweibull.montecarlo import growth_suite, loglog_slope, reports_to_csv
+from subweibull.verify import N_GRID
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20_240_817)
-    parser.add_argument("--n-grid", default="16,64,256,1024,4096")
+    parser.add_argument("--n-grid", default=",".join(map(str, N_GRID)))
     parser.add_argument("--output", default="growth_reports.csv")
     args = parser.parse_args()
 

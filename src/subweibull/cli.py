@@ -1,10 +1,14 @@
 """Command-line driver.
 
-Every computation is exposed as a subcommand taking either flat flags or a
-JSON config file (flags win).  Results are written as JSON or CSV, with all
-floats printed to 17 significant digits so runs are diffable; output files
-are written to a temp file and renamed, so a failed run never leaves a
-partial file behind.
+Every computation is exposed as a subcommand taking flat flags.  A JSON
+config file (``--config``) is one more way to give the same flags: each key
+is a flag's name with ``_`` for ``-``, becomes that flag's tokens and is
+placed ahead of the command line's own flags before the arguments are parsed
+again, so flags win over config keys, which win over the built-in defaults,
+and a config value gets its flag's type conversion and choices check.
+Results are written as JSON or CSV, with all floats printed to 17
+significant digits so runs are diffable; output files are written to a temp
+file and renamed, so a failed run never leaves a partial file behind.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 numeric error.
 """
@@ -93,39 +97,44 @@ def _payload_text(payload: dict, fmt: str) -> str:
 # config handling
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    """The --config JSON object; every key must name one of the subcommand's flags."""
-    if not args.config:
-        return {}
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The --config JSON object as flag tokens; each key must name a flag of the subcommand."""
     try:
         with open(args.config) as handle:
-            cfg = json.load(handle)
+            config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(config, dict):
         raise ParameterError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - set(vars(args)))
+    unknown = sorted(set(config) - (set(vars(args)) - {"config", "command", "fn"}))
     if unknown:
         raise ParameterError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
-    return cfg
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool) and isinstance(getattr(args, key), bool):
+            tokens += [flag] if value else []  # a store-true flag
+        elif key == "param" and isinstance(value, dict):
+            tokens += [f"{flag}={name}={v}" for name, v in value.items()]
+        elif key == "param" and isinstance(value, list):
+            tokens += [f"{flag}={item}" for item in value]
+        elif key == "t_grid" and isinstance(value, list):
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        elif value is not None:
+            # one token, so a value starting with '-' is not read as a flag
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _merge(args: argparse.Namespace, cfg: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg[key]
-    return default
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ParameterError(f"{args.command} needs {', '.join(missing)}")
 
 
-def _parse_params(raw) -> dict[str, float]:
-    if raw is None:
-        return {}
-    if isinstance(raw, dict):
-        return {str(k): float(v) for k, v in raw.items()}
+def _parse_params(raw: list[str] | None) -> dict[str, float]:
     params = {}
-    for item in raw:
+    for item in raw or ():
         if "=" not in item:
             raise ParameterError(f"--param expects name=value, got {item!r}")
         name, value = item.split("=", 1)
@@ -136,46 +145,34 @@ def _parse_params(raw) -> dict[str, float]:
     return params
 
 
-def _build_spec(family: str | None, params: dict[str, float]) -> dist.DistributionSpec:
-    if not family:
-        raise ParameterError("a distribution family is required (--family)")
-    return dist.spec_from_json({"family": family, "params": params})
+def _build_spec(args: argparse.Namespace) -> dist.DistributionSpec:
+    return dist.spec_from_json({"family": args.family, "params": _parse_params(args.param)})
 
 
-def _parse_grid(raw) -> tuple[float, ...]:
-    if raw is None:
-        return ()
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
-    return tuple(float(v) for v in str(raw).split(",") if v.strip())
+def _parse_grid(raw: str | None) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in (raw or "").split(",") if v.strip())
+    except ValueError as exc:
+        raise ParameterError(f"--t-grid expects comma-separated numbers, got {raw!r}") from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_norm(args: argparse.Namespace, cfg: dict) -> int:
-    spec = _build_spec(_merge(args, cfg, "family"), _parse_params(_merge(args, cfg, "param")))
-    p = _merge(args, cfg, "p")
-    if p is None:
-        raise ParameterError("norm order --p is required")
-    p = float(p)
-    method = _merge(args, cfg, "method", "quadrature")
-    default_tol = 1e-8 if method == "quadrature" else orlicz.DEFAULT_TOL
-    tol = float(_merge(args, cfg, "tol", default_tol))
-    if method == "analytic":
-        result = orlicz.psi_norm_analytic(spec, p)
-    elif method == "quadrature":
-        result = orlicz.psi_norm_quadrature(spec, p, tol)
-    elif method == "empirical":
-        count = _merge(args, cfg, "samples")
-        seed = _merge(args, cfg, "seed")
-        if count is None or seed is None:
-            raise ParameterError("empirical norms need --samples and --seed")
-        draws = dist.sample(spec, RandomStream(int(seed), 0), int(count))
-        result = orlicz.psi_norm_empirical(draws, p, tol)
+def cmd_norm(args: argparse.Namespace) -> int:
+    _require(args, "family", "p")
+    spec = _build_spec(args)
+    default_tol = 1e-8 if args.method == "quadrature" else orlicz.DEFAULT_TOL
+    tol = default_tol if args.tol is None else args.tol
+    if args.method == "analytic":
+        result = orlicz.psi_norm_analytic(spec, args.p)
+    elif args.method == "quadrature":
+        result = orlicz.psi_norm_quadrature(spec, args.p, tol)
     else:
-        raise ParameterError(f"unknown method {method!r}")
+        _require(args, "samples", "seed")
+        draws = dist.sample(spec, RandomStream(args.seed, 0), args.samples)
+        result = orlicz.psi_norm_empirical(draws, args.p, tol)
     if args.format == "csv":
         text = montecarlo.csv_text(
             ["value", "p", "method", "bracket_lo", "bracket_hi", "residual"],
@@ -187,25 +184,15 @@ def cmd_norm(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK
 
 
-_CUMULANTS = ("exp_centered", "exp_centered_sum", "gaussian")
-
-
-def _build_cumulant(name: str | None, n, sigma) -> tau.Cumulant:
-    if name == "exp_centered":
-        return tau.exp_centered()
-    if name == "exp_centered_sum":
-        return tau.iid_sum(tau.exp_centered(), int(n if n is not None else 1))
-    if name == "gaussian":
-        return tau.gaussian(float(sigma if sigma is not None else 1.0))
-    raise ParameterError(f"--cumulant must be one of {_CUMULANTS}, got {name!r}")
-
-
-def cmd_tau(args: argparse.Namespace, cfg: dict) -> int:
-    cumulant = _build_cumulant(
-        _merge(args, cfg, "cumulant"), _merge(args, cfg, "n"), _merge(args, cfg, "sigma")
-    )
-    tol = float(_merge(args, cfg, "tol", 1e-6))
-    result = tau.tau_norm(cumulant, tol)
+def cmd_tau(args: argparse.Namespace) -> int:
+    _require(args, "cumulant")
+    if args.cumulant == "exp_centered":
+        cumulant = tau.exp_centered()
+    elif args.cumulant == "exp_centered_sum":
+        cumulant = tau.iid_sum(tau.exp_centered(), args.n)
+    else:
+        cumulant = tau.gaussian(args.sigma)
+    result = tau.tau_norm(cumulant, args.tol)
     if args.format == "csv":
         rows = [[result.value, t, s] for t, s in result.margin_profile]
         text = montecarlo.csv_text(["value", "t", "slack"], rows)
@@ -215,83 +202,61 @@ def cmd_tau(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_conjugate(args: argparse.Namespace, cfg: dict) -> int:
-    fname = _merge(args, cfg, "f", "phi_inf")
-    t = _merge(args, cfg, "t")
-    if t is None:
-        raise ParameterError("--t is required")
-    t = float(t)
-    bound = float(_merge(args, cfg, "search_bound", 16.0))
-    table = {
-        "phi_inf": tau.phi_inf,
-        "phi1": tau.phi1,
-        "quadratic": lambda u: 0.5 * u * u,
-    }
-    if fname not in table:
-        raise ParameterError(f"--f must be one of {sorted(table)}, got {fname!r}")
-    value = tau.convex_conjugate(table[fname], t, bound)
-    payload = {"f": fname, "t": t, "search_bound": bound, "value": value}
+_CONJUGANDS = {
+    "phi_inf": tau.phi_inf,
+    "phi1": tau.phi1,
+    "quadratic": lambda u: 0.5 * u * u,
+}
+
+
+def cmd_conjugate(args: argparse.Namespace) -> int:
+    _require(args, "t")
+    value = tau.convex_conjugate(_CONJUGANDS[args.f], args.t, args.search_bound)
+    payload = {"f": args.f, "t": args.t, "search_bound": args.search_bound, "value": value}
     _emit(_payload_text(payload, args.format), args.output)
     return EXIT_OK
 
 
-def cmd_tailbound(args: argparse.Namespace, cfg: dict) -> int:
-    norm = _merge(args, cfg, "norm")
-    p = _merge(args, cfg, "p")
-    t = _merge(args, cfg, "t")
-    if norm is None or p is None or t is None:
-        raise ParameterError("--norm, --p and --t are required")
-    clamp = bool(_merge(args, cfg, "clamp", False))
-    value = psi_tail_bound(float(norm), float(p), float(t), clamp=clamp)
-    payload = {"norm": float(norm), "p": float(p), "t": float(t), "clamp": clamp, "value": value}
+def cmd_tailbound(args: argparse.Namespace) -> int:
+    _require(args, "norm", "p", "t")
+    value = psi_tail_bound(args.norm, args.p, args.t, clamp=args.clamp)
+    payload = {"norm": args.norm, "p": args.p, "t": args.t, "clamp": args.clamp, "value": value}
     _emit(_payload_text(payload, args.format), args.output)
     return EXIT_OK
 
 
-def cmd_bernstein(args: argparse.Namespace, cfg: dict) -> int:
-    n = _merge(args, cfg, "n")
-    t = _merge(args, cfg, "t")
-    k = _merge(args, cfg, "k")
-    if n is None or t is None or k is None:
-        raise ParameterError("--n, --t and --k are required")
-    c1 = float(_merge(args, cfg, "c1", 2.0))
-    bound = tau.bernstein_bound(int(n), float(t), float(k), c1)
+def cmd_bernstein(args: argparse.Namespace) -> int:
+    _require(args, "n", "t", "k")
+    bound = tau.bernstein_bound(args.n, args.t, args.k, args.c1)
     payload = {
-        "n": int(n), "t": float(t), "k": float(k), "c1": c1,
+        "n": args.n, "t": args.t, "k": args.k, "c1": args.c1,
         "value": bound.value, "min_form": bound.min_form,
     }
     _emit(_payload_text(payload, args.format), args.output)
     return EXIT_OK
 
 
-def cmd_concentrate(args: argparse.Namespace, cfg: dict) -> int:
-    spec = _build_spec(_merge(args, cfg, "family"), _parse_params(_merge(args, cfg, "param")))
-    p = _merge(args, cfg, "p")
-    n = _merge(args, cfg, "n")
-    trials = _merge(args, cfg, "trials")
-    seed = _merge(args, cfg, "seed")
-    if p is None or n is None or trials is None or seed is None:
-        raise ParameterError("--p, --n, --trials and --seed are required")
+def cmd_concentrate(args: argparse.Namespace) -> int:
+    _require(args, "family", "p", "n", "trials", "seed")
     plan = montecarlo.ExperimentPlan(
-        model=VectorModel(spec, int(n), float(p)),
-        trials=int(trials),
-        seed=int(seed),
-        t_grid=_parse_grid(_merge(args, cfg, "t_grid")),
+        model=VectorModel(_build_spec(args), args.n, args.p),
+        trials=args.trials,
+        seed=args.seed,
+        t_grid=_parse_grid(args.t_grid),
     )
     report = montecarlo.run_report(plan)
     if args.format == "csv":
         _emit(montecarlo.reports_to_csv([report]), args.output)
-        if args.tails_output:
-            _atomic_write(args.tails_output, montecarlo.tails_to_csv([report]))
     else:
         _emit(dumps17(asdict(report)) + "\n", args.output)
+    if args.tails_output:
+        _atomic_write(args.tails_output, montecarlo.tails_to_csv([report]))
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
-    trials = int(_merge(args, cfg, "trials", 100_000 if args.full else 20_000))
-    seed = int(_merge(args, cfg, "seed", 777))
-    results = verify.run_all(trials=trials, seed=seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    trials = args.trials if args.trials is not None else (100_000 if args.full else 20_000)
+    results = verify.run_all(trials=trials, seed=args.seed)
     width = max(len(r.name) for r in results)
     lines = []
     failed = 0
@@ -319,52 +284,56 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file; flags override its keys")
         sp.add_argument("--output", help="output path (default: stdout)")
+
+    def formatted(sp):
+        common(sp)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("norm", help="Luxemburg-type norm of a family")
-    common(sp)
+    formatted(sp)
     sp.add_argument("--family", choices=("exp", "weibull", "pnormal", "halfgauss_pow"))
     sp.add_argument("--param", action="append", metavar="NAME=VALUE")
     sp.add_argument("--p", type=float, help="norm order")
-    sp.add_argument("--method", choices=("analytic", "quadrature", "empirical"))
+    sp.add_argument("--method", choices=("analytic", "quadrature", "empirical"),
+                    default="quadrature")
     sp.add_argument("--tol", type=float)
     sp.add_argument("--samples", type=int, help="draw count for --method empirical")
     sp.add_argument("--seed", type=int)
     sp.set_defaults(fn=cmd_norm)
 
     sp = sub.add_parser("tau", help="cumulant-domination norm")
-    common(sp)
-    sp.add_argument("--cumulant", choices=_CUMULANTS)
-    sp.add_argument("--n", type=int, help="summand count for exp_centered_sum")
-    sp.add_argument("--sigma", type=float, help="std deviation for gaussian")
-    sp.add_argument("--tol", type=float)
+    formatted(sp)
+    sp.add_argument("--cumulant", choices=("exp_centered", "exp_centered_sum", "gaussian"))
+    sp.add_argument("--n", type=int, default=1, help="summand count for exp_centered_sum")
+    sp.add_argument("--sigma", type=float, default=1.0, help="std deviation for gaussian")
+    sp.add_argument("--tol", type=float, default=1e-6)
     sp.set_defaults(fn=cmd_tau)
 
     sp = sub.add_parser("conjugate", help="numerical convex conjugate")
-    common(sp)
-    sp.add_argument("--f", choices=("phi_inf", "phi1", "quadratic"))
+    formatted(sp)
+    sp.add_argument("--f", choices=tuple(_CONJUGANDS), default="phi_inf")
     sp.add_argument("--t", type=float)
-    sp.add_argument("--search-bound", dest="search_bound", type=float)
+    sp.add_argument("--search-bound", dest="search_bound", type=float, default=16.0)
     sp.set_defaults(fn=cmd_conjugate)
 
     sp = sub.add_parser("tailbound", help="two-sided tail bound from a norm")
-    common(sp)
+    formatted(sp)
     sp.add_argument("--norm", type=float)
     sp.add_argument("--p", type=float)
     sp.add_argument("--t", type=float)
-    sp.add_argument("--clamp", action="store_true", default=None)
+    sp.add_argument("--clamp", action="store_true")
     sp.set_defaults(fn=cmd_tailbound)
 
     sp = sub.add_parser("bernstein", help="Bernstein-type bound for averages")
-    common(sp)
+    formatted(sp)
     sp.add_argument("--n", type=int)
     sp.add_argument("--t", type=float)
     sp.add_argument("--k", type=float, help="largest order-1 coordinate norm")
-    sp.add_argument("--c1", type=float)
+    sp.add_argument("--c1", type=float, default=2.0)
     sp.set_defaults(fn=cmd_bernstein)
 
     sp = sub.add_parser("concentrate", help="Monte Carlo concentration report")
-    common(sp)
+    formatted(sp)
     sp.add_argument("--family", choices=("exp", "weibull", "pnormal", "halfgauss_pow"))
     sp.add_argument("--param", action="append", metavar="NAME=VALUE")
     sp.add_argument("--p", type=float)
@@ -378,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the full invariant suite")
     common(sp)
     sp.add_argument("--trials", type=int, help="Monte Carlo budget per experiment")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=777)
     sp.add_argument("--full", action="store_true", help="acceptance-strength trial count")
     sp.set_defaults(fn=cmd_verify)
 
@@ -386,10 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, _load_config(args))
+        if args.config:
+            # argv[0] is the subcommand; config flags precede the user's, so the user's win
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
+        return args.fn(args)
     except (ParameterError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

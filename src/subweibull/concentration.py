@@ -4,9 +4,8 @@ Two deviation bounds are provided for the order-p norm of a vector with
 independent coordinates around its L^p center: a dimension-dependent one
 growing like n**(1/(2p)) (valid for p >= 1) and a dimension-free one (valid
 for p >= 2 under equal p-th moments).  Both carry an unspecified universal
-constant, exposed here as an explicit parameter with calibrated default 2.0;
-the Monte Carlo module estimates working values empirically rather than
-baking in a guess.
+constant, a required parameter here with no default; the Monte Carlo module
+fits working values to simulations rather than baking in a guess.
 
 The scalar lemma predicates at the bottom are the elementary inequalities
 the dimension-free bound rests on; they accept scalars or numpy arrays and
@@ -24,8 +23,6 @@ from .dist import DistributionSpec, FAMILY_EXP, FAMILY_WEIBULL
 from .errors import ParameterError
 from .tau import phi1
 
-DEFAULT_UNIVERSAL_C = 2.0
-
 _SLACK = 1e-12  # absorbs float rounding in the equality cases
 
 
@@ -36,7 +33,6 @@ class VectorModel:
     coordinate_spec: DistributionSpec
     n: int
     p: float
-    iid: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
@@ -101,7 +97,7 @@ def lp_norm(x, p: float):
     return float(norms[0]) if a.ndim < 2 else norms
 
 
-def prop13_bound(n: int, p: float, K_p: float, C: float = DEFAULT_UNIVERSAL_C) -> float:
+def prop13_bound(n: int, p: float, K_p: float, C: float) -> float:
     """Dimension-dependent deviation bound n**(1/(2p)) * C**(1/p) * K_p."""
     if n < 1 or not p >= 1.0 or K_p < 0.0 or C <= 0.0:
         raise ParameterError(
@@ -110,9 +106,7 @@ def prop13_bound(n: int, p: float, K_p: float, C: float = DEFAULT_UNIVERSAL_C) -
     return n ** (1.0 / (2.0 * p)) * C ** (1.0 / p) * K_p
 
 
-def thm14_bound(
-    p: float, K_p: float, L_p_norm: float, C: float = DEFAULT_UNIVERSAL_C
-) -> float:
+def thm14_bound(p: float, K_p: float, L_p_norm: float, C: float) -> float:
     """Dimension-free deviation bound 6**(1/p) * C * (K_p/L)**(p-1) * K_p.
 
     Requires p >= 2 and K_p >= L_p_norm (the order-p norm always weakly
@@ -130,9 +124,7 @@ def thm14_bound(
     return 6.0 ** (1.0 / p) * C * (K_p / L_p_norm) ** (p - 1.0) * K_p
 
 
-def thm14_tail_bound(
-    p: float, K_p: float, L_p_norm: float, t: float, C: float = DEFAULT_UNIVERSAL_C
-) -> float:
+def thm14_tail_bound(p: float, K_p: float, L_p_norm: float, t: float, C: float) -> float:
     """Tail form of the dimension-free bound on the p-norm deviation.
 
     2 exp(-(L**(p-1) t / (2**(1/p) C K_p**p))**p); no dependence on n.

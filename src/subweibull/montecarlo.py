@@ -42,6 +42,7 @@ LOCKSTEP_VALUES = 16_384
 
 MIN_TRIALS_NORM = 1_000
 MIN_TRIALS_TAIL = 10_000
+TAIL_POINTS = 12  # rows of the default tail grid
 
 # candidate universal constants, ascending
 CONSTANT_GRID = tuple(np.geomspace(0.5, 32.0, 40).tolist())
@@ -133,14 +134,14 @@ def center_value(model: VectorModel) -> float:
     return (model.n * moment_abs(model.coordinate_spec, model.p)) ** (1.0 / model.p)
 
 
-def default_t_grid(model: VectorModel, points: int = 12) -> tuple[float, ...]:
+def default_t_grid(model: VectorModel) -> tuple[float, ...]:
     """Grid spanning six CLT standard deviations of the norm deviation."""
     p, n = model.p, model.n
     mp = moment_abs(model.coordinate_spec, p)
     var_p = moment_abs(model.coordinate_spec, 2.0 * p) - mp * mp
     center = (n * mp) ** (1.0 / p)
     sigma = math.sqrt(max(n * var_p, 1e-300)) / (p * center ** (p - 1.0))
-    return tuple(np.linspace(0.0, 6.0 * sigma, points))
+    return tuple(np.linspace(0.0, 6.0 * sigma, TAIL_POINTS))
 
 
 def deviations(plan: ExperimentPlan) -> np.ndarray:
@@ -158,9 +159,7 @@ def deviations(plan: ExperimentPlan) -> np.ndarray:
     return _indexed_blocks(fill, plan.trials, block)
 
 
-def bootstrap_interval(
-    devs: np.ndarray, p: float, seed: int, resamples: int = BOOTSTRAP_RESAMPLES
-) -> tuple[float, float]:
+def bootstrap_interval(devs: np.ndarray, p: float, seed: int) -> tuple[float, float]:
     """95% percentile bootstrap interval for the empirical deviation norm."""
     n = devs.size
     # resamples bisected in lockstep: about LOCKSTEP_VALUES sample values at a time
@@ -177,7 +176,7 @@ def bootstrap_interval(
         return norms
 
     # resample r keys its own stream, so one block per worker is safe
-    norms = _indexed_blocks(fill, resamples, -(-resamples // worker_count()))
+    norms = _indexed_blocks(fill, BOOTSTRAP_RESAMPLES, -(-BOOTSTRAP_RESAMPLES // worker_count()))
     return float(np.quantile(norms, 0.025)), float(np.quantile(norms, 0.975))
 
 
@@ -226,20 +225,20 @@ class ModelBounds(NamedTuple):
     """A model's bounds as functions of the universal constant C."""
 
     prop13: Callable[[float], float]
-    thm14: Callable[[float], float] | None  # None unless p >= 2 with iid coordinates
+    thm14: Callable[[float], float] | None  # None unless p >= 2
     tail: Callable[[float, float], float]  # tail(t, C)
 
 
 def model_bounds(model: VectorModel) -> ModelBounds:
     """The model's deviation and tail bounds, with each coordinate norm computed once.
 
-    The tail bound is the dimension-free one when p >= 2 and the coordinates
-    are iid, else the Bernstein bound for averages.
+    The tail bound is the dimension-free one when p >= 2, else the Bernstein
+    bound for averages.
     """
     spec, n, p = model.coordinate_spec, model.n, model.p
     k_p = coordinate_norm(spec, p)
     prop13 = lambda C: prop13_bound(n, p, k_p, C)
-    if p >= 2.0 and model.iid:
+    if p >= 2.0:
         l_p = moment_abs(spec, p) ** (1.0 / p)
         return ModelBounds(
             prop13,

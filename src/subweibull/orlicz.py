@@ -333,38 +333,26 @@ def power_norm_identity(
     return lhs, rhs
 
 
-def check_equivalence(
-    spec: DistributionSpec,
-    p: float,
-    K: float,
-    *,
-    t_grid=None,
-    alpha_grid=None,
-) -> EquivalenceConstants:
+def check_equivalence(spec: DistributionSpec, p: float, K: float) -> EquivalenceConstants:
     """Certify the tail and moment conditions at constants derived from K.
 
     Requires K >= the order-p norm of the law.  The tail condition is
-    checked with L = K against the exact tail on a t-grid; the moment
-    condition returns the smallest M valid on an alpha-grid.  A failure
-    raises ``VerificationError`` naming the violating point: it means a bug,
-    not a data condition.
+    checked with L = K against the exact tail at 33 points t in [0, 8K]; the
+    moment condition returns the smallest M valid at alpha = 0.25, 0.5, ...,
+    8.  A failure raises ``VerificationError`` naming the violating point: it
+    means a bug, not a data condition.
     """
     if K <= 0.0 or p <= 0.0:
         raise ParameterError(f"K and p must be > 0, got K={K}, p={p}")
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 8.0 * K, 33)
-    for t in t_grid:
+    for t in np.linspace(0.0, 8.0 * K, 33):
         tail = exact_upper_tail(spec, float(t))
         bound = 2.0 * math.exp(-((float(t) / K) ** p))
         if tail > bound + 1e-12:
             raise VerificationError(
                 f"tail bound violated at t={t:g}: P(|X|>=t)={tail:g} > {bound:g}"
             )
-    if alpha_grid is None:
-        alpha_grid = [0.25 * k for k in range(1, 33)]
     m_needed = 0.0
-    for alpha in alpha_grid:
-        alpha = float(alpha)
+    for alpha in (0.25 * k for k in range(1, 33)):
         m_alpha = moment_abs_quadrature(spec, alpha)
         m_needed = max(
             m_needed, (m_alpha / (2.0 * math.gamma(alpha / p + 1.0))) ** (1.0 / alpha)

@@ -1,14 +1,15 @@
 """Improper integrals over [0, inf) with explicit divergence detection.
 
 The integrand is integrated segment by segment on a geometrically growing
-mesh ``[0, T], [T, 2T], [2T, 4T], ...``.  Extension stops once a doubling
-contributes less than ``rel_tol`` of the running total.  An integral is
-declared divergent (result ``math.inf``) when a segment or the total blows
-up, when three consecutive doublings each contribute more than
-``growth_tol`` relative without the contributions shrinking, or when the
-doubling budget is exhausted without the increments dying out.  The
-non-shrinking requirement keeps slowly converging integrands (whose early
-doublings are all large but decreasing) from being misclassified.
+mesh ``[0, T], [T, 2T], [2T, 4T], ...`` with ``T = FIRST_SEGMENT``.
+Extension stops once a doubling contributes less than ``REL_TOL`` of the
+running total.  An integral is declared divergent (result ``math.inf``) when
+a segment or the total blows up, when three consecutive doublings each
+contribute more than ``GROWTH_TOL`` relative without the contributions
+shrinking, or when ``MAX_DOUBLINGS`` doublings pass without the increments
+dying out.  The non-shrinking requirement keeps slowly converging integrands
+(whose early doublings are all large but decreasing) from being
+misclassified.
 
 Truncating at a fixed upper limit would silently return a finite number for
 integrands such as ``exp(x/K) * exp(-x)`` with ``K <= 1``; the doubling
@@ -23,6 +24,10 @@ from typing import Callable, Sequence
 from scipy.integrate import quad
 
 BLOWUP_THRESHOLD = 1e150
+FIRST_SEGMENT = 8.0
+REL_TOL = 1e-12
+GROWTH_TOL = 1e-6
+MAX_DOUBLINGS = 48
 
 _QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-12, limit=300)
 
@@ -49,10 +54,6 @@ def improper_integral(
     fn: Callable[[float], float],
     *,
     breakpoints: Sequence[float] = (),
-    first: float = 8.0,
-    rel_tol: float = 1e-12,
-    growth_tol: float = 1e-6,
-    max_doublings: int = 48,
     known_divergent: bool = False,
 ) -> float:
     """Integral of ``fn`` over [0, inf); ``math.inf`` when divergent.
@@ -62,12 +63,12 @@ def improper_integral(
     """
     if known_divergent:
         return math.inf
-    total = segment_integral(fn, 0.0, first, breakpoints)
+    total = segment_integral(fn, 0.0, FIRST_SEGMENT, breakpoints)
     if not math.isfinite(total) or abs(total) > BLOWUP_THRESHOLD:
         return math.inf
-    lo = first
+    lo = FIRST_SEGMENT
     recent: list[float] = []
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         hi = 2.0 * lo
         seg = segment_integral(fn, lo, hi, breakpoints)
         new_total = total + seg
@@ -75,12 +76,12 @@ def improper_integral(
             return math.inf
         total = new_total
         rel = abs(seg) / max(abs(total), 1e-300)
-        if rel < rel_tol:
+        if rel < REL_TOL:
             return total
         recent.append(rel)
         if (
             len(recent) >= 3
-            and all(r > growth_tol for r in recent[-3:])
+            and all(r > GROWTH_TOL for r in recent[-3:])
             and recent[-1] >= recent[-2] * (1.0 - 1e-9)
             and recent[-2] >= recent[-3] * (1.0 - 1e-9)
         ):

@@ -504,7 +504,7 @@ def tail_domination(
     cases: Sequence[tuple[dist.DistributionSpec, montecarlo.ConcentrationReport]],
     constant: float | None = None,
 ) -> CheckResult:
-    """Every report has a 12-point tail grid whose frequencies stay within 3 SE of the bound.
+    """Every report has ``TAIL_POINTS`` tail rows whose frequencies stay within 3 SE of the bound.
 
     The bound is each row's own, or, given ``constant``, the report model's
     tail bound at that single constant (dimension-free for p >= 2).
@@ -518,7 +518,7 @@ def tail_domination(
             bound = lambda row: tail(row.t, constant)
         rows = report.tail_rows
         bad = [row for row in rows if row.freq > bound(row) + 3.0 * row.se]
-        ok &= len(rows) == 12 and not bad
+        ok &= len(rows) == montecarlo.TAIL_POINTS and not bad
         details.append(f"{spec.family} n={report.n}: {len(rows)} rows, {len(bad)} violations")
     at = "" if constant is None else f" at C = {constant:g}"
     return _result("mc.bound_domination", ok, "; ".join(details) + at)

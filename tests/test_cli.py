@@ -133,6 +133,104 @@ def test_config_unknown_key_exits_2(tmp_path, capsys, argv, key):
     assert out == ""
 
 
+def _budget_check(monkeypatch):
+    """Stub verify's suite with one passing check that reports its budget."""
+    monkeypatch.setattr(
+        verify, "run_all",
+        lambda trials, seed: [verify.CheckResult("stub", True, f"trials={trials} seed={seed}")],
+    )
+
+
+NORM_EXP = ("norm", "--family", "exp", "--p", "1", "--method", "analytic")
+CONCENTRATE_EXP = (
+    "concentrate", "--family", "exp", "--p", "1", "--n", "16", "--trials", "10000",
+    "--seed", "3",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, key, flags",
+    [
+        (NORM_EXP, {"format": "csv"}, ("--format", "csv")),
+        (NORM_EXP, {"output": "out.json"}, ("--output", "out.json")),
+        (CONCENTRATE_EXP, {"tails_output": "tails.csv"}, ("--tails-output", "tails.csv")),
+        (("verify",), {"full": True}, ("--full",)),
+        (("tailbound", "--norm", "2", "--p", "1", "--t", "0.1"), {"clamp": True}, ("--clamp",)),
+        (CONCENTRATE_EXP, {"t_grid": [0, 1, 2.5, 8]}, ("--t-grid", "0,1,2.5,8")),
+        (
+            ("norm", "--family", "pnormal", "--p", "3", "--method", "analytic"),
+            {"param": {"p": 3}},
+            ("--param", "p=3"),
+        ),
+    ],
+    ids=["format", "output", "tails_output", "full", "clamp", "t_grid", "param"],
+)
+def test_config_key_acts_like_its_flag(tmp_path, monkeypatch, capsys, argv, key, flags):
+    _budget_check(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(key))
+
+    def run(name, *extra):
+        directory = tmp_path / name
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        code = main([*argv, *extra])
+        return code, capsys.readouterr().out, {f.name: f.read_bytes() for f in directory.iterdir()}
+
+    by_config = run("config", "--config", str(cfg))
+    assert by_config == run("flag", *flags)
+    assert by_config != run("default")
+
+
+def test_param_flags_override_config_entries_by_name(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"param": {"shape": 2, "scale": 5}}))
+    weibull = ("norm", "--family", "weibull", "--p", "3", "--method", "analytic")
+    by_config = run_cli(capsys, *weibull, "--config", str(cfg), "--param", "shape=3")
+    assert by_config == run_cli(capsys, *weibull, "--param", "shape=3", "--param", "scale=5")
+
+
+def exit_code(argv) -> int:
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (NORM_EXP, {"format": "xml"}),
+        (("tau", "--cumulant", "exp_centered_sum"), {"n": "many"}),
+        (("tau", "--cumulant", "exp_centered_sum"), {"n": 16.0}),
+        (NORM_EXP, {"config": "x.json"}),
+        (("verify",), {"format": "csv"}),
+        (CONCENTRATE_EXP, {"t_grid": "1,x"}),
+    ],
+    ids=["format-choice", "int-type", "int-given-float", "config", "verify-format", "t_grid"],
+)
+def test_config_value_rejected_like_its_flag_exits_2(tmp_path, monkeypatch, capsys, argv, key):
+    _budget_check(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(key))
+    assert exit_code([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_has_no_format_flag(monkeypatch, capsys):
+    _budget_check(monkeypatch)
+    assert exit_code(["verify", "--format", "csv"]) == 2
+
+
+def test_concentrate_tails_output_in_both_formats(tmp_path, capsys):
+    for fmt in ("json", "csv"):
+        code = main([*CONCENTRATE_EXP, "--format", fmt, "--tails-output", str(tmp_path / fmt)])
+        assert code == 0
+    tails = (tmp_path / "json").read_text()
+    assert tails == (tmp_path / "csv").read_text()
+    assert tails.splitlines()[0] == "family,p,n,t,freq,se,bound,C"
+
+
 def test_output_file_atomic(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, _ = run_cli(
