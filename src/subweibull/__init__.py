@@ -8,13 +8,10 @@ tail frequencies.
 """
 
 from .concentration import (
-    TailBoundParams,
     VectorModel,
-    family_tail_params,
     lemma_concavity,
     lemma_phi1_power,
     lemma_xalfa,
-    lipschitz_bound,
     lp_norm,
     phi1_min_inequality,
     prop13_bound,
@@ -35,7 +32,6 @@ from .dist import (
     moment_abs_quadrature,
     sample,
     spec_from_json,
-    spec_to_json,
 )
 from .errors import (
     DivergenceError,
@@ -61,7 +57,6 @@ from .montecarlo import (
     tail_exceedance,
 )
 from .orlicz import (
-    EquivalenceConstants,
     OrliczNormResult,
     centering_bound_check,
     check_equivalence,

@@ -10,7 +10,8 @@ Results are written as JSON or CSV, with all floats printed to 17
 significant digits so runs are diffable; output files are written to a temp
 file and renamed, so a failed run never leaves a partial file behind.
 
-Exit codes: 0 ok, 1 verification failure, 2 config error, 3 numeric error.
+Exit codes: 0 ok, 1 verification failure, 2 config error (a method with no
+closed form for the given inputs included), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import asdict
 
 from . import dist, montecarlo, orlicz, tau, verify
 from .concentration import VectorModel, psi_tail_bound
-from .errors import NumericalError, ParameterError, SubweibullError
+from .errors import NoClosedFormError, NumericalError, ParameterError, SubweibullError
 from .streams import RandomStream
 
 EXIT_OK = 0
@@ -363,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
             # argv[0] is the subcommand; config flags precede the user's, so the user's win
             args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         return args.fn(args)
-    except (ParameterError, OSError) as exc:
+    except (ParameterError, NoClosedFormError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DistributionSpec, FAMILY_EXP, FAMILY_WEIBULL
+from .dist import DistributionSpec
 from .errors import ParameterError
 from .tau import phi1
 
@@ -39,33 +39,6 @@ class VectorModel:
             raise ParameterError(f"n must be an integer >= 1, got {self.n}")
         if not self.p >= 1.0:
             raise ParameterError(f"p must be >= 1, got {self.p}")
-
-
-@dataclass(frozen=True)
-class TailBoundParams:
-    """Parameters of a stretched-exponential tail law c*exp(-(t/C)**p)."""
-
-    c: float
-    C: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if self.c < 1.0 or self.C <= 0.0 or self.p <= 0.0:
-            raise ParameterError(
-                f"need c >= 1, C > 0, p > 0; got c={self.c}, C={self.C}, p={self.p}"
-            )
-
-    def evaluate(self, t: float) -> float:
-        return self.c * math.exp(-((max(t, 0.0) / self.C) ** self.p))
-
-
-def family_tail_params(spec: DistributionSpec) -> TailBoundParams:
-    """Exact tail-decay parameters of a family: P(|X| >= t) <= c exp(-(t/C)**p)."""
-    q, theta = spec.order, spec.scale
-    if spec.family in (FAMILY_EXP, FAMILY_WEIBULL):
-        return TailBoundParams(c=1.0, C=theta, p=q)
-    # gaussian-based: P(|X| >= t) <= exp(-(t/theta)**q / 2)
-    return TailBoundParams(c=1.0, C=2.0 ** (1.0 / q) * theta, p=q)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +117,6 @@ def psi_tail_bound(norm: float, p: float, t: float, clamp: bool = False) -> floa
         raise ParameterError(f"need norm > 0, p > 0, t >= 0; got {norm}, {p}, {t}")
     value = 2.0 * math.exp(-((t / norm) ** p))
     return min(value, 1.0) if clamp else value
-
-
-def lipschitz_bound(lip: float, deviation_norm: float) -> float:
-    """Deviation bound for f(X) around lip * center, for lip-Lipschitz f."""
-    if lip < 0.0 or deviation_norm < 0.0:
-        raise ParameterError(
-            f"need lip >= 0 and deviation_norm >= 0, got {lip}, {deviation_norm}"
-        )
-    return lip * deviation_norm
 
 
 # ---------------------------------------------------------------------------

@@ -387,13 +387,6 @@ _PARAM_KEYS = {
 }
 
 
-def spec_to_json(spec: DistributionSpec) -> dict:
-    params: dict[str, float] = {}
-    for key in _PARAM_KEYS[spec.family]:
-        params[key] = spec.shape if key in ("shape", "p") else spec.scale
-    return {"family": spec.family, "params": params}
-
-
 def spec_from_json(obj: Mapping) -> DistributionSpec:
     try:
         family = obj["family"]

@@ -1,8 +1,8 @@
 """Monte Carlo harness: deviation norms, tail frequencies, constant fitting.
 
-Reproducibility contract: trial j of a plan always draws from substream
+Reproducibility contract: trial j of a plan always draws from stream
 ``(seed, j)``, results are assembled into arrays indexed by trial before any
-floating-point reduction, and bootstrap resample r uses substream
+floating-point reduction, and bootstrap resample r uses stream
 ``(seed, BOOTSTRAP_STREAM_BASE + r)``.  Worker threads only decide who fills
 which slot, so a plan's outputs are bitwise identical for any setting of
 ``SUBWEIBULL_THREADS``.
@@ -145,7 +145,7 @@ def default_t_grid(model: VectorModel) -> tuple[float, ...]:
 
 
 def deviations(plan: ExperimentPlan) -> np.ndarray:
-    """| |X|_p - center | per trial; trial j draws from substream (seed, j)."""
+    """| |X|_p - center | per trial; trial j draws from stream (seed, j)."""
     model = plan.model
     spec = model.coordinate_spec
     center = center_value(model)

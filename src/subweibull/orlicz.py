@@ -50,6 +50,7 @@ METHOD_QUADRATURE = "quadrature"
 METHOD_EMPIRICAL = "empirical"
 
 DEFAULT_TOL = 1e-6  # absolute bisection bracket width
+QUADRATURE_K_MAX = 1e9  # quadrature norms above this ceiling count as divergent
 RESIDUAL_TARGET = 1e-6
 MAX_BISECTIONS = 200
 
@@ -67,20 +68,6 @@ class OrliczNormResult:
     method: str
     bracket: tuple[float, float]
     residual: float
-
-
-@dataclass(frozen=True)
-class EquivalenceConstants:
-    """Certified constants for the three equivalent tail characterizations.
-
-    K certifies the exponential-moment condition, L the two-sided tail bound
-    2*exp(-(t/L)**p), and M the moment growth E|X|**a <= 2*M**a*Gamma(a/p+1).
-    """
-
-    K: float
-    L: float
-    M: float
-    p: float
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +202,21 @@ def psi_norm_quadrature_canonical(
     tol: float = DEFAULT_TOL,
     *,
     center: float = 0.0,
-    k_max: float = 1e9,
 ) -> OrliczNormResult:
     if p <= 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
     phi = lambda K, rows: np.array([exp_moment(law, p, k, center) for k in K.tolist()])
     return _bisect_norm(
-        phi, p, tol, METHOD_QUADRATURE, lo_start=1e-6, k_max=k_max, polish_residual=True
+        phi, p, tol, METHOD_QUADRATURE, lo_start=1e-6, k_max=QUADRATURE_K_MAX,
+        polish_residual=True,
     )[0]
 
 
 def psi_norm_quadrature(
-    spec: DistributionSpec, p: float, tol: float = DEFAULT_TOL, *, k_max: float = 1e9
+    spec: DistributionSpec, p: float, tol: float = DEFAULT_TOL
 ) -> OrliczNormResult:
     """Norm at order p by quadrature plus monotone bisection."""
-    return psi_norm_quadrature_canonical(canonical(spec), p, tol, k_max=k_max)
+    return psi_norm_quadrature_canonical(canonical(spec), p, tol)
 
 
 def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
@@ -317,9 +304,7 @@ def psi_norm_analytic(spec: DistributionSpec, p: float) -> OrliczNormResult:
 # structural identities and checks
 
 
-def power_norm_identity(
-    spec: DistributionSpec, p: float, r: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def power_norm_identity(spec: DistributionSpec, p: float, r: float) -> tuple[float, float]:
     """(norm of |X|**p at order r, (norm of X at order p*r)**p).
 
     The two sides agree exactly in theory; both are computed by quadrature,
@@ -328,19 +313,19 @@ def power_norm_identity(
     if p <= 0.0 or r <= 0.0:
         raise ParameterError(f"p and r must be > 0, got p={p}, r={r}")
     law = canonical(spec)
-    lhs = psi_norm_quadrature_canonical(law.abs_power(p), r, tol).value
-    rhs = psi_norm_quadrature_canonical(law, p * r, tol).value ** p
+    lhs = psi_norm_quadrature_canonical(law.abs_power(p), r).value
+    rhs = psi_norm_quadrature_canonical(law, p * r).value ** p
     return lhs, rhs
 
 
-def check_equivalence(spec: DistributionSpec, p: float, K: float) -> EquivalenceConstants:
-    """Certify the tail and moment conditions at constants derived from K.
+def check_equivalence(spec: DistributionSpec, p: float, K: float) -> float:
+    """Certify the tail condition at K and return the moment constant M.
 
-    Requires K >= the order-p norm of the law.  The tail condition is
-    checked with L = K against the exact tail at 33 points t in [0, 8K]; the
-    moment condition returns the smallest M valid at alpha = 0.25, 0.5, ...,
-    8.  A failure raises ``VerificationError`` naming the violating point: it
-    means a bug, not a data condition.
+    Requires K >= the order-p norm of the law.  The tail bound
+    2*exp(-(t/K)**p) is checked against the exact tail at 33 points t in
+    [0, 8K]; the returned M is the smallest with E|X|**a <= 2*M**a*Gamma(a/p+1)
+    at a = 0.25, 0.5, ..., 8.  A failure raises ``VerificationError`` naming
+    the violating point: it means a bug, not a data condition.
     """
     if K <= 0.0 or p <= 0.0:
         raise ParameterError(f"K and p must be > 0, got K={K}, p={p}")
@@ -357,12 +342,10 @@ def check_equivalence(spec: DistributionSpec, p: float, K: float) -> Equivalence
         m_needed = max(
             m_needed, (m_alpha / (2.0 * math.gamma(alpha / p + 1.0))) ** (1.0 / alpha)
         )
-    return EquivalenceConstants(K=K, L=K, M=m_needed, p=p)
+    return m_needed
 
 
-def centering_bound_check(
-    spec: DistributionSpec, p: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def centering_bound_check(spec: DistributionSpec, p: float) -> tuple[float, float]:
     """(norm of X - EX, 2 * norm of X) at order p >= 1.
 
     Also checks |EX| <= norm of X, the averaging step behind the factor 2.
@@ -371,8 +354,8 @@ def centering_bound_check(
         raise ParameterError(f"centering bound requires p >= 1, got {p}")
     law = canonical(spec)
     m = mean(spec)
-    base = psi_norm_quadrature_canonical(law, p, tol).value
-    if abs(m) > base + tol:
+    base = psi_norm_quadrature_canonical(law, p).value
+    if abs(m) > base + DEFAULT_TOL:
         raise VerificationError(f"|EX|={abs(m):g} exceeds the order-{p} norm {base:g}")
-    lhs = psi_norm_quadrature_canonical(law, p, tol, center=m).value
+    lhs = psi_norm_quadrature_canonical(law, p, center=m).value
     return lhs, 2.0 * base

@@ -57,10 +57,6 @@ class RandomStream:
         _check_count(count)
         return self.generator().random(int(count))
 
-    def substream(self, index: int) -> "RandomStream":
-        """Stream with the same seed and a different substream selector."""
-        return RandomStream(self.seed, index)
-
 
 def uniform_block(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     """Row i holds ``RandomStream(seed, start + i).uniforms(count)``, for i < stop - start."""

@@ -248,6 +248,7 @@ class TauNormResult:
 
 _GRID_POINTS = 10_001
 _REFINEMENTS = 3
+K_MAX = 1e12  # no feasible K up to this ceiling means no finite norm
 
 
 def _window_curvature_sup(cumulant: Cumulant, K: float) -> float:
@@ -282,13 +283,11 @@ def tau_feasible(cumulant: Cumulant, K: float) -> bool:
     return _window_curvature_sup(cumulant, K) <= K * K * (1.0 + 1e-12)
 
 
-def tau_norm(
-    cumulant: Cumulant, tol: float = 1e-6, *, k_max: float = 1e12
-) -> TauNormResult:
+def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
     """Smallest K whose curvature bound certifies cumulant domination.
 
     Bisection on K; feasibility is monotone.  Raises ``InfeasibleError``
-    when no K up to ``k_max`` works.
+    when no K up to ``K_MAX`` works.
     """
     if tol <= 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
@@ -297,8 +296,8 @@ def tau_norm(
     hi = 1.0
     while not tau_feasible(cumulant, hi):
         hi *= 2.0
-        if hi > k_max:
-            raise InfeasibleError(f"no feasible K up to {k_max:g}")
+        if hi > K_MAX:
+            raise InfeasibleError(f"no feasible K up to {K_MAX:g}")
     lo = 0.5 * hi
     if hi == 1.0:
         while lo > 1e-12 and tau_feasible(cumulant, lo):
@@ -324,18 +323,18 @@ def tau_norm(
     return TauNormResult(value, tuple(profile))
 
 
-def rotation_invariance_check(
-    specs: Sequence[DistributionSpec], tol: float = 1e-6
-) -> tuple[float, float]:
+def rotation_invariance_check(specs: Sequence[DistributionSpec]) -> tuple[float, float]:
     """(norm of the centered sum, sqrt of the sum of squared norms).
 
-    For independent summands the first never exceeds the second.
+    For independent summands the first never exceeds the second.  Each
+    distinct summand's norm is computed once.
     """
     if not specs:
         raise ParameterError("need at least one spec")
     cums = [centered_cumulant(s) for s in specs]
-    taus = [tau_norm(c, tol).value for c in cums]
-    lhs = tau_norm(sum_of(cums), tol).value
+    norms = {spec: tau_norm(cum).value for spec, cum in dict(zip(specs, cums)).items()}
+    taus = [norms[s] for s in specs]
+    lhs = tau_norm(sum_of(cums)).value
     rhs = math.sqrt(sum(k * k for k in taus))
     return lhs, rhs
 
@@ -349,7 +348,7 @@ class BernsteinBound(NamedTuple):
     min_form: float  # 2 exp(-(n/2) min{u**2, u}) at the same u
 
 
-def bernstein_bound(n: int, t: float, K: float, C1: float = 2.0) -> BernsteinBound:
+def bernstein_bound(n: int, t: float, K: float, C1: float) -> BernsteinBound:
     """Tail bound for |mean of n centered sub-exponential terms| >= t.
 
     K is the largest order-1 norm among the terms and C1 the conversion

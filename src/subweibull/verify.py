@@ -81,7 +81,8 @@ def check_mgf_quadrature() -> CheckResult:
     )
 
 
-def check_weibull_sampler_identity(n: int = 100_000) -> CheckResult:
+def check_weibull_sampler_identity() -> CheckResult:
+    n = 100_000
     shape, scale = 1.7, 1.3
     spec = dist.DistributionSpec.weibull(shape, scale)
     a = dist.sample(spec, RandomStream(411, 0), n)
@@ -342,7 +343,8 @@ def check_rotation_invariance() -> CheckResult:
 # concentration lemmas
 
 
-def check_lemma_batches(cases: int = 100_000, seed: int = 20_240) -> CheckResult:
+def check_lemma_batches(seed: int = 20_240) -> CheckResult:
+    cases = 100_000
     gen = RandomStream(seed, 0).generator()
     a = gen.uniform(0.0, 100.0, cases)
     b = gen.uniform(0.0, 100.0, cases)
@@ -381,8 +383,8 @@ def check_norm_vs_moment() -> CheckResult:
     return _result("conc.norm_vs_moment", ok, "; ".join(details))
 
 
-def check_lp_subadditivity(seed: int = 99) -> CheckResult:
-    gen = RandomStream(seed, 0).generator()
+def check_lp_subadditivity() -> CheckResult:
+    gen = RandomStream(99, 0).generator()
     worst = -math.inf
     for _ in range(200):
         n = int(gen.integers(1, 40))
@@ -428,9 +430,9 @@ def csv_reproducibility(
     )
 
 
-def check_reproducibility(trials: int = 2_000) -> CheckResult:
+def check_reproducibility() -> CheckResult:
     plan = montecarlo.ExperimentPlan(
-        conc.VectorModel(dist.DistributionSpec.pnormal(2.0), 16, 2.0), trials, 31_337
+        conc.VectorModel(dist.DistributionSpec.pnormal(2.0), 16, 2.0), 2_000, 31_337
     )
     runs = {}
     for workers in (1, 4):
@@ -439,9 +441,9 @@ def check_reproducibility(trials: int = 2_000) -> CheckResult:
     return csv_reproducibility(runs)
 
 
-def check_tail_monotone(trials: int = 10_000) -> CheckResult:
+def check_tail_monotone() -> CheckResult:
     plan = montecarlo.ExperimentPlan(
-        conc.VectorModel(dist.DistributionSpec.exponential(), 32, 1.0), trials, 5
+        conc.VectorModel(dist.DistributionSpec.exponential(), 32, 1.0), 10_000, 5
     )
     rows = montecarlo.tail_exceedance(plan)
     freqs = [f for _, f, _ in rows]
@@ -539,13 +541,13 @@ def _exact_exp_tail(report: montecarlo.ConcentrationReport) -> montecarlo.Concen
     return replace(report, tail_rows=rows)
 
 
-def check_bound_domination(trials: int = 10_000, seed: int = 778) -> CheckResult:
+def check_bound_domination(seed: int = 778) -> CheckResult:
     cases = []
     for spec, n, p in (
         (dist.DistributionSpec.exponential(), 100, 1.0),
         (dist.DistributionSpec.pnormal(3.0), 256, 3.0),
     ):
-        plan = montecarlo.ExperimentPlan(conc.VectorModel(spec, n, p), trials, seed)
+        plan = montecarlo.ExperimentPlan(conc.VectorModel(spec, n, p), 10_000, seed)
         report = montecarlo.run_report(plan, bootstrap=False)
         cases.append((spec, _exact_exp_tail(report) if p < 2.0 else report))
     return tail_domination(cases)

@@ -66,6 +66,16 @@ def test_norm_numeric_failure_exit_code(capsys):
     assert code == 3
 
 
+def test_norm_analytic_without_closed_form_is_config_error(capsys):
+    # the closed form of weibull(3, 5) exists only at order 3
+    code, out = run_cli(
+        capsys, "norm", "--family", "weibull", "--param", "shape=3", "--param", "scale=5",
+        "--p", "2", "--method", "analytic",
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_tau_exp_centered(capsys):
     code, out = run_cli(capsys, "tau", "--cumulant", "exp_centered")
     assert code == 0

@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 from subweibull import (
     DistributionSpec,
     ParameterError,
-    TailBoundParams,
     VectorModel,
     exact_upper_tail,
-    family_tail_params,
     lemma_concavity,
     lemma_phi1_power,
     lemma_xalfa,
-    lipschitz_bound,
     lp_norm,
     moment_abs,
     phi1_min_inequality,
@@ -146,35 +143,6 @@ def test_psi_tail_dominates_exact_exp_tail():
     spec = DistributionSpec.exponential()
     for t in np.linspace(0.0, 40.0, 81):
         assert exact_upper_tail(spec, float(t)) <= psi_tail_bound(2.0, 1.0, float(t)) + 1e-15
-
-
-def test_lipschitz_values():
-    assert lipschitz_bound(0.0, 5.0) == 0.0
-    assert lipschitz_bound(1.0, 0.7) == 0.7
-    assert lipschitz_bound(3.0, 0.5) == 1.5
-
-
-# ---------------------------------------------------------------------------
-# tail parameter records
-
-
-def test_family_tail_params_dominate_exact_tails():
-    for spec in (
-        DistributionSpec.exponential(),
-        DistributionSpec.weibull(2.0, 1.5),
-        DistributionSpec.pnormal(3.0),
-        DistributionSpec.halfgauss_pow(2.0, 0.7),
-    ):
-        params = family_tail_params(spec)
-        for t in np.linspace(0.0, 10.0, 41):
-            assert exact_upper_tail(spec, float(t)) <= params.evaluate(float(t)) + 1e-12
-
-
-def test_tail_params_validation():
-    with pytest.raises(ParameterError):
-        TailBoundParams(0.5, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        TailBoundParams(1.0, 0.0, 1.0)
 
 
 def test_vector_model_validation():

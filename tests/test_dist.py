@@ -19,7 +19,6 @@ from subweibull import (
     moment_abs_quadrature,
     sample,
     spec_from_json,
-    spec_to_json,
 )
 from subweibull.dist import sample_streams
 
@@ -46,27 +45,22 @@ def test_invalid_parameters_rejected(factory):
         factory()
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        EXP,
-        DistributionSpec.weibull(2.5, 1.75),
-        DistributionSpec.pnormal(3.0),
-        DistributionSpec.halfgauss_pow(1.5, 0.25),
-    ],
-)
+# literal wire objects: the field names are part of the format
+_WIRE = {
+    EXP: {"family": "exp", "params": {}},
+    DistributionSpec.weibull(2.5, 1.75): {
+        "family": "weibull", "params": {"shape": 2.5, "scale": 1.75}
+    },
+    DistributionSpec.pnormal(3.0): {"family": "pnormal", "params": {"p": 3.0}},
+    DistributionSpec.halfgauss_pow(1.5, 0.25): {
+        "family": "halfgauss_pow", "params": {"p": 1.5, "scale": 0.25}
+    },
+}
+
+
+@pytest.mark.parametrize("spec", list(_WIRE))
 def test_json_round_trip(spec):
-    assert spec_from_json(spec_to_json(spec)) == spec
-
-
-def test_json_field_names():
-    obj = spec_to_json(DistributionSpec.weibull(2.0, 3.0))
-    assert obj == {"family": "weibull", "params": {"shape": 2.0, "scale": 3.0}}
-    obj = spec_to_json(DistributionSpec.pnormal(1.5))
-    assert obj == {"family": "pnormal", "params": {"p": 1.5}}
-    assert spec_to_json(EXP) == {"family": "exp", "params": {}}
-    obj = spec_to_json(DistributionSpec.halfgauss_pow(2.0, 0.5))
-    assert obj == {"family": "halfgauss_pow", "params": {"p": 2.0, "scale": 0.5}}
+    assert spec_from_json(_WIRE[spec]) == spec
 
 
 def test_json_rejects_wrong_params():

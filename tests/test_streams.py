@@ -36,11 +36,6 @@ def test_uniforms_in_unit_interval():
     assert u.min() >= 0.0 and u.max() < 1.0
 
 
-def test_substream_helper():
-    s = RandomStream(5, 0)
-    assert s.substream(9) == RandomStream(5, 9)
-
-
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "x", True])
 def test_rejects_bad_fields(bad):
     with pytest.raises(ParameterError):

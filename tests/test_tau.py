@@ -20,10 +20,10 @@ from subweibull import (
     rotation_invariance_check,
     scaled,
     sum_of,
+    tau,
     tau_feasible,
     tau_norm,
 )
-from subweibull.tau import Cumulant
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +199,9 @@ def test_tau_tightness():
 
 
 def test_tau_infeasible_cumulant():
-    # a domain too narrow for any searchable window admits no finite norm
-    c = Cumulant(fn=lambda t: t * 0.0, d2=lambda t: t * 0.0, domain=(-1e-9, 1e-9))
+    # the norm sigma = 1e15 lies above the search ceiling
     with pytest.raises(InfeasibleError):
-        tau_norm(c, k_max=1e6)
+        tau_norm(gaussian(1e15))
 
 
 def test_rotation_invariance_nine_exponentials():
@@ -215,6 +214,19 @@ def test_rotation_invariance_nine_exponentials():
 def test_rotation_invariance_single_spec_equality():
     lhs, rhs = rotation_invariance_check([DistributionSpec.exponential()])
     assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def test_rotation_invariance_one_norm_per_distinct_summand(monkeypatch):
+    calls = []
+
+    def counting_tau_norm(cumulant, *args):
+        calls.append(cumulant.name)
+        return tau_norm(cumulant, *args)
+
+    monkeypatch.setattr(tau, "tau_norm", counting_tau_norm)
+    rotation_invariance_check([DistributionSpec.exponential()] * 9)
+    # one summand norm and the norm of the sum
+    assert len(calls) == 2
 
 
 def test_rotation_invariance_hundred():
@@ -252,8 +264,8 @@ def test_bernstein_min_form_dominates_pointwise_inequality():
 
 def test_bernstein_validation():
     with pytest.raises(ParameterError):
-        bernstein_bound(0, 1.0, 1.0)
+        bernstein_bound(0, 1.0, 1.0, 2.0)
     with pytest.raises(ParameterError):
         bernstein_bound(5, 1.0, 1.0, 0.5)
     with pytest.raises(ParameterError):
-        bernstein_bound(5, -1.0, 1.0)
+        bernstein_bound(5, -1.0, 1.0, 2.0)
