@@ -64,53 +64,67 @@ def phi_inf(x):
 # numerical convex conjugation
 
 
-def convex_conjugate(f: Callable[[float], float], t: float, search_bound: float) -> float:
+def convex_conjugate(
+    f: Callable, t: float | np.ndarray, search_bound: float
+) -> float | np.ndarray:
     """sup over u of t*u - f(u), for convex even f with f(0) = 0.
 
-    The objective is concave, so a ternary search on [0, search_bound]
-    (evenness reduces t to |t|) converges; +inf values of f are treated as
-    infeasible points.  Raises ``UnboundedSupremumError`` when the objective
-    is still climbing at the search bound.
+    ``t`` is a scalar or an array.  The objective is concave, so a ternary
+    search on [0, search_bound] (evenness reduces t to |t|) converges; +inf
+    values of f are treated as infeasible points.  Every element of ``t``
+    advances in lockstep, so ``f`` is called with an array shaped like ``t``
+    and must accept one; a scalar ``t`` calls ``f`` with 0-d values and
+    returns a float.  Raises ``UnboundedSupremumError`` when the objective is
+    still climbing at the search bound for any element.
     """
     if search_bound <= 0.0 or not math.isfinite(search_bound):
         raise ParameterError(f"search_bound must be finite and > 0, got {search_bound}")
-    tt = abs(float(t))
+    ts = np.asarray(t, dtype=float)
+    tt = np.abs(ts)
 
-    def objective(u: float) -> float:
-        return tt * u - float(f(u))
+    def objective(u):
+        return tt * u - np.asarray(f(u), dtype=float)
 
-    lo, hi = 0.0, search_bound
-    best = 0.0  # objective at u = 0
+    def raise_to(best, g, where=True):
+        # Python's max(best, g): g replaces best only when strictly larger
+        return np.where(where & (g > best), g, best)
+
+    lo = np.zeros_like(tt)
+    hi = np.full_like(tt, search_bound)
+    best = np.zeros_like(tt)  # objective at u = 0
+    width_tol = 1e-11 * max(1.0, search_bound)
     for _ in range(300):
-        if hi - lo <= 1e-11 * max(1.0, search_bound):
+        # each element keeps its own stop test; stopped ones stay frozen
+        width = hi - lo
+        active = width > width_tol
+        if not active.any():
             break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
+        m1 = lo + width / 3.0
+        m2 = hi - width / 3.0
         g1, g2 = objective(m1), objective(m2)
-        # f is even with an interval domain around 0, so -inf at a probe
-        # means everything to its right is -inf as well
-        if g2 == -math.inf:
-            hi = m2
-            best = max(best, g1) if g1 > -math.inf else best
-            continue
-        if g1 < g2:
-            lo = m1
-        else:
-            hi = m2
-        best = max(best, g1, g2)
-    mid = 0.5 * (lo + hi)
-    g_mid = objective(mid)
-    if g_mid > -math.inf:
-        best = max(best, g_mid)
-    if hi >= search_bound * (1.0 - 1e-6):
-        inner = objective(search_bound * (1.0 - 1e-6))
-        outer = objective(search_bound)
-        if outer > -math.inf and outer - inner > 1e-9 * max(1.0, tt, abs(outer)):
+        # g2 = -inf (f is even with an interval domain around 0, so all of
+        # [m2, hi] is infeasible) fails g1 < g2 and so also moves hi to m2
+        climb = g1 < g2
+        lo = np.where(active & climb, m1, lo)
+        hi = np.where(active & ~climb, m2, hi)
+        best = raise_to(raise_to(best, g1, active), g2, active)
+    best = raise_to(best, objective(0.5 * (lo + hi)))
+    near = hi >= search_bound * (1.0 - 1e-6)
+    if near.any():
+        inner = objective(np.full_like(tt, search_bound * (1.0 - 1e-6)))
+        outer = objective(np.full_like(tt, search_bound))
+        climbing = (
+            near
+            & (outer > -math.inf)
+            & (outer - inner > 1e-9 * np.maximum(np.maximum(1.0, tt), np.abs(outer)))
+        )
+        if climbing.any():
             raise UnboundedSupremumError(
-                f"objective still increasing at search_bound={search_bound:g} for t={t:g}"
+                f"objective still increasing at search_bound={search_bound:g}"
+                f" for t={ts[climbing][0]:g}"
             )
-        best = max(best, outer) if outer > -math.inf else best
-    return best
+        best = raise_to(best, outer, near)
+    return float(best) if tt.ndim == 0 else best
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +221,26 @@ def scaled(base: Cumulant, a: float) -> Cumulant:
 
 
 def sum_of(cumulants: Sequence[Cumulant]) -> Cumulant:
-    """Cumulant of a sum of independent variables with the given cumulants."""
+    """Cumulant of a sum of independent variables with the given cumulants.
+
+    A member object listed several times is evaluated once per call; the
+    values are still added one member at a time in the given order, so the
+    sum has the same bits as evaluating every member.
+    """
     if not cumulants:
         raise ParameterError("need at least one cumulant")
     lo = max(c.domain[0] for c in cumulants)
     hi = min(c.domain[1] for c in cumulants)
     members = tuple(cumulants)
+    distinct = {id(c): c for c in members}
+
+    def total(attr: str, t):
+        values = {key: getattr(c, attr)(t) for key, c in distinct.items()}
+        return sum(values[id(c)] for c in members)
+
     return Cumulant(
-        fn=lambda t: sum(c.fn(t) for c in members),
-        d2=lambda t: sum(c.d2(t) for c in members),
+        fn=lambda t: total("fn", t),
+        d2=lambda t: total("d2", t),
         domain=(lo, hi),
         name="+".join(c.name for c in members),
     )
@@ -327,14 +352,15 @@ def rotation_invariance_check(specs: Sequence[DistributionSpec]) -> tuple[float,
     """(norm of the centered sum, sqrt of the sum of squared norms).
 
     For independent summands the first never exceeds the second.  Each
-    distinct summand's norm is computed once.
+    distinct summand gets one cumulant object, so its norm is computed once
+    and the sum evaluates it once per probe.
     """
     if not specs:
         raise ParameterError("need at least one spec")
-    cums = [centered_cumulant(s) for s in specs]
-    norms = {spec: tau_norm(cum).value for spec, cum in dict(zip(specs, cums)).items()}
+    cums = {spec: centered_cumulant(spec) for spec in specs}
+    norms = {spec: tau_norm(cum).value for spec, cum in cums.items()}
     taus = [norms[s] for s in specs]
-    lhs = tau_norm(sum_of(cums)).value
+    lhs = tau_norm(sum_of([cums[s] for s in specs])).value
     rhs = math.sqrt(sum(k * k for k in taus))
     return lhs, rhs
 

@@ -94,6 +94,44 @@ def test_conjugate_linear_branch(capsys):
     assert abs(json.loads(out)["value"] - 2.5) <= 1e-9
 
 
+# Bytes and exit codes of `conjugate --search-bound 16` as the scalar ternary
+# search produced them; the lockstep search must keep them.
+CONJUGATE_BYTES = {
+    ("phi_inf", "0"): (0, "0"),
+    ("phi_inf", "0.5"): (0, "0.125"),
+    ("phi_inf", "-3"): (0, "2.499999999948872"),
+    ("phi_inf", "7.5"): (0, "6.9999999998338351"),
+    ("phi1", "0"): (0, "0"),
+    ("phi1", "0.5"): (0, "0.125"),
+    ("phi1", "-3"): (3, None),
+    ("phi1", "7.5"): (3, None),
+    ("quadratic", "0"): (0, "0"),
+    ("quadratic", "0.5"): (0, "0.125"),
+    ("quadratic", "-3"): (0, "4.5000000000000009"),
+    ("quadratic", "7.5"): (0, "28.125000000000004"),
+    ("quadratic", "40"): (3, None),
+}
+
+
+@pytest.mark.parametrize("f, t", list(CONJUGATE_BYTES))
+def test_conjugate_output_bytes(capsys, f, t):
+    argv = ["conjugate", "--f", f, "--t", t, "--search-bound", "16"]
+    code, value = CONJUGATE_BYTES[(f, t)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if value is None:
+        assert out == ""
+        assert err == f"numeric error: objective still increasing at search_bound=16 for t={t}\n"
+        assert main(argv + ["--format", "csv"]) == code
+        assert capsys.readouterr().out == ""
+        return
+    assert out == (
+        f'{{\n  "f": "{f}",\n  "t": {t},\n  "search_bound": 16,\n  "value": {value}\n}}\n'
+    )
+    assert main(argv + ["--format", "csv"]) == code
+    assert capsys.readouterr().out == f"f,t,search_bound,value\n{f},{t},16,{value}\n"
+
+
 def test_tailbound(capsys):
     code, out = run_cli(
         capsys, "tailbound", "--norm", "2", "--p", "1", "--t", str(2.0 * math.log(4.0))

@@ -20,7 +20,7 @@ from subweibull import (
     psi_norm_quadrature,
     sample,
 )
-from subweibull import orlicz
+from subweibull import orlicz, verify
 from subweibull.dist import canonical
 
 EXP = DistributionSpec.exponential()
@@ -322,6 +322,20 @@ def test_equivalence_fails_below_norm():
     # a K far below the true norm cannot certify the tail bound
     with pytest.raises(VerificationError):
         check_equivalence(EXP, 1.0, 0.4)
+
+
+def test_tail_bound_grid_reports_moment_constant():
+    result = verify.check_tail_bound_grid()
+    assert result.passed
+    assert result.detail == "4 families certified, max M/K = 0.725"
+
+
+def test_tail_bound_grid_fails_when_moment_constant_exceeds_norm(monkeypatch):
+    # the certified tail integrates to M <= K; an M above K is a violation
+    monkeypatch.setattr(orlicz, "check_equivalence", lambda spec, p, K: 1.01 * K)
+    result = verify.check_tail_bound_grid()
+    assert not result.passed
+    assert "max M/K = 1.01" in result.detail
 
 
 def test_tail_conversion_constant():

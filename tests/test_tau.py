@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subweibull import (
+    Cumulant,
     DistributionSpec,
     InfeasibleError,
     ParameterError,
@@ -105,6 +106,97 @@ def test_unbounded_sup_detected():
 def test_conjugate_rejects_bad_bound():
     with pytest.raises(ParameterError):
         convex_conjugate(phi_inf, 1.0, search_bound=0.0)
+
+
+def reference_conjugate(f, t, search_bound):
+    """The scalar ternary search, one t at a time, in plain Python floats."""
+    tt = abs(float(t))
+
+    def objective(u):
+        return tt * u - float(f(u))
+
+    lo, hi = 0.0, search_bound
+    best = 0.0
+    for _ in range(300):
+        if hi - lo <= 1e-11 * max(1.0, search_bound):
+            break
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        g1, g2 = objective(m1), objective(m2)
+        if g2 == -math.inf:
+            hi = m2
+            best = max(best, g1) if g1 > -math.inf else best
+            continue
+        if g1 < g2:
+            lo = m1
+        else:
+            hi = m2
+        best = max(best, g1, g2)
+    g_mid = objective(0.5 * (lo + hi))
+    if g_mid > -math.inf:
+        best = max(best, g_mid)
+    if hi >= search_bound * (1.0 - 1e-6):
+        inner = objective(search_bound * (1.0 - 1e-6))
+        outer = objective(search_bound)
+        if outer > -math.inf and outer - inner > 1e-9 * max(1.0, tt, abs(outer)):
+            raise UnboundedSupremumError(f"still increasing for t={t:g}")
+        best = max(best, outer) if outer > -math.inf else best
+    return best
+
+
+def assert_same_bits(got, want):
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_lockstep_conjugate_matches_scalar_loop_on_conjugacy_grid():
+    ts = np.linspace(-10.0, 10.0, 1000)
+    want = [reference_conjugate(phi_inf, t, 2.0) for t in ts.tolist()]
+    assert_same_bits(convex_conjugate(phi_inf, ts, search_bound=2.0), want)
+
+
+def test_lockstep_conjugate_matches_scalar_loop_on_biconjugacy_grid():
+    ts = np.linspace(-0.999, 0.999, 101)
+    ref_inner = lambda u: reference_conjugate(phi_inf, u, 2.0)
+    want = [reference_conjugate(ref_inner, t, 50.0) for t in ts.tolist()]
+    inner = lambda u: convex_conjugate(phi_inf, u, search_bound=2.0)
+    assert_same_bits(convex_conjugate(inner, ts, search_bound=50.0), want)
+
+
+@pytest.mark.parametrize(
+    "f, bound",
+    [(phi_inf, 2.0), (phi_inf, 16.0), (lambda u: 0.5 * u * u, 16.0)],
+    ids=["phi_inf-2", "phi_inf-16", "quadratic-16"],
+)
+def test_lockstep_conjugate_matches_scalar_loop_across_branches(f, bound):
+    # t = 0, the quadratic branch |t| <= 1 and the linear branch, in one array
+    ts = np.array([[0.0, -0.0, 0.25, -1.0], [1.0, 1.5, -3.0, 7.5]])
+    want = [[reference_conjugate(f, t, bound) for t in row] for row in ts.tolist()]
+    got = convex_conjugate(f, ts, search_bound=bound)
+    assert got.shape == ts.shape
+    assert_same_bits(got, want)
+
+
+def test_lockstep_conjugate_freezes_each_element_at_its_own_stop():
+    # at this bound the 40th bracket width sits within rounding of the stop
+    # tolerance, so elements stop after 40 or after 41 steps
+    bound = 1.1057332320939626e-4
+    ts = np.linspace(-0.9, 0.9, 19) * bound
+    quadratic = lambda u: 0.5 * u * u
+    want = [reference_conjugate(quadratic, t, bound) for t in ts.tolist()]
+    assert_same_bits(convex_conjugate(quadratic, ts, search_bound=bound), want)
+
+
+def test_lockstep_conjugate_names_the_climbing_element():
+    quadratic = lambda u: 0.5 * u * u
+    with pytest.raises(UnboundedSupremumError, match=r"for t=40$"):
+        convex_conjugate(quadratic, np.array([1.0, 40.0]), search_bound=16.0)
+
+
+def test_scalar_conjugate_returns_a_python_float():
+    for t in (0.5, np.float64(-3.0), 2):
+        got = convex_conjugate(phi_inf, t, search_bound=2.0)
+        assert type(got) is float
+        assert_same_bits(got, reference_conjugate(phi_inf, t, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +325,30 @@ def test_rotation_invariance_hundred():
     lhs, rhs = rotation_invariance_check([DistributionSpec.exponential()] * 100)
     assert lhs == pytest.approx(11.0, abs=1e-4)
     assert rhs == pytest.approx(20.0, abs=1e-6)
+
+
+def test_sum_of_evaluates_a_shared_member_once_per_probe():
+    base = exp_centered()
+    calls = []
+
+    def counted_d2(t):
+        calls.append(1)
+        return base.d2(t)
+
+    shared = Cumulant(fn=base.fn, d2=counted_d2, domain=base.domain, name="counted")
+    total = sum_of([shared] * 100)
+    grid = np.linspace(-0.5, 0.5, 11)
+    got = total.curvature(grid)
+    assert len(calls) == 1
+    assert_same_bits(got, sum_of([exp_centered() for _ in range(100)]).curvature(grid))
+
+
+@pytest.mark.parametrize("n", [9, 100])
+def test_sum_of_shared_member_keeps_the_norm_bits(n):
+    shared = exp_centered()
+    grouped = tau_norm(sum_of([shared] * n)).value
+    distinct = tau_norm(sum_of([exp_centered() for _ in range(n)])).value
+    assert_same_bits(grouped, distinct)
 
 
 def test_sum_of_mixed_cumulants():
