@@ -327,25 +327,37 @@ def uniforms_per_draw(spec: DistributionSpec) -> int:
     return 3 if spec.family == FAMILY_PNORMAL else 2
 
 
-def _abs_power(g: np.ndarray, exponent: float) -> np.ndarray:
-    ag = np.abs(g)
-    return ag if exponent == 1.0 else ag**exponent
-
-
 def _transform_uniforms(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
-    """Map uniforms of shape (..., k*count) to draws of shape (..., count)."""
-    if spec.family == FAMILY_EXP:
-        return -np.log1p(-u)
-    if spec.family == FAMILY_WEIBULL:
-        return spec.scale * (-np.log1p(-u)) ** (1.0 / spec.shape)
+    """Map uniforms of shape (..., k*count) to draws of shape (..., count).
+
+    The draws are built in place in one buffer, by the same elementwise
+    operations in the same order as the expressions in the comments, so they
+    carry the bits of those expressions.
+    """
+    k = uniforms_per_draw(spec)
+    x = np.negative(u[..., 0::k])
+    np.log1p(x, out=x)
+    if spec.family in (FAMILY_EXP, FAMILY_WEIBULL):
+        # scale * (-log1p(-u)) ** (1 / shape)
+        np.negative(x, out=x)
+        if spec.family == FAMILY_WEIBULL:
+            x **= 1.0 / spec.shape
+            x *= spec.scale
+        return x
+    # |g| ** (2 / p) for the Box-Muller g = sqrt(-2 log1p(-u1)) * cos(2 pi u2)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    angle = np.multiply(u[..., 1::k], 2.0 * np.pi)
+    x *= np.cos(angle, out=angle)
+    np.abs(x, out=x)
+    exponent = 2.0 / spec.shape
+    if exponent != 1.0:
+        x **= exponent
     if spec.family == FAMILY_PNORMAL:
-        u1, u2, u3 = u[..., 0::3], u[..., 1::3], u[..., 2::3]
-        g = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-        sign = np.where(u3 < 0.5, 1.0, -1.0)
-        return sign * _abs_power(g, 2.0 / spec.shape)
-    u1, u2 = u[..., 0::2], u[..., 1::2]
-    g = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-    return spec.scale * _abs_power(g, 2.0 / spec.shape)
+        # the sign uniform u3: negative at u3 >= 0.5
+        return np.negative(x, out=x, where=u[..., 2::3] >= 0.5)
+    x *= spec.scale
+    return x
 
 
 def sample(spec: DistributionSpec, stream: RandomStream, count: int) -> np.ndarray:

@@ -6,6 +6,12 @@ floating-point reduction, and bootstrap resample r uses stream
 ``(seed, BOOTSTRAP_STREAM_BASE + r)``.  Worker threads only decide who fills
 which slot, so a plan's outputs are bitwise identical for any setting of
 ``SUBWEIBULL_THREADS``.
+
+Draws are nested prefixes: the first n draws of stream ``(seed, j)`` do not
+depend on how many draws follow.  So the sample of trial j at dimension n is
+the first n coordinates of its sample at any larger dimension, and a growth
+suite draws each trial once, at the largest n of its grid, with every report
+bitwise equal to the one its plan gives alone.
 """
 
 from __future__ import annotations
@@ -78,16 +84,20 @@ def worker_threads(count: int):
 
 
 def _indexed_blocks(
-    fill: Callable[[int, int], np.ndarray | list[float]], count: int, block: int
+    fill: Callable[[int, int], np.ndarray | list[float]],
+    count: int,
+    block: int,
+    row_shape: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Assemble fill(j0, j1) for consecutive index blocks of size ``block`` into one array.
 
-    Each block writes only its own slots, so the result depends on ``fill``
-    and the block boundaries, never on which thread ran a block.  A caller
-    that derives ``block`` from the worker count needs a ``fill`` whose value
-    at j does not depend on the boundaries.
+    The result has shape ``(count, *row_shape)``; fill(j0, j1) gives its rows
+    j0..j1-1.  Each block writes only its own slots, so the result depends on
+    ``fill`` and the block boundaries, never on which thread ran a block.  A
+    caller that derives ``block`` from the worker count needs a ``fill`` whose
+    value at j does not depend on the boundaries.
     """
-    out = np.empty(count, dtype=float)
+    out = np.empty((count, *row_shape), dtype=float)
     starts = list(range(0, count, block))
 
     def run(j0: int) -> None:
@@ -144,19 +154,35 @@ def default_t_grid(model: VectorModel) -> tuple[float, ...]:
     return tuple(np.linspace(0.0, 6.0 * sigma, TAIL_POINTS))
 
 
-def deviations(plan: ExperimentPlan) -> np.ndarray:
-    """| |X|_p - center | per trial; trial j draws from stream (seed, j)."""
-    model = plan.model
-    spec = model.coordinate_spec
-    center = center_value(model)
+def deviations(plans: ExperimentPlan | Sequence[ExperimentPlan]) -> np.ndarray:
+    """| |X|_p - center | per trial; trial j draws from stream (seed, j).
+
+    One plan gives shape (trials,).  A sequence of plans that differ only in
+    n gives shape (trials, len(plans)), column i for plans[i]: trial j is
+    drawn once, at the largest n, and each column reduces its prefix, so every
+    column equals the one its plan gives alone, bit for bit.
+    """
+    one = isinstance(plans, ExperimentPlan)
+    plans = [plans] if one else list(plans)
+    first = plans[0]
+    spec, p = first.model.coordinate_spec, first.model.p
+    if any(
+        (q.model.coordinate_spec, q.model.p, q.trials, q.seed)
+        != (spec, p, first.trials, first.seed)
+        for q in plans
+    ):
+        raise ParameterError("deviations needs plans that differ only in n")
+    dims = [(q.model.n, center_value(q.model)) for q in plans]
+    top = max(n for n, _ in dims)
     # amortize stream setup without spilling the block out of cache
-    block = max(8, min(1024, 65_536 // max(model.n, 1)))
+    block = max(8, min(1024, 65_536 // top))
 
     def fill(j0: int, j1: int) -> np.ndarray:
-        rows = sample_streams(spec, plan.seed, j0, j1, model.n)
-        return np.abs(lp_norm(rows, model.p) - center)
+        rows = sample_streams(spec, first.seed, j0, j1, top)
+        return np.stack([np.abs(lp_norm(rows[:, :n], p) - c) for n, c in dims], axis=1)
 
-    return _indexed_blocks(fill, plan.trials, block)
+    devs = _indexed_blocks(fill, first.trials, block, (len(dims),))
+    return devs[:, 0] if one else devs
 
 
 def bootstrap_interval(devs: np.ndarray, p: float, seed: int) -> tuple[float, float]:
@@ -295,9 +321,13 @@ def run_report(plan: ExperimentPlan, *, bootstrap: bool = True) -> Concentration
     dimension-free tail bound at its fitted constant, otherwise the average
     Bernstein bound at its fitted constant.
     """
+    return _report(plan, deviations(plan), bootstrap)
+
+
+def _report(plan: ExperimentPlan, devs: np.ndarray, bootstrap: bool) -> ConcentrationReport:
+    """The report of ``plan`` from its per-trial deviations."""
     model = plan.model
     bounds = model_bounds(model)
-    devs = deviations(plan)
     emp = psi_norm_empirical(devs, model.p).value
     if bootstrap:
         boot_lo, boot_hi = bootstrap_interval(devs, model.p, plan.seed)
@@ -354,12 +384,16 @@ def growth_suite(
     *,
     bootstrap: bool = True,
 ) -> list[ConcentrationReport]:
-    """One report per dimension in ``n_grid``, all from the same seed."""
-    reports = []
-    for n in n_grid:
-        plan = ExperimentPlan(VectorModel(spec, int(n), p), trials, seed)
-        reports.append(run_report(plan, bootstrap=bootstrap))
-    return reports
+    """One report per dimension in ``n_grid``, all from the same seed.
+
+    Each trial is drawn once, at the largest n; every report equals
+    ``run_report`` of its own plan, bit for bit.
+    """
+    plans = [ExperimentPlan(VectorModel(spec, int(n), p), trials, seed) for n in n_grid]
+    if not plans:
+        return []
+    rows = np.ascontiguousarray(deviations(plans).T)
+    return [_report(plan, devs, bootstrap) for plan, devs in zip(plans, rows)]
 
 
 def loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:

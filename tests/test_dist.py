@@ -233,6 +233,22 @@ def test_sample_prefix_stable():
     assert np.array_equal(sample(spec, s, 500)[:200], sample(spec, s, 200))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EXP,
+        DistributionSpec.weibull(1.5, 2.0),
+        DistributionSpec.pnormal(3.0),
+        DistributionSpec.halfgauss_pow(3.0, 1.5),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_short_sample_is_a_prefix_of_a_long_one(spec):
+    # a growth suite reads dimension n as the first n draws of its longest sample
+    s = RandomStream(20_240_817, 7)
+    assert sample(spec, s, 4099)[:5].tobytes() == sample(spec, s, 5).tobytes()
+
+
 def test_sample_streams_matches_per_stream_calls():
     spec = DistributionSpec.halfgauss_pow(1.5, 2.0)
     block = sample_streams(spec, 5, 10, 14, 50)

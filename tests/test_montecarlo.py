@@ -131,6 +131,50 @@ def test_csv_bits_match_reference_digests():
     assert _digests([tail]) == reference["tail_small_n"][str(seed)]["digest"]
 
 
+@pytest.mark.parametrize(
+    "spec, p",
+    [
+        (DistributionSpec.pnormal(3.0), 3.0),
+        (DistributionSpec.weibull(1.5, 2.0), 1.0),
+        (DistributionSpec.halfgauss_pow(3.0, 1.5), 2.0),
+    ],
+    ids=["pnormal", "weibull", "halfgauss_pow"],
+)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_growth_suite_equals_per_n_reports(threads, spec, p, workers):
+    # one draw per trial at the largest n; an unsorted grid with a repeated n
+    threads(workers)
+    grid = (64, 16, 64, 200)
+    suite = growth_suite(spec, p, grid, 10_000, 31, bootstrap=False)
+    alone = [
+        run_report(ExperimentPlan(VectorModel(spec, n, p), 10_000, 31), bootstrap=False)
+        for n in grid
+    ]
+    assert suite == alone
+    assert reports_to_csv(suite) == reports_to_csv(alone)
+    assert tails_to_csv(suite) == tails_to_csv(alone)
+
+
+def test_growth_suite_of_an_empty_grid_is_empty():
+    assert growth_suite(EXP, 1.0, [], 1_000, 0) == []
+
+
+def test_growth_suite_rejects_a_zero_dimension_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before validating the grid")
+
+    monkeypatch.setattr(montecarlo, "sample_streams", no_draws)
+    with pytest.raises(ParameterError):
+        growth_suite(EXP, 1.0, (16, 0, 64), 1_000, 0)
+
+
+def test_deviations_rejects_plans_that_differ_beyond_n():
+    plans = [ExperimentPlan(VectorModel(EXP, 16, 1.0), 1_000, 0),
+             ExperimentPlan(VectorModel(EXP, 32, 1.0), 1_000, 1)]
+    with pytest.raises(ParameterError):
+        deviations(plans)
+
+
 def test_deviation_norm_band_gaussian_case():
     plan = ExperimentPlan(VectorModel(DistributionSpec.pnormal(2.0), 256, 2.0), 20_000, 11)
     value = psi_norm_empirical(deviations(plan), 2.0).value
