@@ -1,0 +1,84 @@
+"""The bench summary script: medians, quartiles and pair wins from results files."""
+
+import argparse
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_summary.py"
+METRICS = ("setup_s", "wall_s", "call_p50_ms", "call_p95_ms", "peak_rss_mb")
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_summary", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_run(checkout: Path, stamp: int, wall: float, *, seed=20_240_817, trace=0, failed=0):
+    metrics = {name: {"value": 1.0, "unit": "s"} for name in METRICS}
+    metrics["wall_s"]["value"] = wall
+    if trace:
+        metrics = {"streams.generator.calls": {"value": wall, "unit": "count"},
+                   "tau.tau_norm.calls": {"value": 0.0, "unit": "count"}}
+    record = {
+        "workload": "growth",
+        "seed": seed,
+        "trace": trace,
+        "seconds": 18.0,
+        "environment": {"affinity_cores": 2, "python": "3.11.7", "numpy": "2", "scipy": "1",
+                        "git_revision": checkout.name, "code_sha256": checkout.name},
+        "metrics": metrics,
+        "detail": {"runs": [{"walls": [wall] * 4, "attempted": 8, "failed": failed}]},
+        "digest_matches_reference": True,
+        "digest_problems": [],
+    }
+    results = checkout / ".perfbench" / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    (results / f"growth-{seed}-trace{trace}-{stamp}.json").write_text(json.dumps(record))
+
+
+def _summarize(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (change / "BENCHMARK.json").parent.mkdir(parents=True, exist_ok=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    # written out of order: pairs follow the time stamps, not the listing
+    for stamp, p_wall, c_wall in ((30, 0.50, 0.52), (10, 0.60, 0.40), (20, 0.55, 0.45)):
+        _write_run(parent, stamp, p_wall)
+        _write_run(change, stamp, c_wall, failed=stamp == 20)
+    _write_run(parent, 40, 0.7, seed=19_090_677)
+    _write_run(change, 40, 0.3, seed=19_090_677)
+    _write_run(parent, 50, 2000.0, trace=1)
+    _write_run(change, 50, 400.0, trace=1)
+    args = argparse.Namespace(summary="s", note=["n"], extra=[])
+    return _load().summarize(parent, change, args)
+
+
+def test_end_to_end_medians_quartiles_and_pairs(tmp_path):
+    out = _summarize(tmp_path)
+    growth = out["end_to_end"]["growth"]
+    assert growth["parent"]["wall_s"] == {"median": 0.55, "q1": 0.525, "q3": 0.575}
+    assert growth["change"]["wall_s"]["median"] == 0.45
+    assert growth["pairs_change_better"]["wall_s"] == "2/3"
+    assert growth["median_gap_exceeds_parent_iqr"]["wall_s"] is True
+    assert growth["pairs_change_better"]["setup_s"] == "0/3"
+    assert growth["change"]["failed_ops"] == 1 and growth["change"]["attempted_ops"] == 24
+    assert growth["change"]["passes_per_run"] == [4, 4, 4]
+    assert out["end_to_end"]["growth_heldout_seed_19090677"]["change"]["runs"] == 1
+    assert out["parent"]["git_revision"] == "parent"
+    assert out["cores"] == 2 and out["notes"][-1] == "n"
+
+
+def test_per_layer_keeps_metrics_that_moved(tmp_path):
+    layers = _summarize(tmp_path)["per_layer"]["growth"]
+    assert layers["parent"] == {"runs": 1, "streams.generator.calls": 2000.0}
+    assert layers["change"] == {"runs": 1, "streams.generator.calls": 400.0}
+
+
+def test_no_results_is_an_error(tmp_path):
+    with pytest.raises(SystemExit):
+        _load().load_runs(tmp_path)

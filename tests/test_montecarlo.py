@@ -28,8 +28,11 @@ from subweibull import (
 from subweibull import montecarlo
 from subweibull.dist import moment_abs_quadrature
 from subweibull.montecarlo import (
+    BOOTSTRAP_RESAMPLES,
+    BOOTSTRAP_STREAM_BASE,
     CONSTANT_GRID,
     ENV_THREADS,
+    bootstrap_interval,
     deviations,
     growth_suite,
     loglog_slope,
@@ -131,7 +134,7 @@ def test_csv_bits_match_reference_digests():
     assert _digests([tail]) == reference["tail_small_n"][str(seed)]["digest"]
 
 
-@pytest.mark.parametrize(
+SUITE_FAMILIES = pytest.mark.parametrize(
     "spec, p",
     [
         (DistributionSpec.pnormal(3.0), 3.0),
@@ -140,19 +143,79 @@ def test_csv_bits_match_reference_digests():
     ],
     ids=["pnormal", "weibull", "halfgauss_pow"],
 )
-@pytest.mark.parametrize("workers", [1, 3])
-def test_growth_suite_equals_per_n_reports(threads, spec, p, workers):
+
+
+def _assert_suite_equals_per_n_reports(spec, p, trials, bootstrap):
     # one draw per trial at the largest n; an unsorted grid with a repeated n
-    threads(workers)
     grid = (64, 16, 64, 200)
-    suite = growth_suite(spec, p, grid, 10_000, 31, bootstrap=False)
+    suite = growth_suite(spec, p, grid, trials, 31, bootstrap=bootstrap)
     alone = [
-        run_report(ExperimentPlan(VectorModel(spec, n, p), 10_000, 31), bootstrap=False)
+        run_report(ExperimentPlan(VectorModel(spec, n, p), trials, 31), bootstrap=bootstrap)
         for n in grid
     ]
     assert suite == alone
     assert reports_to_csv(suite) == reports_to_csv(alone)
     assert tails_to_csv(suite) == tails_to_csv(alone)
+
+
+@SUITE_FAMILIES
+@pytest.mark.parametrize("workers", [1, 3])
+def test_growth_suite_equals_per_n_reports(threads, spec, p, workers):
+    threads(workers)
+    _assert_suite_equals_per_n_reports(spec, p, 10_000, bootstrap=False)
+
+
+@SUITE_FAMILIES
+@pytest.mark.parametrize("workers", [1, 3])
+def test_growth_suite_bootstrap_equals_per_n_reports(threads, spec, p, workers):
+    # one set of resample indices for the whole grid
+    threads(workers)
+    _assert_suite_equals_per_n_reports(spec, p, 1_000, bootstrap=True)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_bootstrap_rows_equal_one_dimensional_calls(threads, workers):
+    # at 3 workers, blocks of 67 resamples split into chunks of 65 and 2
+    threads(workers)
+    plans = [ExperimentPlan(VectorModel(EXP, n, 1.0), 1_000, 8) for n in (16, 64, 256)]
+    rows = np.ascontiguousarray(deviations(plans).T)
+    assert bootstrap_interval(rows, 1.0, 8) == [bootstrap_interval(row, 1.0, 8) for row in rows]
+
+
+def test_bootstrap_is_the_percentile_interval_of_independent_resamples():
+    devs = deviations(ExperimentPlan(VectorModel(EXP, 16, 1.0), 1_000, 8))
+    norms = [
+        psi_norm_empirical(
+            devs[RandomStream(8, BOOTSTRAP_STREAM_BASE + r).generator().integers(0, 1_000, 1_000)],
+            1.0,
+            tol=1e-4,
+        ).value
+        for r in range(BOOTSTRAP_RESAMPLES)
+    ]
+    expected = (np.quantile(norms, 0.025), np.quantile(norms, 0.975))
+    assert bootstrap_interval(devs, 1.0, 8) == expected
+
+
+def test_growth_suite_draws_each_bootstrap_index_vector_once(monkeypatch):
+    calls = []
+    keyed = RandomStream.generator
+
+    def counted(stream):
+        calls.append(stream.stream_index)
+        return keyed(stream)
+
+    monkeypatch.setattr(RandomStream, "generator", counted)
+    growth_suite(EXP, 1.0, (16, 32, 64, 128), 1_000, 0)
+    assert sorted(calls) == [BOOTSTRAP_STREAM_BASE + r for r in range(BOOTSTRAP_RESAMPLES)]
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert montecarlo.worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert montecarlo.worker_count() == 1
 
 
 def test_growth_suite_of_an_empty_grid_is_empty():
