@@ -20,6 +20,7 @@ once and every dimension resamples its deviations with it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -266,8 +267,13 @@ def tail_exceedance(
     return rows
 
 
+@functools.cache
 def coordinate_norm(spec: DistributionSpec, p: float) -> float:
-    """Order-p norm of one coordinate: closed form, else quadrature."""
+    """Order-p norm of one coordinate: closed form, else quadrature.
+
+    Cached: it depends only on (spec, p), so the reports of a growth suite,
+    one per dimension, share one computation.
+    """
     try:
         return psi_norm_analytic(spec, p).value
     except NoClosedFormError:

@@ -209,6 +209,22 @@ def test_growth_suite_draws_each_bootstrap_index_vector_once(monkeypatch):
     assert sorted(calls) == [BOOTSTRAP_STREAM_BASE + r for r in range(BOOTSTRAP_RESAMPLES)]
 
 
+def test_growth_suite_computes_each_coordinate_norm_once(monkeypatch):
+    computed = []
+    quadrature = montecarlo.psi_norm_quadrature
+
+    def counted(spec, p):
+        computed.append((spec, p))
+        return quadrature(spec, p)
+
+    monkeypatch.setattr(montecarlo, "psi_norm_quadrature", counted)
+    montecarlo.coordinate_norm.cache_clear()
+    spec = DistributionSpec.weibull(1.5, 2.0)  # no closed form at p = 1
+    reports = growth_suite(spec, 1.0, (16, 32, 64, 128, 256), 1_000, 0, bootstrap=False)
+    assert len(reports) == 5
+    assert computed == [(spec, 1.0)]
+
+
 def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.delenv(ENV_THREADS, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,8 +21,10 @@ from subweibull import (
     psi_norm_quadrature,
     sample,
 )
-from subweibull import orlicz, verify
+from subweibull import ExperimentPlan, VectorModel, orlicz, verify
 from subweibull.dist import canonical
+from subweibull.montecarlo import BOOTSTRAP_STREAM_BASE, deviations
+from subweibull.orlicz import OrliczNormResult
 
 EXP = DistributionSpec.exponential()
 
@@ -174,7 +177,7 @@ def _empirical_reference(samples, p, tol):
     n = a.size
     top = float(a.max())
     if top == 0.0:
-        return 0.0
+        return OrliczNormResult(0.0, p, "empirical", (0.0, tol), 1.0)
     phi = lambda K: float(np.mean(np.exp(np.minimum((a / K) ** p, 708.0))))
     lo = max(tol, top / math.log(2.0 * n) ** (1.0 / p))
     f_lo = phi(lo)
@@ -192,7 +195,7 @@ def _empirical_reference(samples, p, tol):
             hi = mid
         else:
             lo = mid
-    return hi
+    return OrliczNormResult(hi, p, "empirical", (lo, hi), abs(phi(hi) - 2.0))
 
 
 def _bootstrap_like_rows():
@@ -205,16 +208,94 @@ def _bootstrap_like_rows():
     return rows
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-def test_empirical_rows_match_single_rows(p):
-    rows = _bootstrap_like_rows()
-    tol = 1e-4
+def _resampled_deviations(spec, n, p, trials):
+    """60 bootstrap resamples of a plan's deviations, indexed as ``bootstrap_interval`` does."""
+    devs = deviations(ExperimentPlan(VectorModel(spec, n, p), trials, 11))
+    return np.stack([
+        devs[RandomStream(11, BOOTSTRAP_STREAM_BASE + r).generator().integers(0, trials, trials)]
+        for r in range(60)
+    ])
+
+
+_EMPIRICAL_ROWS = {
+    "edge_cases": _bootstrap_like_rows,
+    "exp_n16": lambda: _resampled_deviations(EXP, 16, 1.0, 20_000),
+    "pnormal3_n256": lambda: _resampled_deviations(DistributionSpec.pnormal(3.0), 256, 3.0, 1_000),
+}
+
+
+@functools.cache
+def _empirical_rows(name):
+    return _EMPIRICAL_ROWS[name]()
+
+
+@pytest.mark.parametrize("rows_name", list(_EMPIRICAL_ROWS))
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+def test_empirical_rows_match_single_rows(p, tol, rows_name):
+    rows = _empirical_rows(rows_name)
     results = psi_norm_empirical(rows, p, tol)
     assert len(results) == len(rows)
     for row, result in zip(rows, results):
         assert result == psi_norm_empirical(row, p, tol)
-        assert result.value == _empirical_reference(row, p, tol)
-    assert results[1].value == 0.0
+        assert result == _empirical_reference(row, p, tol)
+    if rows_name == "edge_cases":
+        assert results[1].value == 0.0
+
+
+@pytest.fixture
+def bisected_rows(monkeypatch):
+    """Count the rows that ``psi_norm_empirical`` bisects on the real phi."""
+    count = [0]
+    bisect = orlicz._bisect_norm
+
+    def counted(phi, *args, lo_start, **kwargs):
+        count[0] += np.size(lo_start)
+        return bisect(phi, *args, lo_start=lo_start, **kwargs)
+
+    monkeypatch.setattr(orlicz, "_bisect_norm", counted)
+    return count
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-3, 10.0, math.inf])
+def test_empirical_falls_back_when_the_located_root_is_off(monkeypatch, bisected_rows, factor):
+    locate = orlicz._newton_roots
+    monkeypatch.setattr(orlicz, "_newton_roots", lambda *args: factor * locate(*args))
+    for rows in (_empirical_rows("edge_cases"), _empirical_rows("exp_n16")[:6]):
+        results = psi_norm_empirical(rows, 1.0, 1e-4)
+        for row, result in zip(rows, results):
+            assert result == _empirical_reference(row, 1.0, 1e-4)
+    assert bisected_rows[0] >= 6
+
+
+def test_empirical_certificate_checks_the_points_inside_the_bracket(monkeypatch, bisected_rows):
+    # on the shrink path the halvings of the floor at tol stay inside the final
+    # bracket; a root placed on the last halving below the true one passes the
+    # bracket ends and is caught only there
+    tol = 1e-4
+    locate = orlicz._newton_roots
+
+    def on_a_halving(*args):
+        (root,) = locate(*args)
+        halving = tol
+        while halving >= root:
+            halving *= 0.5
+        return np.array([halving])
+
+    monkeypatch.setattr(orlicz, "_newton_roots", on_a_halving)
+    row = _bootstrap_like_rows()[2]
+    assert psi_norm_empirical(row, 1.0, tol) == _empirical_reference(row, 1.0, tol)
+    assert bisected_rows[0] == 1
+
+
+def test_empirical_divergent_row_raises_like_the_bisection(bisected_rows):
+    message = "exponential moment stays above 2 for every K up to 1e+18"
+    rows = _bootstrap_like_rows()
+    rows[4] = 1e18  # the norm, 1e18 / log 2, is past the ceiling
+    with pytest.raises(DivergenceError) as raised:
+        psi_norm_empirical(rows, 1.0, 1e-4)
+    assert str(raised.value) == message
+    assert bisected_rows[0] == 1  # only the divergent row is bisected on phi
 
 
 def test_empirical_rows_reject_like_single_rows():
