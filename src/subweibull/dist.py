@@ -380,8 +380,10 @@ def sample_streams(
 
     Batches the arithmetic of many substreams into whole-matrix operations;
     the per-row values are identical to per-stream calls because
-    ``uniform_block`` draws each stream's uniforms and every transform is
-    elementwise.
+    ``uniform_block`` gives each row the bits of its stream's uniforms, on
+    either of its paths (the Philox kernel for rows of at most
+    ``SHORT_ROW_WORDS`` uniforms, one re-keyed generator per row above
+    that), and every transform is elementwise.
     """
     u = uniform_block(seed, start, stop, uniforms_per_draw(spec) * int(count))
     return _transform_uniforms(spec, u)

@@ -1,9 +1,15 @@
+import inspect
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from subweibull import ParameterError, RandomStream
 from subweibull.montecarlo import BOOTSTRAP_STREAM_BASE
-from subweibull.streams import uniform_block
+from subweibull.streams import SHORT_ROW_WORDS, uniform_block
 
 
 def test_same_handle_same_sequence():
@@ -45,15 +51,19 @@ def test_rejects_bad_fields(bad):
 
 
 def test_rejects_bad_count():
-    with pytest.raises(ParameterError):
-        RandomStream(0, 0).uniforms(0)
+    # counts must be integers >= 1; a float, a bool or a string is not truncated
+    for bad in (0, -3, 2.5, 4.0, True, "4", None):
+        with pytest.raises(ParameterError):
+            RandomStream(0, 0).uniforms(bad)
 
 
 # ---------------------------------------------------------------------------
-# block fill: one re-keyed generator for many streams
+# block fill: the Philox kernel for short rows, one re-keyed generator for long
 
 
-@pytest.mark.parametrize("count", [1, 3, 5, 17, 1000])
+@pytest.mark.parametrize(
+    "count", [1, 3, 5, 17, SHORT_ROW_WORDS - 1, SHORT_ROW_WORDS, SHORT_ROW_WORDS + 1, 1000]
+)
 @pytest.mark.parametrize("start", [0, 9])
 def test_uniform_block_matches_per_stream(start, count):
     block = uniform_block(424242, start, start + 6, count)
@@ -70,9 +80,10 @@ def test_uniform_block_matches_per_stream(start, count):
     ],
 )
 def test_uniform_block_matches_at_large_indices(seed, start):
-    block = uniform_block(seed, start, start + 4, 5)
-    for i in range(4):
-        assert np.array_equal(block[i], RandomStream(seed, start + i).uniforms(5))
+    for count in (5, SHORT_ROW_WORDS + 1):  # the Philox kernel, then the re-keyed generator
+        block = uniform_block(seed, start, start + 4, count)
+        for i in range(4):
+            assert np.array_equal(block[i], RandomStream(seed, start + i).uniforms(count))
 
 
 @pytest.mark.parametrize(
@@ -88,8 +99,51 @@ def test_uniform_block_matches_at_large_indices(seed, start):
         (0, 5, 5, 4),  # empty range
         (0, 5, 3, 4),
         (0, 0, 1, 0),
+        (0, 0, 2, 2.7),
+        (0, 0, 2, 4.0),
+        (0, 0, 2, True),
+        (0, 0, 2, "4"),
     ],
 )
 def test_uniform_block_rejects_bad_input(seed, start, stop, count):
     with pytest.raises(ParameterError):
         uniform_block(seed, start, stop, count)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's bits do not depend on numpy's SIMD dispatch
+
+
+def _avx512_skx() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__["AVX512_SKX"]
+
+
+SHORT_BLOCK = (20_240_817, 3, 4_003, 13)  # seed, start, stop, words per row
+
+_DISPATCH_PROBE = inspect.getsource(_avx512_skx) + f"""
+import json
+from subweibull.streams import uniform_block
+block = uniform_block(*{SHORT_BLOCK!r})
+print(json.dumps({{"avx512_skx": _avx512_skx(), "hex": block.tobytes().hex()}}))
+"""
+
+
+def test_short_row_bits_do_not_depend_on_simd_dispatch():
+    if not _avx512_skx():
+        pytest.skip("AVX512_SKX is not enabled in this process: no SIMD path to switch off")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(sys.path),
+        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["avx512_skx"] is False, "NPY_DISABLE_CPU_FEATURES did not take effect"
+    assert probe["hex"] == uniform_block(*SHORT_BLOCK).tobytes().hex()
