@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NoClosedFormError, ParameterError
 from .quadrature import improper_integral
-from .streams import RandomStream, uniform_block
+from .streams import RandomStream, _check_count, uniform_block
 
 FAMILY_EXP = "exp"
 FAMILY_WEIBULL = "weibull"
@@ -321,7 +321,7 @@ def mgf_quadrature(spec: DistributionSpec, t: float, power: float | None = None)
 # k*j .. k*j + (k-1) of the stream, where k is the family's draws-per-sample
 
 
-def uniforms_per_draw(spec: DistributionSpec) -> int:
+def _uniforms_per_draw(spec: DistributionSpec) -> int:
     if spec.family in (FAMILY_EXP, FAMILY_WEIBULL):
         return 1
     return 3 if spec.family == FAMILY_PNORMAL else 2
@@ -334,7 +334,7 @@ def _transform_uniforms(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     operations in the same order as the expressions in the comments, so they
     carry the bits of those expressions.
     """
-    k = uniforms_per_draw(spec)
+    k = _uniforms_per_draw(spec)
     x = np.negative(u[..., 0::k])
     np.log1p(x, out=x)
     if spec.family in (FAMILY_EXP, FAMILY_WEIBULL):
@@ -366,10 +366,8 @@ def sample(spec: DistributionSpec, stream: RandomStream, count: int) -> np.ndarr
     Exponential draws use the inverse transform -ln(U); the Gaussian-based
     families use Box-Muller with an independent fair sign where needed.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ParameterError(f"count must be an integer >= 1, got {count}")
-    count = int(count)
-    u = stream.uniforms(uniforms_per_draw(spec) * count)
+    _check_count(count)
+    u = stream.uniforms(_uniforms_per_draw(spec) * int(count))
     return _transform_uniforms(spec, u)
 
 
@@ -380,12 +378,11 @@ def sample_streams(
 
     Batches the arithmetic of many substreams into whole-matrix operations;
     the per-row values are identical to per-stream calls because
-    ``uniform_block`` gives each row the bits of its stream's uniforms, on
-    either of its paths (the Philox kernel for rows of at most
-    ``SHORT_ROW_WORDS`` uniforms, one re-keyed generator per row above
-    that), and every transform is elementwise.
+    ``uniform_block`` gives each row the bits of its stream's uniforms,
+    whichever way it computes them, and every transform is elementwise.
     """
-    u = uniform_block(seed, start, stop, uniforms_per_draw(spec) * int(count))
+    _check_count(count)
+    u = uniform_block(seed, start, stop, _uniforms_per_draw(spec) * int(count))
     return _transform_uniforms(spec, u)
 
 

@@ -37,28 +37,28 @@ from .concentration import (
     thm14_bound,
     thm14_tail_bound,
 )
-from .dist import DistributionSpec, moment_abs, sample_streams, uniforms_per_draw
+from .dist import DistributionSpec, moment_abs, sample_streams
 from .errors import (
     NoClosedFormError,
     NoFeasibleConstantError,
     ParameterError,
 )
 from .orlicz import psi_norm_analytic, psi_norm_empirical, psi_norm_quadrature
-from .streams import SHORT_ROW_WORDS, RandomStream
+from .streams import RandomStream
 from .tau import bernstein_bound
 
 BOOTSTRAP_STREAM_BASE = 1 << 40
 BOOTSTRAP_RESAMPLES = 200
 _NO_INTERVAL = (math.nan, math.nan)  # boot_lo, boot_hi when the bootstrap is off
-# sample values one lockstep bisection holds (resamples x trials).  On 2 cores a
-# 5-dimension 1k-trial bootstrap took 148 ms at 16 384 and 96 ms at 65 536;
-# 262 144 was no faster and peaked 15 MB higher at 20k trials
-LOCKSTEP_VALUES = 65_536
-# uniforms one short-row block of ``deviations`` draws (rows x words per row).
-# On 2 cores, 20k rows of 16 words took 26 ms on 2 threads and 35 ms on 1 at
-# 65 536; at 16 384 2 threads were slower than 1, and 131 072 and 262 144
-# added 5 MB and 14 MB to the tail report's peak RSS
-SHORT_BLOCK_WORDS = 65_536
+# sample values one batch of empirical norms holds (resamples x trials).  On 2
+# cores a 5-dimension 1k-trial bootstrap took 148 ms at 16 384 and 96 ms at
+# 65 536; 262 144 was no faster and peaked 15 MB higher at 20k trials
+BATCH_VALUES = 65_536
+# draws one block of ``deviations`` holds (rows x n).  On 2 cores, 20k rows of
+# 16 exp draws took 26 ms on 2 threads and 35 ms on 1 at 65 536; at 16 384 2
+# threads were slower than 1, and 131 072 and 262 144 added 5 MB and 14 MB to
+# the tail report's peak RSS
+BLOCK_DRAWS = 65_536
 
 MIN_TRIALS_NORM = 1_000
 MIN_TRIALS_TAIL = 10_000
@@ -191,17 +191,11 @@ def deviations(plans: ExperimentPlan | Sequence[ExperimentPlan]) -> np.ndarray:
         raise ParameterError("deviations needs plans that differ only in n")
     dims = [(q.model.n, center_value(q.model)) for q in plans]
     top = max(n for n, _ in dims)
-    words = uniforms_per_draw(spec) * top
-    if words <= SHORT_ROW_WORDS:
-        # short rows take the Philox kernel, whose numpy calls release the GIL:
-        # each must outlast a handoff between workers, so blocks are as large
-        # as SHORT_BLOCK_WORDS allows, the same number for every worker
-        workers = worker_count()
-        parts = workers * -(-first.trials * words // (workers * SHORT_BLOCK_WORDS))
-        block = -(-first.trials // parts)
-    else:
-        # amortize stream setup without spilling the block out of cache
-        block = max(8, min(1024, 65_536 // top))
+    # blocks of about BLOCK_DRAWS draws, the same number for every worker:
+    # each outlasts a handoff between workers and stays in cache
+    workers = worker_count()
+    parts = workers * -(-first.trials * top // (workers * BLOCK_DRAWS))
+    block = -(-first.trials // parts)
 
     def fill(j0: int, j1: int) -> np.ndarray:
         rows = sample_streams(spec, first.seed, j0, j1, top)
@@ -223,8 +217,8 @@ def bootstrap_interval(
     """
     rows = np.atleast_2d(devs)
     trials = rows.shape[1]
-    # resamples bisected in lockstep: about LOCKSTEP_VALUES sample values at a time
-    chunk = max(1, LOCKSTEP_VALUES // trials)
+    # resamples normed together: about BATCH_VALUES sample values at a time
+    chunk = max(1, BATCH_VALUES // trials)
 
     def fill(r0: int, r1: int) -> np.ndarray:
         norms = np.empty((r1 - r0, len(rows)))

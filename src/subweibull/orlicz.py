@@ -7,10 +7,11 @@ closed-form table (``psi_norm_analytic``), by quadrature in the canonical
 base variable (``psi_norm_quadrature``), or as a sample mean
 (``psi_norm_empirical``).
 
-The sample version returns the bisection's bits without paying for its
-passes over the sample: Newton locates each root, the bisection is replayed
-against the located root, and one batched evaluation of the real Phi
-certifies the replay.  A row the certificate rejects is bisected on Phi.
+The quadrature and sample versions share one bisection of a scalar Phi.
+The sample version returns its bits without paying for its passes over the
+sample: Newton locates each root, the bisection is replayed against the
+located root, and one batched evaluation of the real Phi certifies the
+replay.  A row the certificate rejects is bisected alone on its Phi.
 
 Divergent exponential moments are recognized in closed form for the
 canonical integrands (the growth exponent versus the base density's decay
@@ -119,59 +120,26 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
 
 
 def _bisect_norm(
-    phi,
-    p: float,
-    tol: float,
-    method: str,
-    *,
-    lo_start,
-    k_max: float,
-    polish_residual: bool,
-) -> list[OrliczNormResult]:
-    """Smallest K with phi(K) <= 2, one result per row, for nonincreasing phi.
+    phi, lo_start: float, p: float, tol: float, method: str, k_max: float, polish_residual: bool
+) -> OrliczNormResult:
+    """Smallest K with phi(K) <= 2 for a nonincreasing scalar ``phi``, searched from ``lo_start``.
 
-    ``phi(K, rows)`` evaluates the rows with (increasing) indices ``rows`` at
-    the matching entries of the array ``K``; ``lo_start`` holds one floor per
-    row.  Each row runs its own ``_bisect_row``; the rows advance in lockstep,
-    one batched phi call per step, so a row's result does not depend on the
-    other rows.
+    With ``polish_residual`` it also bisects until |phi(hi) - 2| <= ``RESIDUAL_TARGET``.
     """
     if tol <= 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    searches = [
-        _bisect_row(lo, p, tol, method, k_max, polish_residual)
-        for lo in np.array(lo_start, dtype=float, ndmin=1).tolist()
-    ]
-    results: list = [None] * len(searches)
-    asks = {i: next(search) for i, search in enumerate(searches)}
-    while asks:
-        rows = list(asks)
-        values = phi(np.array([asks[i] for i in rows]), np.array(rows)).tolist()
-        for i, value in zip(rows, values):
-            try:
-                asks[i] = searches[i].send(value)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del asks[i]
-    return results
-
-
-def _bisect_row(
-    lo_start: float, p: float, tol: float, method: str, k_max: float, polish_residual: bool
-):
-    """One row of ``_bisect_norm``: yields each K to evaluate and receives phi(K)."""
     lo = lo_start
-    f_lo = f_start = yield lo
+    f_lo = f_start = phi(lo)
     # degenerate laws may already satisfy the condition at the floor
     shrink = 0
     while f_lo <= 2.0 and shrink < 1000:
         lo *= 0.5
         if lo < 1e-300:
             return OrliczNormResult(0.0, p, method, (0.0, lo_start), abs(f_start - 2.0))
-        f_lo = yield lo
+        f_lo = phi(lo)
         shrink += 1
     hi = max(2.0 * lo, 1.0)
-    f_hi = yield hi
+    f_hi = phi(hi)
     expansions = 0
     while f_hi > 2.0:
         lo, f_lo = hi, f_hi
@@ -181,13 +149,13 @@ def _bisect_row(
             raise DivergenceError(
                 f"exponential moment stays above 2 for every K up to {k_max:g}"
             )
-        f_hi = yield hi
+        f_hi = phi(hi)
     for _ in range(MAX_BISECTIONS):
         residual = abs(f_hi - 2.0)
         if hi - lo <= tol and (not polish_residual or residual <= RESIDUAL_TARGET):
             break
         mid = 0.5 * (lo + hi)
-        f_mid = yield mid
+        f_mid = phi(mid)
         # the exponential moment must be nonincreasing in K on the bracket
         monotone = (
             f_mid <= f_lo * (1.0 + 1e-9) if math.isfinite(f_mid) else math.isinf(f_lo)
@@ -213,11 +181,10 @@ def psi_norm_quadrature_canonical(
 ) -> OrliczNormResult:
     if p <= 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
-    phi = lambda K, rows: np.array([exp_moment(law, p, k, center) for k in K.tolist()])
     return _bisect_norm(
-        phi, p, tol, METHOD_QUADRATURE, lo_start=1e-6, k_max=QUADRATURE_K_MAX,
-        polish_residual=True,
-    )[0]
+        lambda K: exp_moment(law, p, K, center), 1e-6, p, tol, METHOD_QUADRATURE,
+        QUADRATURE_K_MAX, True,
+    )
 
 
 def psi_norm_quadrature(
@@ -237,8 +204,8 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     The result is the monotone bisection's, bit for bit, found with far fewer
     passes over the sample: Newton locates each row's root, the bisection is
     replayed against it, and one batched evaluation certifies the replay (see
-    ``_located_bisection``).  Rows the certificate rejects are bisected
-    directly, in lockstep.
+    ``_located_bisection``).  A row the certificate rejects is bisected
+    directly, on its own.
 
     The estimator is consistent but biased low in small samples (extreme
     tails go unobserved); no correction is applied.
@@ -311,21 +278,24 @@ def _newton_roots(x: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
 
 
 def _located_bisection(phi, k_star: np.ndarray, lo_start: np.ndarray, p: float, tol: float):
-    """``_bisect_norm`` of the empirical ``phi``, bit for bit, steered by roots ``k_star``.
+    """``_bisect_norm`` of each row's empirical phi, bit for bit, steered by roots ``k_star``.
 
-    Each row's ``_bisect_row`` search is replayed with "K >= k_star" in place
-    of "phi(K) <= 2", and the K it asks for are recorded.  One batched phi
-    call then takes the final lo and hi and every asked K strictly between
-    them.  The row is certified when phi(hi) <= 2 < phi(lo), lo < k_star <= hi,
-    and each inner K's real decision is the replayed one: phi is
-    nonincreasing, so every asked K at or below lo, or at or above hi, was
-    then decided as phi would decide it, and the replay is the bisection
+    ``phi(K, rows)`` evaluates the rows ``rows`` at the matching entries of
+    the array ``K``.  Each row's bisection is replayed with "K >= k_star" in
+    place of "phi(K) <= 2", and the K it asks for are recorded.  One batched
+    phi call then takes the final lo and hi and every asked K strictly
+    between them.  The row is certified when phi(hi) <= 2 < phi(lo),
+    lo < k_star <= hi, and each inner K's real decision is the replayed one:
+    phi is nonincreasing, so every asked K at or below lo, or at or above hi,
+    was then decided as phi would decide it, and the replay is the bisection
     itself.  Its residual is |phi(hi) - 2|.  A row that fails the
     certificate, or whose replay diverges or ends at the zero norm, is
-    bisected on phi itself, with every check and error of ``_bisect_norm``.
+    bisected alone on phi itself, with every check and error of
+    ``_bisect_norm``.
     """
     stars = k_star.tolist()
-    replays = [_replay(lo, k, p, tol) for lo, k in zip(lo_start.tolist(), stars)]
+    floors = lo_start.tolist()
+    replays = [_replay(lo, k, p, tol) for lo, k in zip(floors, stars)]
     replayed = [i for i, replay in enumerate(replays) if replay is not None]
     owners, points = [], []
     for i in replayed:
@@ -342,34 +312,31 @@ def _located_bisection(phi, k_star: np.ndarray, lo_start: np.ndarray, p: float, 
         agree = [(next(values) <= 2.0) == (K >= stars[i]) for K in inner]
         if f_hi <= 2.0 < f_lo and lo < stars[i] <= hi and all(agree):
             results[i] = replace(result, residual=abs(f_hi - 2.0))
-    redo = [i for i, result in enumerate(results) if result is None]
-    if redo:
-        rows = np.array(redo)
-        bisected = _bisect_norm(
-            lambda K, idx: phi(K, rows[idx]), p, tol, METHOD_EMPIRICAL,
-            lo_start=lo_start[rows], k_max=_EMPIRICAL_K_MAX, polish_residual=False,
-        )
-        for i, result in zip(redo, bisected):
-            results[i] = result
+    for i, result in enumerate(results):
+        if result is None:
+            row = np.array([i])
+            results[i] = _bisect_norm(
+                lambda K: phi(np.array([K]), row).item(), floors[i], p, tol,
+                METHOD_EMPIRICAL, _EMPIRICAL_K_MAX, False,
+            )
     return results
 
 
 def _replay(lo_start: float, k_star: float, p: float, tol: float):
-    """One ``_bisect_row`` search with "K >= k_star" for "phi(K) <= 2".
+    """``_bisect_norm`` with "K >= k_star" for "phi(K) <= 2".
 
     Returns (result, the asked K strictly inside its bracket), or None when
     the search diverges or ends at the zero norm.
     """
-    search = _bisect_row(lo_start, p, tol, METHOD_EMPIRICAL, _EMPIRICAL_K_MAX, False)
     asked = []
+
+    def stand_in(K: float) -> float:
+        asked.append(K)
+        # a phi value below 2, or one above it
+        return 1.0 if K >= k_star else 3.0
+
     try:
-        K = next(search)
-        while True:
-            asked.append(K)
-            # stand-ins for a phi value below 2 and one above it
-            K = search.send(1.0 if K >= k_star else 3.0)
-    except StopIteration as stop:
-        result = stop.value
+        result = _bisect_norm(stand_in, lo_start, p, tol, METHOD_EMPIRICAL, _EMPIRICAL_K_MAX, False)
     except DivergenceError:
         return None
     if result.value == 0.0:

@@ -1,0 +1,51 @@
+import inspect
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+
+def _avx512_skx() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__["AVX512_SKX"]
+
+
+@pytest.fixture
+def without_avx512():
+    """``run(fn, *args)``: ``fn(*args)`` in a subprocess with numpy's AVX-512 paths off.
+
+    ``fn`` is a module-level function that does its own imports and returns
+    JSON-serializable data; the subprocess gets its source, not its module.
+    Skips where AVX512_SKX is off in this process: there is no SIMD path to
+    switch off.
+    """
+    if not _avx512_skx():
+        pytest.skip("AVX512_SKX is not enabled in this process: no SIMD path to switch off")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(sys.path),
+        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+    )
+
+    def run(fn, *args):
+        probe = "\n".join([
+            "import json",
+            inspect.getsource(_avx512_skx),
+            inspect.getsource(fn),
+            f"result = {fn.__name__}(*{args!r})",
+            'print(json.dumps({"avx512_skx": _avx512_skx(), "result": result}))',
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["avx512_skx"] is False, "NPY_DISABLE_CPU_FEATURES did not take effect"
+        return out["result"]
+
+    return run

@@ -272,8 +272,12 @@ def test_sample_streams_builds_one_generator(monkeypatch):
 
 
 def test_sample_count_validation():
-    with pytest.raises(ParameterError):
-        sample(EXP, RandomStream(0, 0), 0)
+    # the rule of RandomStream.uniforms: an integer >= 1, and not a bool
+    for count in (0, -1, 2.7, 2.0, "3", True):
+        with pytest.raises(ParameterError):
+            sample(EXP, RandomStream(0, 0), count)
+        with pytest.raises(ParameterError):
+            sample_streams(EXP, 0, 0, 2, count)
 
 
 def test_weibull_mean_one():

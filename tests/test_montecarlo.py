@@ -134,6 +134,37 @@ def test_csv_bits_match_reference_digests():
     assert _digests([tail]) == reference["tail_small_n"][str(seed)]["digest"]
 
 
+def _benchmark_outputs(seed):
+    """The growth and tail_small_n CSVs at ``seed``, and a hash of each one's raw deviations."""
+    import hashlib
+
+    from subweibull import DistributionSpec, ExperimentPlan, VectorModel
+    from subweibull import montecarlo as mc
+
+    grid = (16, 64, 256, 1024, 4096)
+    growth, raw = [], {}
+    for spec, p in ((DistributionSpec.pnormal(2.0), 2.0), (DistributionSpec.exponential(), 1.0)):
+        growth += mc.growth_suite(spec, p, grid, 1_000, seed)
+        plans = [ExperimentPlan(VectorModel(spec, n, p), 1_000, seed) for n in grid]
+        raw[f"growth {spec.family}"] = mc.deviations(plans)
+    tail = ExperimentPlan(VectorModel(DistributionSpec.exponential(), 16, 1.0), 20_000, seed)
+    raw["tail_small_n"] = mc.deviations(tail)
+    tails = [mc.run_report(tail)]
+    return {
+        "csv": [mc.reports_to_csv(growth), mc.reports_to_csv(tails), mc.tails_to_csv(tails)],
+        "deviations": {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in raw.items()},
+    }
+
+
+def test_csv_bits_do_not_depend_on_simd_dispatch(without_avx512):
+    # every reported number comes from comparisons and counts of the draws, so
+    # the CSVs survive numpy's AVX-512 paths changing the bits of log1p and exp
+    seed = 20_240_817
+    here, there = _benchmark_outputs(seed), without_avx512(_benchmark_outputs, seed)
+    assert there["deviations"] != here["deviations"], "the draws did not change: nothing tested"
+    assert there["csv"] == here["csv"]
+
+
 SUITE_FAMILIES = pytest.mark.parametrize(
     "spec, p",
     [

@@ -245,15 +245,19 @@ def test_empirical_rows_match_single_rows(p, tol, rows_name):
 
 @pytest.fixture
 def bisected_rows(monkeypatch):
-    """Count the rows that ``psi_norm_empirical`` bisects on the real phi."""
+    """Count the rows that ``psi_norm_empirical`` bisects on the real phi.
+
+    Each row's bisection is one ``_bisect_norm`` call, and each ``_replay``
+    makes one more on its stand-in phi, so a replay counts -1.
+    """
     count = [0]
-    bisect = orlicz._bisect_norm
+    for name, step in (("_bisect_norm", 1), ("_replay", -1)):
 
-    def counted(phi, *args, lo_start, **kwargs):
-        count[0] += np.size(lo_start)
-        return bisect(phi, *args, lo_start=lo_start, **kwargs)
+        def counted(*args, _call=getattr(orlicz, name), _step=step, **kwargs):
+            count[0] += _step
+            return _call(*args, **kwargs)
 
-    monkeypatch.setattr(orlicz, "_bisect_norm", counted)
+        monkeypatch.setattr(orlicz, name, counted)
     return count
 
 
@@ -311,44 +315,28 @@ def test_empirical_rows_reject_like_single_rows():
         psi_norm_empirical(np.ones((3, 200)), 0.0)
 
 
-def _table_phi(f):
-    return lambda K, rows: np.array([f(k, r) for k, r in zip(K.tolist(), rows.tolist())])
-
-
-def _healthy(K):
-    return 4.0 / K  # phi(K) <= 2 from K = 2 on
-
-
-def test_bisect_rows_match_single_rows():
-    lo_start = [0.3, 0.7, 5.0]
-    batch = orlicz._bisect_norm(
-        _table_phi(lambda K, r: _healthy(K) * (1 + r)), 1.0, 1e-9, "t",
-        lo_start=lo_start, k_max=1e9, polish_residual=True,
-    )
-    for r, start in enumerate(lo_start):
-        alone = orlicz._bisect_norm(
-            _table_phi(lambda K, _: _healthy(K) * (1 + r)), 1.0, 1e-9, "t",
-            lo_start=start, k_max=1e9, polish_residual=True,
-        )
-        assert batch[r] == alone[0]
-        assert batch[r].value == pytest.approx(2.0 * (1 + r), rel=1e-8)
+def test_bisect_norm_finds_the_root():
+    # phi = 4 (1 + r) / K drops to 2 at K = 2 (1 + r); floors below the root
+    # take the expansion path, the floor 5 above the root 4 the shrink path
+    for r, lo_start in enumerate([0.3, 5.0, 0.7]):
+        phi = lambda K: 4.0 * (1 + r) / K
+        result = orlicz._bisect_norm(phi, lo_start, 1.0, 1e-9, "t", 1e9, True)
+        assert result.value == pytest.approx(2.0 * (1 + r), rel=1e-8)
+        lo, hi = result.bracket
+        assert lo < 2.0 * (1 + r) <= hi == result.value and hi - lo <= 1e-9
+        assert result.residual == abs(phi(hi) - 2.0) <= orlicz.RESIDUAL_TARGET
 
 
 @pytest.mark.parametrize(
-    "bad_row, error",
+    "bad_phi, error",
     [
         (lambda K: 3.0, DivergenceError),  # never drops to 2
         (lambda K: 5.0 if 1.0 < K < 2.0 else (2.5 if K <= 1.0 else 1.0), VerificationError),
     ],
 )
-def test_bisect_rows_raise_like_single_rows(bad_row, error):
-    phi = lambda K, r: bad_row(K) if r == 1 else _healthy(K)
+def test_bisect_norm_raises(bad_phi, error):
     with pytest.raises(error):
-        orlicz._bisect_norm(_table_phi(phi), 1.0, 1e-6, "t",
-                            lo_start=[1.0, 1.0], k_max=1e9, polish_residual=False)
-    with pytest.raises(error):
-        orlicz._bisect_norm(_table_phi(lambda K, _: bad_row(K)), 1.0, 1e-6, "t",
-                            lo_start=1.0, k_max=1e9, polish_residual=False)
+        orlicz._bisect_norm(bad_phi, 1.0, 1.0, 1e-6, "t", 1e9, False)
 
 
 def test_empirical_monotone_mean_exp():

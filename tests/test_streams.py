@@ -1,9 +1,3 @@
-import inspect
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -114,36 +108,14 @@ def test_uniform_block_rejects_bad_input(seed, start, stop, count):
 # the kernel's bits do not depend on numpy's SIMD dispatch
 
 
-def _avx512_skx() -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    return __cpu_features__["AVX512_SKX"]
-
-
 SHORT_BLOCK = (20_240_817, 3, 4_003, 13)  # seed, start, stop, words per row
 
-_DISPATCH_PROBE = inspect.getsource(_avx512_skx) + f"""
-import json
-from subweibull.streams import uniform_block
-block = uniform_block(*{SHORT_BLOCK!r})
-print(json.dumps({{"avx512_skx": _avx512_skx(), "hex": block.tobytes().hex()}}))
-"""
+
+def _block_hex(seed, start, stop, count):
+    from subweibull.streams import uniform_block
+
+    return uniform_block(seed, start, stop, count).tobytes().hex()
 
 
-def test_short_row_bits_do_not_depend_on_simd_dispatch():
-    if not _avx512_skx():
-        pytest.skip("AVX512_SKX is not enabled in this process: no SIMD path to switch off")
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(sys.path),
-        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _DISPATCH_PROBE], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    probe = json.loads(proc.stdout)
-    assert probe["avx512_skx"] is False, "NPY_DISABLE_CPU_FEATURES did not take effect"
-    assert probe["hex"] == uniform_block(*SHORT_BLOCK).tobytes().hex()
+def test_short_row_bits_do_not_depend_on_simd_dispatch(without_avx512):
+    assert without_avx512(_block_hex, *SHORT_BLOCK) == _block_hex(*SHORT_BLOCK)
