@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -66,7 +67,8 @@ def lp_norm(x, p: float):
         scaled **= p
         sums = np.add.reduce(scaled, axis=1)
         # Python float pow: np.power can differ from it in the last bit
-        norms = np.array([t * s ** (1.0 / p) for t, s in zip(top.tolist(), sums.tolist())])
+        roots = np.fromiter(map(pow, sums.tolist(), repeat(1.0 / p)), float, len(sums))
+        norms = top * roots
     return float(norms[0]) if a.ndim < 2 else norms
 
 

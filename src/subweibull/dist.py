@@ -354,8 +354,10 @@ def _transform_uniforms(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     if exponent != 1.0:
         x **= exponent
     if spec.family == FAMILY_PNORMAL:
-        # the sign uniform u3: negative at u3 >= 0.5
-        return np.negative(x, out=x, where=u[..., 2::3] >= 0.5)
+        # the sign uniform u3: negative at u3 >= 0.5.  Uniforms are multiples
+        # of 2**-53 and 0.5 - 2**-54 is the largest double below 0.5, so the
+        # difference is never zero and is negative exactly when u3 >= 0.5.
+        return np.copysign(x, np.subtract(0.5 - 2.0**-54, u[..., 2::3], out=angle), out=x)
     x *= spec.scale
     return x
 

@@ -14,14 +14,16 @@ misclassified.
 Truncating at a fixed upper limit would silently return a finite number for
 integrands such as ``exp(x/K) * exp(-x)`` with ``K <= 1``; the doubling
 scheme exists to catch exactly that.
+
+``scipy.integrate`` is imported at the first segment, not with this module:
+it pulls in much of scipy and takes most of a second to load, and most
+commands never integrate.  Later calls find it in ``sys.modules``.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
-
-from scipy.integrate import quad
 
 BLOWUP_THRESHOLD = 1e150
 FIRST_SEGMENT = 8.0
@@ -39,6 +41,8 @@ def segment_integral(
     breakpoints: Sequence[float] = (),
 ) -> float:
     """Adaptive integral of ``fn`` on [lo, hi], split at interior breakpoints."""
+    from scipy.integrate import quad
+
     edges = [lo] + sorted(b for b in breakpoints if lo < b < hi) + [hi]
     total = 0.0
     for a, b in zip(edges, edges[1:]):

@@ -6,6 +6,10 @@ tolerances and predicate: the acceptance criteria call these checks, and
 apply the Monte Carlo predicates (:func:`growth_contrast`,
 :func:`tail_domination`, :func:`csv_reproducibility`) to their own
 full-strength experiments.
+
+The two KS checks and the exact exponential tail of
+:func:`check_bound_domination` import ``scipy.stats`` when they run, so that
+importing this module, and with it the CLI, does not load scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import gamma as gamma_law, ks_2samp
 
 from . import concentration as conc
 from . import dist, montecarlo, orlicz, tau
@@ -82,6 +85,8 @@ def check_mgf_quadrature() -> CheckResult:
 
 
 def check_weibull_sampler_identity() -> CheckResult:
+    from scipy.stats import ks_2samp
+
     n = 100_000
     shape, scale = 1.7, 1.3
     spec = dist.DistributionSpec.weibull(shape, scale)
@@ -98,6 +103,8 @@ def check_weibull_sampler_identity() -> CheckResult:
 
 def check_pnormal_symmetry() -> CheckResult:
     """Positive draws and mirrored negative draws share one law; signs balance."""
+    from scipy.stats import ks_2samp
+
     spec = dist.DistributionSpec.pnormal(3.0)
     x = dist.sample(spec, RandomStream(7, 0), 50_000)
     _, pvalue = ks_2samp(x[x > 0.0], -x[x < 0.0])
@@ -544,6 +551,8 @@ def _exact_exp_tail(report: montecarlo.ConcentrationReport) -> montecarlo.Concen
     :func:`tail_domination` applies, so it cannot fail there, and even at
     C1 = 1 the Bernstein bound stays above 0.6 on the whole grid.
     """
+    from scipy.stats import gamma as gamma_law
+
     n = report.n
     exact = lambda t: float(gamma_law.sf(n + t, n) + gamma_law.cdf(n - t, n))
     rows = tuple(replace(row, bound=exact(row.t), C=math.nan) for row in report.tail_rows)

@@ -3,8 +3,32 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, **env):
+    """``python *args`` in a fresh interpreter that imports the package from ``src/``.
+
+    ``env`` adds variables to this process's environment.  Returns the
+    finished process, with its output as text.
+    """
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+        timeout=120,
+    )
+
+
+@pytest.fixture
+def fresh_python():
+    """:func:`run_python`, for tests that start their own interpreter."""
+    return run_python
 
 
 def _avx512_skx() -> bool:
@@ -26,11 +50,6 @@ def without_avx512():
     """
     if not _avx512_skx():
         pytest.skip("AVX512_SKX is not enabled in this process: no SIMD path to switch off")
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(sys.path),
-        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-    )
 
     def run(fn, *args):
         probe = "\n".join([
@@ -40,8 +59,8 @@ def without_avx512():
             f"result = {fn.__name__}(*{args!r})",
             'print(json.dumps({"avx512_skx": _avx512_skx(), "result": result}))',
         ])
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+        proc = run_python(
+            ["-c", probe], NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
         )
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)

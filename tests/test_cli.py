@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import pytest
@@ -410,13 +407,46 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_module_entry_point_smoke():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "subweibull", "conjugate", "--f", "phi_inf", "--t", "0.5"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+def test_module_entry_point_smoke(fresh_python):
+    proc = fresh_python(["-m", "subweibull", "conjugate", "--f", "phi_inf", "--t", "0.5"])
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["value"] - 0.125) <= 1e-9
+
+
+def _scipy_imports(importtime_log: str) -> list[str]:
+    """The scipy modules named in a ``-X importtime`` log."""
+    names = (line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()
+             if line.startswith("import time:"))
+    return [name for name in names if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-c", "import subweibull, subweibull.cli"],
+        ["-m", "subweibull", "tailbound", "--norm", "2", "--p", "1", "--t", "3"],
+        ["-m", "subweibull", "bernstein", "--n", "100", "--t", "0.5", "--k", "2"],
+        ["-m", "subweibull", "conjugate", "--f", "phi_inf", "--t", "0.5"],
+        ["-m", "subweibull", "tau", "--cumulant", "exp_centered"],
+        ["-m", "subweibull", "norm", "--family", "exp", "--p", "1", "--method", "analytic"],
+        ["-m", "subweibull", "norm", "--family", "exp", "--p", "1", "--method", "empirical",
+         "--samples", "1000", "--seed", "1"],
+        ["-m", "subweibull", "concentrate", "--family", "exp", "--p", "1", "--n", "16",
+         "--trials", "1000", "--seed", "1"],
+    ],
+    ids=["import", "tailbound", "bernstein", "conjugate", "tau", "norm-analytic",
+         "norm-empirical", "concentrate"],
+)
+def test_commands_without_quadrature_do_not_load_scipy(fresh_python, argv):
+    # scipy is imported where it is used, and these commands never use it
+    proc = fresh_python(["-X", "importtime", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert _scipy_imports(proc.stderr) == []
+
+
+def test_quadrature_norm_loads_scipy_and_succeeds(fresh_python):
+    argv = ["norm", "--family", "exp", "--p", "0.5", "--method", "quadrature"]
+    proc = fresh_python(["-X", "importtime", "-m", "subweibull", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy.integrate" in _scipy_imports(proc.stderr)
+    assert math.isfinite(json.loads(proc.stdout)["value"])

@@ -72,6 +72,16 @@ def test_lp_norm_rows_match_one_dimensional(n, p):
     assert norms[1] == 0.0
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_lp_norm_rows_finish_with_python_float_pow(p):
+    # thousands of rows, where np.power and float pow part in the last bit
+    rows = np.random.default_rng(16).standard_exponential((3334, 16))
+    top = rows.max(axis=1)
+    sums = np.add.reduce((rows / top[:, None]) ** p, axis=1)
+    expected = [t * s ** (1.0 / p) for t, s in zip(top.tolist(), sums.tolist())]
+    assert lp_norm(rows, p).tolist() == expected
+
+
 def test_lp_norm_rows_reject_higher_rank():
     with pytest.raises(ParameterError):
         lp_norm(np.ones((2, 2, 2)), 2.0)

@@ -20,7 +20,7 @@ from subweibull import (
     sample,
     spec_from_json,
 )
-from subweibull.dist import sample_streams
+from subweibull.dist import _transform_uniforms, sample_streams
 
 EXP = DistributionSpec.exponential()
 
@@ -303,6 +303,22 @@ def test_pnormal_symmetric_by_construction():
     x = sample(DistributionSpec.pnormal(1.5), RandomStream(8, 3), 40_000)
     assert np.array_equal(np.sort(np.abs(x)), np.sort(np.abs(-x)))
     assert 0.45 <= float(np.mean(x > 0)) <= 0.55
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_pnormal_sign_matches_the_masked_negative(q):
+    # u3 at and either side of 0.5, and u1 = 0, whose draw is a signed zero
+    u3 = np.array([0.5, 0.5 - 2.0**-53, 0.0, 1.0 - 2.0**-53] * 3)
+    u1 = np.repeat([0.0, 0.3, 1.0 - 2.0**-53], 4)
+    u2 = np.tile([0.1, 0.3, 0.7, 0.9], 3)
+    u = np.stack([u1, u2, u3], axis=-1).reshape(1, -1)
+    x = np.abs(np.sqrt(np.log1p(-u1) * -2.0) * np.cos(u2 * (2.0 * np.pi)))
+    if q != 2.0:
+        x **= 2.0 / q
+    np.negative(x, out=x, where=u3 >= 0.5)
+    got = _transform_uniforms(DistributionSpec.pnormal(q), u)[0]
+    assert got.tobytes() == x.tobytes()
+    assert np.array_equal(np.signbit(got), u3 >= 0.5)
 
 
 def test_weibull_equals_powered_exponential_in_law():

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -162,6 +163,38 @@ def test_empirical_exp_matches_quadrature():
     got = psi_norm_empirical(draws, 1.0).value
     oracle = psi_norm_quadrature(EXP, 1.0).value
     assert abs(got - oracle) <= 0.05
+
+
+def _mpmath_norm(base_density, magnitude, p, guess):
+    """Root of E exp((|X|/K)**p) = 2 at 30 digits, with |X| = magnitude(B), B ~ base_density."""
+    with mp.workdps(30):
+        phi = lambda K: mp.quad(
+            lambda b: base_density(b) * mp.exp((magnitude(b) / K) ** p), [0, 1, 4, 16, mp.inf]
+        )
+        return float(mp.findroot(lambda K: phi(K) - 2, mp.mpf(guess)))
+
+
+_UNIT_EXP = lambda b: mp.exp(-b)
+_HALF_GAUSS = lambda g: 2 * mp.npdf(g)
+
+# off the closed-form table: (spec, order, base density, |X| as a function of the base draw)
+_OFF_TABLE = {
+    "weibull(1.5) p=1": (DistributionSpec.weibull(1.5, 1.0), 1.0, _UNIT_EXP,
+                         lambda b: b ** (1 / mp.mpf(1.5))),
+    "pnormal(3) p=2": (DistributionSpec.pnormal(3.0), 2.0, _HALF_GAUSS,
+                       lambda g: g ** (2 / mp.mpf(3))),
+    "exp p=0.5": (EXP, 0.5, _UNIT_EXP, lambda b: b),
+}
+
+
+@pytest.mark.parametrize("name", list(_OFF_TABLE))
+def test_empirical_norm_approaches_the_quadrature_norm(name):
+    spec, p, base_density, magnitude = _OFF_TABLE[name]
+    quadrature = psi_norm_quadrature(spec, p, tol=1e-8).value
+    reference = _mpmath_norm(base_density, magnitude, p, quadrature)
+    assert quadrature == pytest.approx(reference, rel=1e-6)
+    draws = sample(spec, RandomStream(20_240_817, 0), 1_000_000)
+    assert psi_norm_empirical(draws, p).value == pytest.approx(reference, rel=1e-2)
 
 
 def test_empirical_pnormal3_matches_analytic():
