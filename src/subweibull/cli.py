@@ -17,6 +17,7 @@ closed form for the given inputs included), 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -355,9 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves no state in the parser, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -7,11 +7,14 @@ closed-form table (``psi_norm_analytic``), by quadrature in the canonical
 base variable (``psi_norm_quadrature``), or as a sample mean
 (``psi_norm_empirical``).
 
-The quadrature and sample versions share one bisection of a scalar Phi.
-The sample version returns its bits without paying for its passes over the
-sample: Newton locates each root, the bisection is replayed against the
-located root, and one batched evaluation of the real Phi certifies the
-replay.  A row the certificate rejects is bisected alone on its Phi.
+The quadrature and sample versions share one bisection of a scalar Phi, and
+both return its bits without paying for its probes.  The root is located
+first: by a safeguarded secant on log Phi - log 2 for quadrature (see
+``_locate_root``), by Newton for a sample.  The bisection is then replayed
+against the located root, and real evaluations of Phi at the replay's final
+bracket and at every asked K inside it certify the replay.  The certificate
+applies the bisection's monotone test only to the points it evaluates; a
+norm it rejects is bisected on its own Phi, with the full monotone check.
 
 Divergent exponential moments are recognized in closed form for the
 canonical integrands (the growth exponent versus the base density's decay
@@ -23,8 +26,9 @@ satisfy the triangle inequality, and nothing here assumes it does.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +66,8 @@ MAX_BISECTIONS = 200
 _EMPIRICAL_K_MAX = 1e18  # empirical norms above this ceiling count as divergent
 _NEWTON_STEPS = 100  # a row still moving after this many goes to the certificate as it is
 _NEWTON_RTOL = 1e-10  # relative Newton step that ends the root search
+_LOCATE_RTOL = 1e-12  # relative bracket width that ends a secant root search
+_LOCATE_PROBES = 60  # cap on the secant probes of one root search
 
 
 @dataclass(frozen=True)
@@ -151,16 +157,12 @@ def _bisect_norm(
             )
         f_hi = phi(hi)
     for _ in range(MAX_BISECTIONS):
-        residual = abs(f_hi - 2.0)
-        if hi - lo <= tol and (not polish_residual or residual <= RESIDUAL_TARGET):
+        if hi - lo <= tol and (not polish_residual or abs(f_hi - 2.0) <= RESIDUAL_TARGET):
             break
         mid = 0.5 * (lo + hi)
         f_mid = phi(mid)
-        # the exponential moment must be nonincreasing in K on the bracket
-        monotone = (
-            f_mid <= f_lo * (1.0 + 1e-9) if math.isfinite(f_mid) else math.isinf(f_lo)
-        ) and (not math.isfinite(f_mid) or f_mid >= f_hi * (1.0 - 1e-9) - 1e-12)
-        if not monotone:
+        # phi >= 0, so values in order pass the test outright
+        if not (f_hi <= f_mid <= f_lo or _monotone(f_lo, f_mid, f_hi)):
             raise VerificationError(
                 f"exponential moment not monotone on bracket: "
                 f"phi({lo:g})={f_lo:g}, phi({mid:g})={f_mid:g}, phi({hi:g})={f_hi:g}"
@@ -172,6 +174,67 @@ def _bisect_norm(
     return OrliczNormResult(hi, p, method, (lo, hi), abs(f_hi - 2.0))
 
 
+def _monotone(f_lo: float, f_mid: float, f_hi: float) -> bool:
+    """Whether phi values at K_lo < K_mid < K_hi are nonincreasing, to rounding."""
+    if math.isfinite(f_mid):
+        return f_lo * (1.0 + 1e-9) >= f_mid >= f_hi * (1.0 - 1e-9) - 1e-12
+    return math.isinf(f_lo)
+
+
+def _locate_root(g, floor: float, ceiling: float):
+    """(a, b) with g(a) > 0 >= g(b) and b - a at most about 1e-12 b, or None.
+
+    ``g`` is positive below its root, possibly +inf, and at most 0 from the
+    root on; its sign is the decision a bisection takes, so a and b are
+    decided exactly as the bisection would decide them.  The root is
+    bracketed by doubling from 1 up to ``ceiling`` (from ``floor`` when
+    g(1) <= 0), then the bracket is narrowed by regula falsi with the
+    Anderson-Bjorck rule, halved instead while g(a) is not finite.  None when
+    g(floor) <= 0 or g stays positive up to ``ceiling``.
+    """
+    a, b = None, 1.0
+    gb = g(b)
+    while not gb <= 0.0:
+        a, ga = b, gb
+        b *= 2.0
+        if b > ceiling:
+            return None
+        gb = g(b)
+    if a is None:
+        a, ga = floor, g(floor)
+        if not ga > 0.0:
+            return None
+    moved = 0  # the end the last probe moved: -1 for b, 1 for a
+    for _ in range(_LOCATE_PROBES):
+        width = b - a
+        if width <= _LOCATE_RTOL * b:
+            break
+        if math.isfinite(ga):
+            # a quarter of the target width from either end, so a probe next
+            # to an end that lands on the expected side ends the search
+            edge = 0.25 * _LOCATE_RTOL * b
+            x = min(max(b - gb * width / (gb - ga), a + edge), b - edge)
+        else:
+            x = a + 0.5 * width
+        gx = g(x)
+        # Anderson-Bjorck: an end kept twice in a row has its g scaled down
+        if gx <= 0.0:
+            if moved < 0:
+                ga *= _anderson_bjorck(gx, gb)
+            b, gb, moved = x, gx, -1
+        else:
+            if moved > 0:
+                gb *= _anderson_bjorck(gx, ga)
+            a, ga, moved = x, gx, 1
+    return a, b
+
+
+def _anderson_bjorck(g_new: float, g_old: float) -> float:
+    """Weight for the kept end when a probe g_new replaces the same end, g_old, again."""
+    m = 1.0 - g_new / g_old
+    return m if m > 0.0 else 0.5
+
+
 def psi_norm_quadrature_canonical(
     law: CanonicalLaw,
     p: float,
@@ -181,16 +244,32 @@ def psi_norm_quadrature_canonical(
 ) -> OrliczNormResult:
     if p <= 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
-    return _bisect_norm(
-        lambda K: exp_moment(law, p, K, center), 1e-6, p, tol, METHOD_QUADRATURE,
-        QUADRATURE_K_MAX, True,
+    phi = functools.cache(lambda K: exp_moment(law, p, K, center))
+    # phi / 2 is exact and log(x) <= 0 exactly when x <= 1, so the sign of g
+    # is the bisection's test phi <= 2
+    located = _locate_root(lambda K: math.log(phi(K) / 2.0), 1e-6, QUADRATURE_K_MAX)
+    if located is None:
+        return _bisect_norm(phi, 1e-6, p, tol, METHOD_QUADRATURE, QUADRATURE_K_MAX, True)
+    (result,) = _located_bisection(
+        lambda K, rows: np.array([phi(k) for k in K.tolist()]), [located], [1e-6], p, tol,
+        METHOD_QUADRATURE, QUADRATURE_K_MAX, True,
     )
+    return result
 
 
 def psi_norm_quadrature(
     spec: DistributionSpec, p: float, tol: float = DEFAULT_TOL
 ) -> OrliczNormResult:
-    """Norm at order p by quadrature plus monotone bisection."""
+    """Norm at order p by quadrature plus monotone bisection.
+
+    The result is the bisection's, bit for bit, with a third to a half of
+    its quadratures: a secant locates the root of log Phi - log 2, the
+    bisection is replayed against it, and real Phi values certify the
+    replay (see ``_located_bisection``).  The certificate applies the
+    bisection's monotone test to the points it evaluates; a norm it rejects,
+    or whose root cannot be bracketed, is bisected on Phi itself with the
+    full monotone check and every error of the bisection.
+    """
     return psi_norm_quadrature_canonical(canonical(spec), p, tol)
 
 
@@ -242,7 +321,11 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     # at this K the largest sample alone pushes the mean above 2; the floor
     # at tol is corrected downward by the bisection if it overshoots
     lo = np.maximum(tol, top / math.log(2.0 * n) ** (1.0 / p))
-    found = _located_bisection(phi, _newton_roots(x, top, p), lo, p, tol)
+    roots = _newton_roots(x, top, p).tolist()
+    found = _located_bisection(
+        phi, [(k, k) for k in roots], lo.tolist(), p, tol, METHOD_EMPIRICAL, _EMPIRICAL_K_MAX,
+        False,
+    )
     # an all-zero row has norm 0
     results = [OrliczNormResult(0.0, p, METHOD_EMPIRICAL, (0.0, tol), 1.0)] * len(rows)
     for i, result in zip(live.tolist(), found):
@@ -277,72 +360,95 @@ def _newton_roots(x: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
     return top * s ** (-1.0 / p)
 
 
-def _located_bisection(phi, k_star: np.ndarray, lo_start: np.ndarray, p: float, tol: float):
-    """``_bisect_norm`` of each row's empirical phi, bit for bit, steered by roots ``k_star``.
+def _located_bisection(
+    phi, located, lo_start, p: float, tol: float, method: str, k_max: float, polish: bool
+):
+    """``_bisect_norm`` of each row's phi, bit for bit, steered by located roots.
 
     ``phi(K, rows)`` evaluates the rows ``rows`` at the matching entries of
-    the array ``K``.  Each row's bisection is replayed with "K >= k_star" in
-    place of "phi(K) <= 2", and the K it asks for are recorded.  One batched
-    phi call then takes the final lo and hi and every asked K strictly
-    between them.  The row is certified when phi(hi) <= 2 < phi(lo),
-    lo < k_star <= hi, and each inner K's real decision is the replayed one:
-    phi is nonincreasing, so every asked K at or below lo, or at or above hi,
-    was then decided as phi would decide it, and the replay is the bisection
+    the array ``K``.  Row i's root is located in ``located[i]`` = (a, b):
+    its phi is above 2 below a and at most 2 from b on.  Each row's
+    bisection is replayed against that answer (see ``_replay``), and the K
+    it asks for are recorded.  One batched phi call then takes the final lo
+    and hi and every asked K strictly between them.  The row is certified
+    when phi(hi) <= 2 < phi(lo), lo < b, each inner K's real decision is
+    the replayed one, and these values pass the bisection's monotone test
+    in order.  The replay decides no K below a as at most 2, so a <= hi.
+    phi is nonincreasing, so every asked K at or below lo, or at or above
+    hi, was then decided as phi would decide it; while the bracket is within
+    tol, hi lies in the span where the replay reads the real phi, so the
+    residual polish saw real values; and the replay is the bisection
     itself.  Its residual is |phi(hi) - 2|.  A row that fails the
     certificate, or whose replay diverges or ends at the zero norm, is
     bisected alone on phi itself, with every check and error of
     ``_bisect_norm``.
     """
-    stars = k_star.tolist()
-    floors = lo_start.tolist()
-    replays = [_replay(lo, k, p, tol) for lo, k in zip(floors, stars)]
+    reals = [lambda K, i=i: phi(np.array([K]), np.array([i])).item() for i in range(len(located))]
+    replays = [
+        _replay(lo, a, b, p, tol, method, k_max, polish, real)
+        for lo, (a, b), real in zip(lo_start, located, reals)
+    ]
     replayed = [i for i, replay in enumerate(replays) if replay is not None]
     owners, points = [], []
     for i in replayed:
         result, inner = replays[i]
+        lo, hi = result.bracket
         owners += [i] * (2 + len(inner))
-        points += [*result.bracket, *inner]
+        points += [lo, *(K for K, _ in inner), hi]
     values = iter(phi(np.array(points), np.array(owners, dtype=int)).tolist())
     results: list = [None] * len(replays)
     for i in replayed:
         result, inner = replays[i]
         lo, hi = result.bracket
-        f_lo, f_hi = next(values), next(values)
-        # a list, not a generator: every value of the row is consumed
-        agree = [(next(values) <= 2.0) == (K >= stars[i]) for K in inner]
-        if f_hi <= 2.0 < f_lo and lo < stars[i] <= hi and all(agree):
-            results[i] = replace(result, residual=abs(f_hi - 2.0))
+        # phi at lo, at each inner K and at hi, in order of K; most rows have no inner K
+        f = [next(values) for _ in range(2 + len(inner))]
+        if f[-1] <= 2.0 < f[0] and lo < located[i][1] and (not inner or (
+            all((f_k <= 2.0) == (v <= 2.0) for (_, v), f_k in zip(inner, f[1:]))
+            and all(_monotone(*f[j : j + 3]) for j in range(len(f) - 2))
+        )):
+            results[i] = OrliczNormResult(hi, p, method, (lo, hi), abs(f[-1] - 2.0))
     for i, result in enumerate(results):
         if result is None:
-            row = np.array([i])
-            results[i] = _bisect_norm(
-                lambda K: phi(np.array([K]), row).item(), floors[i], p, tol,
-                METHOD_EMPIRICAL, _EMPIRICAL_K_MAX, False,
-            )
+            results[i] = _bisect_norm(reals[i], lo_start[i], p, tol, method, k_max, polish)
     return results
 
 
-def _replay(lo_start: float, k_star: float, p: float, tol: float):
-    """``_bisect_norm`` with "K >= k_star" for "phi(K) <= 2".
+def _replay(
+    lo_start: float, a: float, b: float, p: float, tol: float, method: str, k_max: float,
+    polish: bool, real,
+):
+    """``_bisect_norm`` with a stand-in phi: above 2 below ``a``, at most 2 from ``b`` on.
 
-    Returns (result, the asked K strictly inside its bracket), or None when
-    the search diverges or ends at the zero norm.
+    The row's own phi, ``real``, answers in [a, b], where the located answer
+    is open, and with ``polish`` up to ``tol`` above b, the span where the
+    residual polish reads phi's value.  Returns (result, the (K, stand-in
+    value) pairs asked strictly inside its bracket, in order of K), or None
+    when the search diverges, ends at the zero norm or finds the real values
+    out of order.
     """
-    asked = []
+    asked = {}
+    reach = tol if polish else 0.0
 
     def stand_in(K: float) -> float:
-        asked.append(K)
-        # a phi value below 2, or one above it
-        return 1.0 if K >= k_star else 3.0
+        if K < a:
+            value = math.inf  # a phi value above 2
+        elif K - b > reach:
+            value = 1.0  # one at most 2
+        else:
+            value = real(K)
+        asked[K] = value
+        return value
 
     try:
-        result = _bisect_norm(stand_in, lo_start, p, tol, METHOD_EMPIRICAL, _EMPIRICAL_K_MAX, False)
-    except DivergenceError:
+        result = _bisect_norm(stand_in, lo_start, p, tol, method, k_max, polish)
+    except (DivergenceError, VerificationError):
         return None
     if result.value == 0.0:
         return None
     lo, hi = result.bracket
-    return result, [K for K in asked if lo < K < hi]
+    inner = [(K, v) for K, v in asked.items() if lo < K < hi]
+    inner.sort()
+    return result, inner
 
 
 _ANALYTIC_TABLE_NOTE = (

@@ -13,13 +13,15 @@ C(0) = C'(0) = 0, C(t) <= sup_{|s|<=|t|} C''(s) * t**2 / 2, so the condition
 
 is what the feasibility check decides.  It is monotone in K (a larger K
 both shrinks the window and raises the parabola), so the norm is found by
-bisection.  For the unit-rate centered exponential the binding equation is
-C''(1/K) = K**2 with solution K = 2, and the centered sum of n copies gives
-sqrt(n) + 1.
+bisection, whose answer a secant on the curvature margin locates first and
+a few real checks certify (see ``tau_norm``).  For the unit-rate centered
+exponential the binding equation is C''(1/K) = K**2 with solution K = 2,
+and the centered sum of n copies gives sqrt(n) + 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -38,6 +40,7 @@ from .errors import (
     ParameterError,
     UnboundedSupremumError,
 )
+from .orlicz import _locate_root
 
 _DOMAIN_EDGE = 1e-12  # evaluations this close to a domain edge return inf
 
@@ -301,51 +304,104 @@ def _window_curvature_sup(cumulant: Cumulant, K: float) -> float:
     return best
 
 
+def _margin(sup: float, K: float) -> float:
+    """sup C'' on the window less the bound K**2 it may reach; <= 0 exactly when K is feasible."""
+    return sup - K * K * (1.0 + 1e-12)
+
+
 def tau_feasible(cumulant: Cumulant, K: float) -> bool:
     """Whether the parabola (Kt)**2/2 dominates C's Taylor envelope."""
     if K <= 0.0:
         return False
-    return _window_curvature_sup(cumulant, K) <= K * K * (1.0 + 1e-12)
+    return _margin(_window_curvature_sup(cumulant, K), K) <= 0.0
 
 
-def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
-    """Smallest K whose curvature bound certifies cumulant domination.
+def _bisect_tau(feasible: Callable[[float], bool], tol: float) -> tuple[float, float]:
+    """Final bracket (lo, hi) of the bisection for the smallest K with ``feasible(K)``.
 
-    Bisection on K; feasibility is monotone.  Raises ``InfeasibleError``
-    when no K up to ``K_MAX`` works.
+    hi is the norm; (0.0, 0.0) stands for the zero norm.  Raises
+    ``InfeasibleError`` when no K up to ``K_MAX`` is feasible.
     """
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
-    if not cumulant.value(0.0) == 0.0:
-        raise ParameterError("cumulant must vanish at 0")
     hi = 1.0
-    while not tau_feasible(cumulant, hi):
+    while not feasible(hi):
         hi *= 2.0
         if hi > K_MAX:
             raise InfeasibleError(f"no feasible K up to {K_MAX:g}")
     lo = 0.5 * hi
     if hi == 1.0:
-        while lo > 1e-12 and tau_feasible(cumulant, lo):
+        while lo > 1e-12 and feasible(lo):
             hi = lo
             lo *= 0.5
         if lo <= 1e-12:
-            return TauNormResult(0.0, ((0.0, 0.0),))
+            return 0.0, 0.0
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if tau_feasible(cumulant, mid):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
-    value = hi
-    profile = []
-    for t in np.linspace(-1.0, 1.0, 201):
-        u = float(t)  # = value * t_actual, so |u| <= 1 by construction
-        t_actual = u / value
-        slack = float(phi_inf(u)) - cumulant.value(t_actual)
-        profile.append((t_actual, float(slack)))
-    return TauNormResult(value, tuple(profile))
+    return lo, hi
+
+
+def _located_bisection(margin: Callable[[float], float], tol: float) -> tuple[float, float]:
+    """``_bisect_tau`` on ``margin(K) <= 0``, bit for bit, with a fraction of its probes.
+
+    A secant locates the root of ``margin`` in (a, b] (``_locate_root``), and
+    the bisection is replayed with "K >= b" for feasibility outside [a, b],
+    where the real margin answers.  The replay is certified by real
+    decisions at its final lo and hi and at every asked K strictly between
+    them.  The replay finds no K below a feasible and none above b
+    infeasible, so lo <= b and a <= hi, and feasibility, being monotone in
+    K, then decides every other asked K as the replay did.  A bracket that
+    cannot be located, a zero norm or a failed certificate runs the
+    bisection on the real margin, with its errors.
+    """
+
+    def feasible(K: float) -> bool:
+        return margin(K) <= 0.0
+
+    located = _locate_root(margin, 1e-12, K_MAX)
+    if located is not None:
+        a, b = located
+        asked = {}
+
+        def stand_in(K: float) -> bool:
+            asked[K] = feasible(K) if a <= K <= b else K > b
+            return asked[K]
+
+        lo, hi = _bisect_tau(stand_in, tol)
+        if (
+            hi > 0.0 and feasible(hi) and not feasible(lo)
+            and all(feasible(K) == ok for K, ok in asked.items() if lo < K < hi)
+        ):
+            return lo, hi
+    return _bisect_tau(feasible, tol)
+
+
+def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
+    """Smallest K whose curvature bound certifies cumulant domination.
+
+    Bisection on K; feasibility is monotone.  The bisection's answer is
+    found with a fraction of its curvature scans: a secant locates the
+    root, the bisection is replayed against it and real feasibility checks
+    at the final bracket certify the replay, falling back to the bisection
+    itself (see ``_located_bisection``).  Raises ``InfeasibleError`` when no
+    K up to ``K_MAX`` works.
+    """
+    if tol <= 0.0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
+    if not cumulant.value(0.0) == 0.0:
+        raise ParameterError("cumulant must vanish at 0")
+    margin = functools.cache(lambda K: _margin(_window_curvature_sup(cumulant, K), K))
+    _, value = _located_bisection(margin, tol)
+    if value == 0.0:
+        return TauNormResult(0.0, ((0.0, 0.0),))
+    u = np.linspace(-1.0, 1.0, 201)  # = value * t, so |u| <= 1 by construction
+    t = u / value
+    slack = phi_inf(u) - cumulant.value(t)
+    return TauNormResult(value, tuple(zip(t.tolist(), slack.tolist())))
 
 
 def rotation_invariance_check(specs: Sequence[DistributionSpec]) -> tuple[float, float]:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from subweibull import montecarlo, verify
+from subweibull import cli, montecarlo, verify
 from subweibull.cli import dumps17, main
 
 
@@ -405,6 +405,38 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["norm", "--nonsense"])
     assert exc.value.code == 2
+
+
+def test_main_calls_carry_no_state_between_them(tmp_path, capsys):
+    # main keeps one parser per process; each call must parse as a fresh parser would
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"p": 1.5, "param": ["shape=1.5", "scale=1"]}))
+    analytic = ["norm", "--method", "analytic", "--family"]
+    calls = [
+        analytic + ["weibull", "--param", "shape=2", "--param", "scale=3", "--p", "2"],
+        analytic + ["pnormal", "--param", "p=3", "--p", "3"],
+        analytic + ["weibull", "--config", str(config)],
+        ["norm", "--nonsense"],
+        analytic + ["weibull", "--param", "shape=0.5", "--param", "scale=2", "--p", "0.5"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0]
+    values = [json.loads(out)["value"] for code, out, _ in alone if code == 0]
+    assert values == [3.0 * 2.0 ** (1.0 / 2.0), (8.0 / 3.0) ** (1.0 / 3.0), 2.0 ** (1.0 / 1.5), 8.0]
 
 
 def test_module_entry_point_smoke(fresh_python):

@@ -23,7 +23,7 @@ from subweibull import (
     sample,
 )
 from subweibull import ExperimentPlan, VectorModel, orlicz, verify
-from subweibull.dist import canonical
+from subweibull.dist import canonical, mean
 from subweibull.montecarlo import BOOTSTRAP_STREAM_BASE, deviations
 from subweibull.orlicz import OrliczNormResult
 
@@ -89,6 +89,166 @@ def test_quadrature_divergent_norm():
     # the unit exponential has no finite order-2 norm
     with pytest.raises(DivergenceError):
         psi_norm_quadrature(EXP, 2.0)
+
+
+# Ten laws by seven orders: 46 finite norms, of which 10 sit at the family's
+# own order, where phi is infinite up to K = scale, and 24 divergent ones.
+_GRID_LAWS = {
+    "exp": EXP,
+    "weibull(1.5)": DistributionSpec.weibull(1.5),
+    "weibull(2)": DistributionSpec.weibull(2.0),
+    "weibull(2.5,1.5)": DistributionSpec.weibull(2.5, 1.5),
+    "weibull(3)": DistributionSpec.weibull(3.0),
+    "pnormal(2)": DistributionSpec.pnormal(2.0),
+    "pnormal(3)": DistributionSpec.pnormal(3.0),
+    "pnormal(4)": DistributionSpec.pnormal(4.0),
+    "halfgauss_pow(2,0.5)": DistributionSpec.halfgauss_pow(2.0, 0.5),
+    "halfgauss_pow(2.5)": DistributionSpec.halfgauss_pow(2.5),
+}
+_GRID_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except DivergenceError as exc:
+        return type(exc), str(exc)
+
+
+def _quadrature_reference(spec, p, tol, center=0.0):
+    """The plain bisection on the real exponential moment, or its error."""
+    law = canonical(spec)
+    return _outcome(
+        orlicz._bisect_norm, lambda K: orlicz.exp_moment(law, p, K, center), 1e-6, p, tol,
+        orlicz.METHOD_QUADRATURE, orlicz.QUADRATURE_K_MAX, True,
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("law", list(_GRID_LAWS))
+def test_quadrature_norm_is_the_bisection_bit_for_bit(law, tol):
+    spec = _GRID_LAWS[law]
+    for p in _GRID_ORDERS:
+        assert _outcome(psi_norm_quadrature, spec, p, tol) == _quadrature_reference(spec, p, tol)
+
+
+_POLISHED = [
+    (DistributionSpec.weibull(2.0), 1.5),
+    (DistributionSpec.weibull(2.5, 1.5), 2.0),
+    (DistributionSpec.pnormal(2.0), 1.5),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, p, tol",
+    [(spec, p, 1e-6) for spec, p in _POLISHED]
+    + [(EXP, 1.0, 1e-8)]  # the root lies next to the dyadic probe K = 2
+    + [(spec, spec.order, 1e-8) for spec in _GRID_LAWS.values()],
+)
+def test_quadrature_norm_is_certified_without_a_bisection(bisected_rows, spec, p, tol):
+    expected = _quadrature_reference(spec, p, tol)
+    bisected_rows[0] = 0
+    assert psi_norm_quadrature(spec, p, tol) == expected
+    assert bisected_rows[0] == 0
+
+
+def test_certified_cases_cover_polish_and_infinite_phi():
+    # the residual polish bisects past a bracket of tol, so the last width is below tol / 2
+    for spec, p in _POLISHED:
+        lo, hi = _quadrature_reference(spec, p, 1e-6).bracket
+        assert hi - lo <= 0.5e-6
+    # at the family's own order the exponential moment diverges at K = scale
+    for spec in _GRID_LAWS.values():
+        assert exp_moment(canonical(spec), spec.order, spec.scale) == math.inf
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [(EXP, 1.0), (DistributionSpec.weibull(1.5), 1.0), (DistributionSpec.weibull(2.5, 1.5), 2.0)],
+)
+def test_centered_quadrature_norm_is_the_bisection(spec, p):
+    lhs, rhs = centering_bound_check(spec, p)
+    assert lhs == _quadrature_reference(spec, p, orlicz.DEFAULT_TOL, mean(spec)).value
+    assert rhs == 2.0 * _quadrature_reference(spec, p, orlicz.DEFAULT_TOL).value
+
+
+def test_quadrature_divergence_raises_like_the_bisection():
+    message = "exponential moment stays above 2 for every K up to 1e+09"
+    assert _outcome(psi_norm_quadrature, EXP, 2.0, 1e-8) == (DivergenceError, message)
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-3, 1.0 - 1e-3])
+def test_quadrature_falls_back_when_the_located_root_is_off(monkeypatch, bisected_rows, factor):
+    locate = orlicz._locate_root
+
+    def pushed(*args):
+        a, b = locate(*args)
+        return factor * a, factor * b
+
+    monkeypatch.setattr(orlicz, "_locate_root", pushed)
+    for spec, p in [(DistributionSpec.pnormal(3.0), 2.0), *_POLISHED]:
+        expected = _quadrature_reference(spec, p, 1e-6)
+        bisected_rows[0] = 0
+        assert psi_norm_quadrature(spec, p, 1e-6) == expected
+        assert bisected_rows[0] == 1
+
+
+def test_quadrature_certifies_a_wide_but_right_located_bracket(monkeypatch, bisected_rows):
+    # phi itself answers inside the located bracket, so widening it costs
+    # quadratures but never the certificate
+    locate = orlicz._locate_root
+
+    def widened(*args):
+        a, b = locate(*args)
+        return 0.9 * a, 1.1 * b
+
+    monkeypatch.setattr(orlicz, "_locate_root", widened)
+    for spec, p in [(EXP, 1.0), (DistributionSpec.pnormal(3.0), 2.0), *_POLISHED]:
+        expected = _quadrature_reference(spec, p, 1e-6)
+        bisected_rows[0] = 0
+        assert psi_norm_quadrature(spec, p, 1e-6) == expected
+        assert bisected_rows[0] == 0
+
+
+@pytest.mark.parametrize(
+    "root, dip",
+    [
+        (3e-5, 0.5),  # decisions right, but phi(5e-5) dips below phi(hi): out of order
+        (6e-5, None),  # located root 3e-5 too low: 5e-5 is decided at most 2, phi says 2.4
+    ],
+)
+def test_certificate_checks_the_points_inside_the_bracket(bisected_rows, root, dip):
+    # phi = 2 root / K, located at 3e-5 below tol = 1e-4: the floor's halvings
+    # 1e-4 and 5e-5, asked before the bracket, lie inside the final one
+    def phi_at(K):
+        return dip if K == 5e-5 and dip is not None else 2.0 * root / K
+
+    def phi(K, rows):
+        return np.array([phi_at(k) for k in K.tolist()])
+
+    args = (1.0, 1e-4, orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False)
+    expected = orlicz._bisect_norm(phi_at, 1e-4, *args)
+    bisected_rows[0] = 0
+    (result,) = orlicz._located_bisection(phi, [(3e-5, 3e-5)], [1e-4], *args)
+    assert result == expected
+    assert bisected_rows[0] == 1
+
+
+def test_quadrature_norm_takes_few_exponential_moments(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exp_moment(*args)
+
+    monkeypatch.setattr(orlicz, "exp_moment", counted)
+    spec = DistributionSpec.pnormal(3.0)
+    psi_norm_quadrature(spec, 2.0, 1e-8)
+    located = len(calls)
+    _quadrature_reference(spec, 2.0, 1e-8)
+    assert located <= 16
+    assert len(calls) - located == 30  # the plain bisection
 
 
 def test_quadrature_order_below_family_order():

@@ -294,6 +294,128 @@ def test_tau_infeasible_cumulant():
         tau_norm(gaussian(1e15))
 
 
+_TAU_CASES = {
+    "exp_centered": exp_centered,
+    "sum1": lambda: iid_sum(exp_centered(), 1),
+    "sum100": lambda: iid_sum(exp_centered(), 100),
+    "sum1000": lambda: iid_sum(exp_centered(), 1000),
+    "gaussian0.3": lambda: gaussian(0.3),
+    "gaussian1": lambda: gaussian(1.0),
+    "gaussian7.3": lambda: gaussian(7.3),
+    "scaled3": lambda: scaled(exp_centered(), 3.0),
+    "sum_of": lambda: sum_of([exp_centered(), gaussian(2.0), exp_centered()]),
+}
+
+
+def _plain_tau_norm(cum, tol):
+    """The bisection on the real feasibility check."""
+    return tau._bisect_tau(lambda K: tau_feasible(cum, K), tol)[1]
+
+
+@pytest.fixture
+def tau_bisections(monkeypatch):
+    """Count the bisections ``tau_norm`` runs: the replay's, and one more on a fallback."""
+    count = [0]
+    bisect = tau._bisect_tau
+
+    def counted(*args):
+        count[0] += 1
+        return bisect(*args)
+
+    monkeypatch.setattr(tau, "_bisect_tau", counted)
+    return count
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("name", list(_TAU_CASES))
+def test_tau_norm_is_the_bisection_bit_for_bit(name, tol):
+    cum = _TAU_CASES[name]()
+    assert_same_bits(tau_norm(cum, tol).value, _plain_tau_norm(cum, tol))
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-3, 1.0 - 1e-3])
+def test_tau_norm_falls_back_when_the_located_root_is_off(monkeypatch, tau_bisections, factor):
+    locate = tau._locate_root
+
+    def pushed(*args):
+        a, b = locate(*args)
+        return factor * a, factor * b
+
+    monkeypatch.setattr(tau, "_locate_root", pushed)
+    for name in ("exp_centered", "sum100", "gaussian1"):
+        cum = _TAU_CASES[name]()
+        expected = _plain_tau_norm(cum, 1e-6)
+        tau_bisections[0] = 0
+        assert_same_bits(tau_norm(cum).value, expected)
+        assert tau_bisections[0] == 2
+
+
+def test_tau_norm_certifies_a_wide_but_right_located_bracket(monkeypatch, tau_bisections):
+    # the real margin answers inside the located bracket, so widening it
+    # costs curvature scans but never the certificate
+    locate = tau._locate_root
+
+    def widened(*args):
+        a, b = locate(*args)
+        return 0.9 * a, 1.1 * b
+
+    monkeypatch.setattr(tau, "_locate_root", widened)
+    for name in ("exp_centered", "sum100", "gaussian1", "gaussian7.3"):
+        cum = _TAU_CASES[name]()
+        expected = _plain_tau_norm(cum, 1e-6)
+        tau_bisections[0] = 0
+        assert_same_bits(tau_norm(cum).value, expected)
+        assert tau_bisections[0] == 1
+
+
+def test_tau_norm_takes_few_curvature_scans(monkeypatch):
+    calls = []
+    scan = tau._window_curvature_sup
+
+    def counted(cum, K):
+        calls.append(K)
+        return scan(cum, K)
+
+    monkeypatch.setattr(tau, "_window_curvature_sup", counted)
+    # (cumulant, at most this many scans, the plain bisection's scans)
+    for name, most, plain in (("exp_centered", 8, 22), ("sum100", 16, 28), ("gaussian1", 8, 21)):
+        cum = _TAU_CASES[name]()
+        calls.clear()
+        tau_norm(cum)
+        located = len(calls)
+        _plain_tau_norm(cum, 1e-6)
+        assert located <= most
+        assert len(calls) - located == plain
+
+
+def _margin_profiles_match_scalar_loop():
+    """Per cumulant, whether the margin profile is the one-point-at-a-time loop's, bit for bit."""
+    import numpy as np
+    from subweibull import tau
+
+    cums = [
+        tau.exp_centered(), tau.iid_sum(tau.exp_centered(), 100), tau.gaussian(1.0),
+        tau.gaussian(7.3), tau.scaled(tau.exp_centered(), 3.0),
+    ]
+    matches = []
+    for cum in cums:
+        result = tau.tau_norm(cum)
+        loop = []
+        for u in np.linspace(-1.0, 1.0, 201).tolist():
+            t = u / result.value
+            loop.append((t, float(tau.phi_inf(u)) - cum.value(t)))
+        matches.append(np.array(result.margin_profile).tobytes() == np.array(loop).tobytes())
+    return matches
+
+
+def test_margin_profile_is_the_scalar_loop():
+    assert _margin_profiles_match_scalar_loop() == [True] * 5
+
+
+def test_margin_profile_is_the_scalar_loop_without_avx512(without_avx512):
+    assert without_avx512(_margin_profiles_match_scalar_loop) == [True] * 5
+
+
 def test_rotation_invariance_nine_exponentials():
     lhs, rhs = rotation_invariance_check([DistributionSpec.exponential()] * 9)
     assert lhs == pytest.approx(4.0, abs=1e-4)
