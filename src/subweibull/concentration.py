@@ -64,10 +64,14 @@ def lp_norm(x, p: float):
         top = rows.max(axis=1)
         # an all-zero row sums zeros and keeps its norm at 0
         scaled = rows / np.where(top == 0.0, 1.0, top)[:, None]
-        scaled **= p
+        if p != 1.0:  # x**1.0 is x
+            scaled **= p
         sums = np.add.reduce(scaled, axis=1)
-        # Python float pow: np.power can differ from it in the last bit
-        roots = np.fromiter(map(pow, sums.tolist(), repeat(1.0 / p)), float, len(sums))
+        # Python float pow: np.power can differ from it in the last bit; at
+        # p = 1 the root is the sum itself
+        roots = sums if p == 1.0 else np.fromiter(
+            map(pow, sums.tolist(), repeat(1.0 / p)), float, len(sums)
+        )
         norms = top * roots
     return float(norms[0]) if a.ndim < 2 else norms
 

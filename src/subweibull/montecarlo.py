@@ -51,8 +51,9 @@ BOOTSTRAP_STREAM_BASE = 1 << 40
 BOOTSTRAP_RESAMPLES = 200
 _NO_INTERVAL = (math.nan, math.nan)  # boot_lo, boot_hi when the bootstrap is off
 # sample values one batch of empirical norms holds (resamples x trials).  On 2
-# cores a 5-dimension 1k-trial bootstrap took 148 ms at 16 384 and 96 ms at
-# 65 536; 262 144 was no faster and peaked 15 MB higher at 20k trials
+# cores a 20k-trial n=16 exp tail report took 158, 110 and 96 ms at 16 384,
+# 65 536 and 262 144, and a 1k-trial growth sweep 0.34, 0.31 and 0.30 s; 262 144
+# raised the tail report's peak RSS from 48 MB to 65 MB
 BATCH_VALUES = 65_536
 # draws one block of ``deviations`` holds (rows x n).  On 2 cores, 20k rows of
 # 16 exp draws took 26 ms on 2 threads and 35 ms on 1 at 65 536; at 16 384 2

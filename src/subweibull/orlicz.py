@@ -10,7 +10,9 @@ base variable (``psi_norm_quadrature``), or as a sample mean
 The quadrature and sample versions share one bisection of a scalar Phi, and
 both return its bits without paying for its probes.  The root is located
 first: by a safeguarded secant on log Phi - log 2 for quadrature (see
-``_locate_root``), by Newton for a sample.  The bisection is then replayed
+``_locate_root``), by Newton for a sample, started at the Jensen bound on the
+root and stopped after its first step below 1e-6 relative (see
+``_newton_roots``).  The bisection is then replayed
 against the located root, and real evaluations of Phi at the replay's final
 bracket and at every asked K inside it certify the replay.  The certificate
 applies the bisection's monotone test only to the points it evaluates; a
@@ -65,7 +67,9 @@ RESIDUAL_TARGET = 1e-6
 MAX_BISECTIONS = 200
 _EMPIRICAL_K_MAX = 1e18  # empirical norms above this ceiling count as divergent
 _NEWTON_STEPS = 100  # a row still moving after this many goes to the certificate as it is
-_NEWTON_RTOL = 1e-10  # relative Newton step that ends the root search
+# relative Newton step after which the root search ends: convergence is
+# quadratic, so the step it takes leaves an error near 1e-12 relative
+_NEWTON_RTOL = 1e-6
 _LOCATE_RTOL = 1e-12  # relative bracket width that ends a secant root search
 _LOCATE_PROBES = 60  # cap on the secant probes of one root search
 
@@ -300,9 +304,10 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     n = rows.shape[1]
     if n < 100:
         raise InsufficientSamplesError(f"need at least 100 samples, got {n}")
-    if not np.all(np.isfinite(rows)):
-        raise ParameterError("samples must be finite")
     top = rows.max(axis=1)
+    # NaN propagates through max and |x| has no -inf, so this checks every sample
+    if not np.all(np.isfinite(top)):
+        raise ParameterError("samples must be finite")
     live = np.flatnonzero(top > 0.0)
     x = rows if len(live) == len(rows) else rows[live]
     top = top[live]
@@ -312,7 +317,8 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
         terms = x[idx]
         with np.errstate(over="ignore"):
             terms /= K[:, None]
-            terms **= p
+            if p != 1.0:  # x**1.0 is x
+                terms **= p
             np.minimum(terms, _EXP_CAP, out=terms)
             np.exp(terms, out=terms)
             # np.mean of a row, bit for bit
@@ -337,27 +343,39 @@ def _newton_roots(x: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
     """Each row's K with mean exp((x/K)**p) = 2, by Newton; ``top`` is the row's max, > 0.
 
     With y = (x/top)**p <= 1 and s = (top/K)**p, g(s) = log mean exp(s*y) - log 2
-    is convex and increasing in s, and g >= 0 at s = log(2n), where the
-    largest sample alone brings the mean to 2.  So Newton steps from there
-    fall monotonically to the root, and s*y never exceeds log(2n).
+    is convex and increasing in s.  Newton starts where g >= 0 (see
+    ``_newton_start``), so its steps fall monotonically to the root and s*y
+    never exceeds log(2n).  It stops once every row's step is below
+    ``_NEWTON_RTOL`` relative: the error left after that step is about its
+    square, near 1e-12 relative.
     """
     n = x.shape[1]
     y = x / top[:, None]
-    y **= p
+    if p != 1.0:  # x**1.0 is x
+        y **= p
     work = np.empty_like(y)
-    s = np.full(len(y), math.log(2.0 * n))
+    s = _newton_start(y)
     for _ in range(_NEWTON_STEPS):
         np.multiply(y, s[:, None], out=work)
         np.exp(work, out=work)
         total = np.add.reduce(work, axis=1)
-        work *= y
         # g / g', where g' = sum(y exp(s*y)) / sum(exp(s*y))
-        step = np.log(total / (2.0 * n)) * total / np.add.reduce(work, axis=1)
+        step = np.log(total / (2.0 * n)) * total / np.einsum("ij,ij->i", work, y)
         s -= step
-        # quadratic convergence: after a step this small, s is exact to rounding
         if not np.any(np.abs(step) > _NEWTON_RTOL * s):
             break
     return top * s ** (-1.0 / p)
+
+
+def _newton_start(y: np.ndarray) -> np.ndarray:
+    """Each row's s with mean exp(s*y) >= 2, to rounding, and s*y <= log(2n), given max(y) = 1.
+
+    At s = log(2n) the largest sample alone brings the mean to 2; at
+    s = n log 2 / sum(y), by Jensen, mean exp(s*y) >= exp(s * mean(y)) = 2.
+    The smaller of the two is the nearer to the root.
+    """
+    n = y.shape[1]
+    return np.minimum(math.log(2.0 * n), n * math.log(2.0) / np.add.reduce(y, axis=1))
 
 
 def _located_bisection(

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subweibull import (
     DistributionSpec,
@@ -506,6 +507,101 @@ def test_empirical_rows_reject_like_single_rows():
         psi_norm_empirical(np.ones((3, 200)), 1.0, tol=0.0)
     with pytest.raises(ParameterError):
         psi_norm_empirical(np.ones((3, 200)), 0.0)
+
+
+def _plain_newton_roots(rows, p):
+    """Each live row's root by Newton one row at a time, from log(2n) to a 1e-13 step."""
+    roots = []
+    for row in rows:
+        top = float(row.max())
+        if top == 0.0:
+            continue
+        y = (row / top) ** p
+        s = math.log(2.0 * len(row))
+        for _ in range(200):
+            e = np.exp(s * y)
+            step = math.log(np.mean(e) / 2.0) * np.sum(e) / np.sum(y * e)
+            s -= step
+            if abs(step) <= 1e-13 * s:
+                break
+        else:
+            raise AssertionError("plain Newton did not converge")
+        roots.append(top * s ** (-1.0 / p))
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("rows_name", list(_EMPIRICAL_ROWS))
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+def test_newton_roots_are_exact_and_every_row_certified(p, rows_name, bisected_rows):
+    rows = np.abs(_empirical_rows(rows_name))
+    top = rows.max(axis=1)
+    live = top > 0.0
+    roots = orlicz._newton_roots(rows[live], top[live], p)
+    np.testing.assert_allclose(roots, _plain_newton_roots(rows, p), rtol=1e-10, atol=0.0)
+    for tol in (1e-4, 1e-6):
+        psi_norm_empirical(rows, p, tol)
+    assert bisected_rows[0] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(100, 3000),
+    kind=st.sampled_from(["equal", "spike", "mixed", "spread"]),
+    p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_newton_start_is_at_or_past_the_root(n, kind, p, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "equal":
+        x = np.full(n, 10.0 ** rng.uniform(-300, 300))
+    elif kind == "spike":
+        x = np.zeros(n)
+        x[rng.integers(n)] = 10.0 ** rng.uniform(-300, 300)
+    elif kind == "mixed":
+        x = rng.choice([0.0, 1e-300, 1.0, 1e300], n)
+        x[rng.integers(n)] = 1e300
+    else:
+        x = rng.exponential(size=n) * 10.0 ** rng.uniform(-300, 300, n)
+    y = (x / x.max()) ** p
+    (s,) = orlicz._newton_start(y[None, :])
+    assert s <= math.log(2.0 * n)
+    assert np.mean(np.exp(s * y)) >= 2.0 * (1.0 - 1e-12)
+
+
+class _ExpCounter:
+    """numpy as ``orlicz`` sees it, counting its ``exp`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.calls += 1
+        return np.exp(*args, **kwargs)
+
+
+def test_empirical_norm_takes_few_exponential_passes(monkeypatch):
+    counter = _ExpCounter()
+    monkeypatch.setattr(orlicz, "np", counter)
+    psi_norm_empirical(_empirical_rows("exp_n16"), 1.0, 1e-4)
+    # 4 Newton passes and 1 certificate pass
+    assert counter.calls <= 5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 117, 239])
+@pytest.mark.parametrize("two_d", [False, True])
+def test_empirical_rejects_every_nonfinite_sample(bad, where, two_d):
+    samples = np.ones((3, 240)) if two_d else np.ones(240)
+    (samples[1] if two_d else samples)[where] = bad
+    with pytest.raises(ParameterError, match="^samples must be finite$"):
+        psi_norm_empirical(samples, 1.0)
+    short = samples[..., :50].copy()
+    (short[1] if two_d else short)[0] = bad
+    with pytest.raises(InsufficientSamplesError):
+        psi_norm_empirical(short, 1.0)
 
 
 def test_bisect_norm_finds_the_root():
