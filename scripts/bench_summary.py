@@ -15,11 +15,13 @@ the i-th change run form a pair.
 
 Untraced runs (``--trace 0``) give ``end_to_end``: per metric of
 ``BENCHMARK.json``, each side's median and quartiles, the change's median
-over the parent's, the pairs the change wins, and whether the median gap
-exceeds the parent's interquartile range.  Traced runs (``--trace 1``) give
-``per_layer``: each side's median of every metric that is nonzero on either
-side.  ``--extra`` merges a JSON object's keys into the output, for
-measurements made outside the benchmark.
+over the parent's, the pairs the change wins, whether the median gap
+exceeds the parent's interquartile range, and ``claim_rule_met``: whether a
+gain may be claimed, which needs the change to win at least 9 of 10 pairs
+(a tie is a win for neither side) and that median gap.  Traced runs
+(``--trace 1``) give ``per_layer``: each side's median of every metric that
+is nonzero on either side.  ``--extra`` merges a JSON object's keys into the
+output, for measurements made outside the benchmark.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def end_to_end(parent: list[dict], change: list[dict], declared: list[dict]) -> 
     lower = {m["name"]: m["better"] == "lower" for m in declared}
     old, new = side_summary(parent, names), side_summary(change, names)
     pairs = list(zip(parent, change))
-    ratio, wins, clear = {}, {}, {}
+    ratio, wins, clear, claim = {}, {}, {}, {}
     for name in names:
         sign = 1.0 if lower[name] else -1.0
         p_med, c_med = old[name]["median"], new[name]["median"]
@@ -108,12 +110,14 @@ def end_to_end(parent: list[dict], change: list[dict], declared: list[dict]) -> 
         )
         wins[name] = f"{won}/{len(pairs)}"
         clear[name] = sign * (p_med - c_med) > old[name]["q3"] - old[name]["q1"]
+        claim[name] = bool(pairs) and 10 * won >= 9 * len(pairs) and clear[name]
     return {
         "parent": old,
         "change": new,
         "change_over_parent_median": ratio,
         "pairs_change_better": wins,
         "median_gap_exceeds_parent_iqr": clear,
+        "claim_rule_met": claim,
     }
 
 
@@ -162,6 +166,8 @@ def summarize(parent_dir: Path, change_dir: Path, args) -> dict:
         "pairs_change_better compares the i-th parent run with the i-th change run of a "
         "group, in the order each side's runs were written; better is the direction "
         f"BENCHMARK.json gives. q1 and q3 are {QUARTILES}.",
+        "claim_rule_met: the change is better in at least 9/10 of the pairs, a tie "
+        "counting for neither side, and the median gap exceeds the parent's IQR.",
         *args.note,
     ]
     return out

@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import asdict
@@ -67,11 +68,24 @@ def dumps17(obj, indent: int = 0) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+
+    The file gets the mode of the file it replaces, or 0o666 less the umask
+    when it is new, as ``open`` would give it; mkstemp's 0o600 would survive
+    the rename.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".subweibull-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -15,7 +15,13 @@ bitwise equal to the one its plan gives alone.
 
 The index vector of bootstrap resample r depends only on (seed, r, trials).
 Every plan of a growth suite shares those, so the suite draws each vector
-once and every dimension resamples its deviations with it.
+once and every dimension resamples its deviations with it.  The vectors of
+a chunk of resamples come from one re-keyed generator
+(``streams.keyed_generators``), with the bits of a fresh generator per
+stream, and each chunk's empirical norms come from one
+``psi_norm_empirical`` call, which replays and certifies the bisections of
+a chunk of at least ``orlicz.REPLAY_BATCH_ROWS`` resamples as arrays, so
+little of a worker's time holds the interpreter lock.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .errors import (
     ParameterError,
 )
 from .orlicz import psi_norm_analytic, psi_norm_empirical, psi_norm_quadrature
-from .streams import RandomStream
+from .streams import keyed_generators
 from .tau import bernstein_bound
 
 BOOTSTRAP_STREAM_BASE = 1 << 40
@@ -225,8 +231,11 @@ def bootstrap_interval(
         norms = np.empty((r1 - r0, len(rows)))
         for c0 in range(r0, r1, chunk):
             c1 = min(c0 + chunk, r1)
-            streams = (RandomStream(seed, BOOTSTRAP_STREAM_BASE + r) for r in range(c0, c1))
-            idx = np.stack([stream.generator().integers(0, trials, trials) for stream in streams])
+            # resample r draws from stream (seed, BOOTSTRAP_STREAM_BASE + r)
+            streams = keyed_generators(
+                seed, BOOTSTRAP_STREAM_BASE + c0, BOOTSTRAP_STREAM_BASE + c1
+            )
+            idx = np.stack([gen.integers(0, trials, trials) for gen in streams])
             for d, row in enumerate(rows):
                 found = psi_norm_empirical(row[idx], p, tol=1e-4)
                 norms[c0 - r0:c1 - r0, d] = [result.value for result in found]

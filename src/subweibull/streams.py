@@ -17,10 +17,11 @@ streams at once, by one of two paths; both give row ``i`` the bits of
   in numpy for every row together.  The word at ``(seed, j, k)`` is a pure
   function of the key ``(seed, j)`` and the counter, so no per-row state is
   built, and the work runs in numpy calls that release the GIL;
-- longer rows re-key one numpy generator per row.  Philox keeps no state
-  beyond its key, counter and output buffer, so the generator re-keyed to
-  ``(seed, j)`` with a zero counter and an empty buffer is exactly a fresh
-  generator for stream ``j``.
+- longer rows draw from :func:`keyed_generators`, which re-keys one numpy
+  generator per row.  Philox keeps no state beyond its key, counter and
+  output buffer, so the generator re-keyed to ``(seed, j)`` with a zero
+  counter and an empty buffer is exactly a fresh generator for stream ``j``.
+  The Monte Carlo bootstrap draws its resample indices the same way.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def _check_count(count) -> None:
         raise ParameterError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+
+
+def _check_streams(seed, start, stop) -> None:
+    _check_word("seed", seed)
+    _check_word("stream_index", start)
+    if stop <= start:
+        raise ParameterError(f"need stop > start, got [{start}, {stop})")
+    _check_word("stream_index", stop - 1)
 
 
 @dataclass(frozen=True)
@@ -113,17 +122,30 @@ def uniform_block(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     """Row i holds ``RandomStream(seed, start + i).uniforms(count)``, for i < stop - start.
 
     Rows of at most ``SHORT_ROW_WORDS`` words are computed by the Philox
-    kernel for all rows at once; longer rows re-key one generator per row.
+    kernel for all rows at once; longer rows come from ``keyed_generators``.
     Both paths give the same bits, the bits of the per-stream call.
     """
-    _check_word("seed", seed)
-    _check_word("stream_index", start)
-    if stop <= start:
-        raise ParameterError(f"need stop > start, got [{start}, {stop})")
-    _check_word("stream_index", stop - 1)
+    _check_streams(seed, start, stop)
     _check_count(count)
     if count <= SHORT_ROW_WORDS:
         return _philox_uniforms(int(seed), int(start), int(stop - start), int(count))
+    out = np.empty((stop - start, int(count)))
+    for row, gen in zip(out, keyed_generators(seed, start, stop)):
+        gen.random(out=row)
+    return out
+
+
+def keyed_generators(seed: int, start: int, stop: int):
+    """Yield, for j from ``start`` to ``stop - 1``, a generator at draw 0 of stream (seed, j).
+
+    One numpy generator is re-keyed for each j, so each yielded generator
+    is valid only until the next is asked for.  Philox keeps no state beyond
+    its key, counter and output buffer, and a numpy ``Generator`` keeps none
+    of its own, so the generator re-keyed to (seed, j) with a zero counter
+    and an empty buffer draws exactly what ``RandomStream(seed, j).generator()``
+    draws, without building a generator and a seed sequence per stream.
+    """
+    _check_streams(seed, start, stop)
     key = np.array([seed, 0], dtype=np.uint64)
     # a fresh Philox(key=key): zero counter, empty output buffer
     state = {
@@ -134,12 +156,10 @@ def uniform_block(seed: int, start: int, stop: int, count: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    # seeded only to skip the OS entropy read; every row overwrites the state
+    # seeded only to skip the OS entropy read; every stream overwrites the state
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
-    out = np.empty((stop - start, int(count)))
-    for i, j in enumerate(range(start, stop)):
+    for j in range(start, stop):
         key[1] = j
         bits.state = state
-        gen.random(out=out[i])
-    return out
+        yield gen

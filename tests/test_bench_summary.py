@@ -73,6 +73,36 @@ def test_end_to_end_medians_quartiles_and_pairs(tmp_path):
     assert out["cores"] == 2 and out["notes"][-1] == "n"
 
 
+def test_claim_rule_needs_nine_in_ten_pairs_and_a_gap_past_the_iqr(tmp_path):
+    out = _summarize(tmp_path)["end_to_end"]
+    growth = out["growth"]
+    # 2/3 pairs better, though the median gap clears the IQR
+    assert growth["median_gap_exceeds_parent_iqr"]["wall_s"] is True
+    assert growth["claim_rule_met"]["wall_s"] is False
+    # every pair is a tie: better in none
+    assert growth["claim_rule_met"]["setup_s"] is False
+    assert out["growth_heldout_seed_19090677"]["claim_rule_met"]["wall_s"] is True
+
+
+def test_claim_rule_counts_ties_for_neither_side(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (change / "BENCHMARK.json").parent.mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    walls = [(0.50 + 0.01 * i, 0.40 + 0.01 * i) for i in range(9)] + [(0.45, 0.45)]
+    for stamp, (p_wall, c_wall) in enumerate(walls):
+        _write_run(parent, stamp, p_wall)
+        _write_run(change, stamp, c_wall)
+    args = argparse.Namespace(summary="s", note=[], extra=[])
+    growth = _load().summarize(parent, change, args)["end_to_end"]["growth"]
+    assert growth["pairs_change_better"]["wall_s"] == "9/10"
+    assert growth["claim_rule_met"]["wall_s"] is True
+    _write_run(parent, 10, 0.45)
+    _write_run(change, 10, 0.45)
+    growth = _load().summarize(parent, change, args)["end_to_end"]["growth"]
+    assert growth["pairs_change_better"]["wall_s"] == "9/11"
+    assert growth["claim_rule_met"]["wall_s"] is False
+
+
 def test_per_layer_keeps_metrics_that_moved(tmp_path):
     layers = _summarize(tmp_path)["per_layer"]["growth"]
     assert layers["parent"] == {"runs": 1, "streams.generator.calls": 2000.0}

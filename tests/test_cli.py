@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from dataclasses import replace
 
 import pytest
@@ -285,6 +287,35 @@ def test_output_file_atomic(tmp_path, capsys):
     assert code == 0
     assert json.loads(target.read_text())["value"] == 2.0
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+ANALYTIC_NORM = ("norm", "--family", "exp", "--p", "1", "--method", "analytic")
+
+
+@pytest.fixture
+def umask_022():
+    saved = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(saved)
+
+
+def test_new_output_file_gets_the_umask_mode(tmp_path, capsys, umask_022):
+    target = tmp_path / "tb.json"
+    code, _ = run_cli(capsys, *ANALYTIC_NORM, "--output", str(target))
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+def test_overwritten_output_file_keeps_its_mode(tmp_path, capsys, umask_022):
+    target = tmp_path / "tb.json"
+    target.write_text("old")
+    target.chmod(0o640)
+    code, _ = run_cli(capsys, *ANALYTIC_NORM, "--output", str(target))
+    assert code == 0
+    assert json.loads(target.read_text())["value"] == 2.0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 def test_invalid_run_leaves_no_output_file(tmp_path, capsys):

@@ -229,13 +229,13 @@ def test_bootstrap_is_the_percentile_interval_of_independent_resamples():
 
 def test_growth_suite_draws_each_bootstrap_index_vector_once(monkeypatch):
     calls = []
-    keyed = RandomStream.generator
+    keyed = montecarlo.keyed_generators
 
-    def counted(stream):
-        calls.append(stream.stream_index)
-        return keyed(stream)
+    def counted(seed, start, stop):
+        calls.extend(range(start, stop))
+        return keyed(seed, start, stop)
 
-    monkeypatch.setattr(RandomStream, "generator", counted)
+    monkeypatch.setattr(montecarlo, "keyed_generators", counted)
     growth_suite(EXP, 1.0, (16, 32, 64, 128), 1_000, 0)
     assert sorted(calls) == [BOOTSTRAP_STREAM_BASE + r for r in range(BOOTSTRAP_RESAMPLES)]
 

@@ -1,10 +1,11 @@
+import contextlib
 import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subweibull import (
     DistributionSpec,
@@ -411,8 +412,15 @@ def _resampled_deviations(spec, n, p, trials):
     ])
 
 
+def _tiled_edge_rows():
+    """The edge rows repeated until the call takes the array replay."""
+    rows = _bootstrap_like_rows()
+    return np.tile(rows, (orlicz.REPLAY_BATCH_ROWS // len(rows) + 1, 1))
+
+
 _EMPIRICAL_ROWS = {
     "edge_cases": _bootstrap_like_rows,
+    "edge_cases_tiled": _tiled_edge_rows,
     "exp_n16": lambda: _resampled_deviations(EXP, 16, 1.0, 20_000),
     "pnormal3_n256": lambda: _resampled_deviations(DistributionSpec.pnormal(3.0), 256, 3.0, 1_000),
 }
@@ -433,7 +441,10 @@ def test_empirical_rows_match_single_rows(p, tol, rows_name):
     for row, result in zip(rows, results):
         assert result == psi_norm_empirical(row, p, tol)
         assert result == _empirical_reference(row, p, tol)
-    if rows_name == "edge_cases":
+    # a batch below the array replay's crossover replays row by row
+    short = rows[: orlicz.REPLAY_BATCH_ROWS - 1]
+    assert psi_norm_empirical(short, p, tol) == results[: len(short)]
+    if rows_name.startswith("edge_cases"):
         assert results[1].value == 0.0
 
 
@@ -490,10 +501,13 @@ def test_empirical_divergent_row_raises_like_the_bisection(bisected_rows):
     message = "exponential moment stays above 2 for every K up to 1e+18"
     rows = _bootstrap_like_rows()
     rows[4] = 1e18  # the norm, 1e18 / log 2, is past the ceiling
-    with pytest.raises(DivergenceError) as raised:
-        psi_norm_empirical(rows, 1.0, 1e-4)
-    assert str(raised.value) == message
-    assert bisected_rows[0] == 1  # only the divergent row is bisected on phi
+    # alone among the edge rows, then tiled past the array replay's crossover
+    for copies in (1, orlicz.REPLAY_BATCH_ROWS // len(rows) + 1):
+        bisected_rows[0] = 0
+        with pytest.raises(DivergenceError) as raised:
+            psi_norm_empirical(np.tile(rows, (copies, 1)), 1.0, 1e-4)
+        assert str(raised.value) == message
+        assert bisected_rows[0] == 1  # only the first divergent row is bisected on phi
 
 
 def test_empirical_rows_reject_like_single_rows():
@@ -588,6 +602,93 @@ def test_empirical_norm_takes_few_exponential_passes(monkeypatch):
     psi_norm_empirical(_empirical_rows("exp_n16"), 1.0, 1e-4)
     # 4 Newton passes and 1 certificate pass
     assert counter.calls <= 5
+
+
+def test_empirical_norm_at_p2_takes_few_exponential_passes(monkeypatch):
+    rows = _resampled_deviations(DistributionSpec.pnormal(2.0), 256, 2.0, 1_000)
+    counter = _ExpCounter()
+    monkeypatch.setattr(orlicz, "np", counter)
+    psi_norm_empirical(rows, 2.0, 1e-4)
+    # 5 Newton passes and 1 certificate pass; 6 and 1 from the Jensen start
+    assert counter.calls <= 6
+
+
+def test_resampled_rows_are_certified_by_the_array_replay(monkeypatch):
+    replays = []
+    replay = orlicz._replay
+    monkeypatch.setattr(orlicz, "_replay", lambda *args: replays.append(args) or replay(*args))
+    for name, p in (("exp_n16", 1.0), ("pnormal3_n256", 3.0)):
+        rows = _empirical_rows(name)
+        assert len(rows) >= orlicz.REPLAY_BATCH_ROWS
+        psi_norm_empirical(rows, p, 1e-4)
+    assert replays == []
+
+
+def _point_replay(lo_start, root, tol):
+    """``_replay`` of a point root: (result, inner points) or None, and the K it asked phi for."""
+    asked = []
+    found = orlicz._replay(
+        lo_start, root, root, 1.0, tol, orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False,
+        lambda K: asked.append(K) or 1.0,
+    )
+    return found, asked
+
+
+def _asked_points(lo_start, root, tol):
+    """Every K the bisection asks for when phi is above 2 exactly below ``root``."""
+    asked = []
+    with contextlib.suppress(DivergenceError):
+        orlicz._bisect_norm(
+            lambda K: asked.append(K) or (math.inf if K < root else 1.0), lo_start, 1.0, tol,
+            orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False,
+        )
+    return asked
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.floats(-320.0, 20.0), st.floats(290.0, 300.0)),
+            st.one_of(st.floats(-320.0, 21.0), st.floats(17.0, 21.0)),
+            st.sampled_from(["free", "floor", "asked"]), st.integers(0, 200),
+        ),
+        min_size=1, max_size=8,
+    ),
+    log_tol=st.one_of(st.floats(-12.0, 6.0), st.floats(-320.0, -290.0)),
+)
+@example(rows=[(300.0, -3.0, "free", 0)], log_tol=-12.0)  # the shrink cap
+@example(rows=[(-4.0, -310.0, "free", 0)], log_tol=-4.0)  # the zero norm
+@example(rows=[(0.0, 18.5, "free", 0)], log_tol=5.0)  # the ceiling
+def test_array_replay_is_the_bisection_on_the_stand_in(rows, log_tol):
+    # floors from 1e-320 to 1e300 and roots from 1e-320 to 1e21 take the
+    # shrink path, its cap, the zero norm, the expansion and the ceiling at
+    # 1e18, which only a tol above the spacing of doubles there can reach;
+    # "floor" and "asked" put the root on the floor or on a halving, doubling
+    # or midpoint the search asks for
+    tol = max(10.0**log_tol, 5e-324)
+    lo_start, roots = [], []
+    for log_lo, log_root, kind, pick in rows:
+        lo, root = max(10.0**log_lo, 5e-324), max(10.0**log_root, 5e-324)
+        if kind == "floor":
+            root = lo
+        elif kind == "asked":
+            asked = _asked_points(lo, root, tol)
+            root = asked[pick % len(asked)]
+        lo_start.append(lo)
+        roots.append(root)
+    lo, hi, replayed = orlicz._replay_points(
+        np.array(lo_start), np.array(roots), tol, orlicz._EMPIRICAL_K_MAX
+    )
+    for i, (a, root) in enumerate(zip(lo_start, roots)):
+        found, asked = _point_replay(a, root, tol)
+        # the row replay hands on a row that diverges or ends at the zero
+        # norm; its certificate, one that asked phi at the root, left an asked
+        # K inside the bracket or, past the shrink cap, ended with lo >= root
+        kept = found is not None and not asked and not found[1] and found[0].bracket[0] < root
+        assert replayed[i] == kept
+        if kept:
+            assert (lo[i], hi[i]) == found[0].bracket
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -3,7 +3,7 @@ import pytest
 
 from subweibull import ParameterError, RandomStream
 from subweibull.montecarlo import BOOTSTRAP_STREAM_BASE
-from subweibull.streams import SHORT_ROW_WORDS, uniform_block
+from subweibull.streams import SHORT_ROW_WORDS, keyed_generators, uniform_block
 
 
 def test_same_handle_same_sequence():
@@ -102,6 +102,25 @@ def test_uniform_block_matches_at_large_indices(seed, start):
 def test_uniform_block_rejects_bad_input(seed, start, stop, count):
     with pytest.raises(ParameterError):
         uniform_block(seed, start, stop, count)
+
+
+@pytest.mark.parametrize("trials", [100, 1_000, 1_001, 20_000])
+def test_keyed_generators_draw_each_streams_index_vector(trials):
+    # an odd count leaves half a 64-bit word buffered, which re-keying drops
+    seed, start = 20_240_817, BOOTSTRAP_STREAM_BASE + 3
+    rows = [gen.integers(0, trials, trials) for gen in keyed_generators(seed, start, start + 5)]
+    for r, row in enumerate(rows):
+        fresh = RandomStream(seed, start + r).generator()
+        assert np.array_equal(row, fresh.integers(0, trials, trials))
+
+
+@pytest.mark.parametrize(
+    "seed, start, stop",
+    [(-1, 0, 1), (2**64, 0, 1), (1.5, 0, 1), (0, -1, 1), (0, 2**64 - 1, 2**64 + 1), (0, 5, 5)],
+)
+def test_keyed_generators_reject_bad_streams(seed, start, stop):
+    with pytest.raises(ParameterError):
+        next(keyed_generators(seed, start, stop))
 
 
 # ---------------------------------------------------------------------------
