@@ -43,7 +43,7 @@ from .concentration import (
     thm14_bound,
     thm14_tail_bound,
 )
-from .dist import DistributionSpec, moment_abs, sample_streams
+from .dist import BLOCK_DRAWS, DistributionSpec, moment_abs, sample_streams
 from .errors import (
     NoClosedFormError,
     NoFeasibleConstantError,
@@ -61,11 +61,6 @@ _NO_INTERVAL = (math.nan, math.nan)  # boot_lo, boot_hi when the bootstrap is of
 # 65 536 and 262 144, and a 1k-trial growth sweep 0.34, 0.31 and 0.30 s; 262 144
 # raised the tail report's peak RSS from 48 MB to 65 MB
 BATCH_VALUES = 65_536
-# draws one block of ``deviations`` holds (rows x n).  On 2 cores, 20k rows of
-# 16 exp draws took 26 ms on 2 threads and 35 ms on 1 at 65 536; at 16 384 2
-# threads were slower than 1, and 131 072 and 262 144 added 5 MB and 14 MB to
-# the tail report's peak RSS
-BLOCK_DRAWS = 65_536
 
 MIN_TRIALS_NORM = 1_000
 MIN_TRIALS_TAIL = 10_000

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
+    _LOG_SQRT_2_OVER_PI,
+    BASE_ABSGAUSS,
     DistributionSpec,
     FAMILY_EXP,
     FAMILY_HALFGAUSS,
@@ -123,17 +125,21 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
     e = law.e
     c = law.scale
     inv_kp = K**-p
-    boundary = 1.0 if law.base == "exp1" else 2.0
+    gauss = law.base == BASE_ABSGAUSS
+    cap = math.exp(_EXP_CAP)
+    at_inf = 0.0 if r < (2.0 if gauss else 1.0) - 1e-9 else cap
+    exp, inf = math.exp, math.inf
 
+    # law.log_base_pdf inlined, its float operations in its order, so every
+    # value keeps its bits (a + (-x) is a - x)
     def integrand(x: float) -> float:
         y = c * x**e - center
         y = -y if y < 0.0 else y
-        if math.isinf(y):
-            return 0.0 if r < boundary - 1e-9 else math.exp(_EXP_CAP)
-        val = y**p * inv_kp + law.log_base_pdf(x)
-        if val > _EXP_CAP:
-            return math.exp(_EXP_CAP)
-        return math.exp(val)
+        if y == inf:
+            return at_inf
+        val = y**p * inv_kp
+        val = val + (_LOG_SQRT_2_OVER_PI - 0.5 * x * x) if gauss else val - x
+        return cap if val > _EXP_CAP else exp(val)
 
     breakpoints = ()
     if center > 0.0:

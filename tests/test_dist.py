@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +21,8 @@ from subweibull import (
     sample,
     spec_from_json,
 )
-from subweibull.dist import _transform_uniforms, sample_streams
+from subweibull import verify
+from subweibull.dist import BLOCK_DRAWS, _transform_uniforms, _uniforms_per_draw, sample_streams
 
 EXP = DistributionSpec.exponential()
 
@@ -278,6 +280,73 @@ def test_sample_count_validation():
             sample(EXP, RandomStream(0, 0), count)
         with pytest.raises(ParameterError):
             sample_streams(EXP, 0, 0, 2, count)
+
+
+_FAMILIES = [
+    EXP,
+    DistributionSpec.weibull(0.7, 2.0),
+    DistributionSpec.pnormal(3.0),
+    DistributionSpec.halfgauss_pow(1.5, 0.5),
+]
+
+
+@pytest.mark.parametrize("spec", _FAMILIES, ids=lambda spec: spec.family)
+@pytest.mark.parametrize(
+    "count", [1, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 2 * BLOCK_DRAWS + 3]
+)
+def test_streamed_sample_is_the_whole_stream_transformed(spec, count, monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    stream = RandomStream(20_240_817, 5)
+    monkeypatch.setattr(np.random, "Philox", counting)
+    got = sample(spec, stream, count)
+    monkeypatch.setattr(np.random, "Philox", philox)
+    assert len(built) == 1
+    whole = _transform_uniforms(spec, stream.uniforms(_uniforms_per_draw(spec) * count))
+    assert got.tobytes() == whole.tobytes()
+
+
+def test_sample_validates_count_before_building_a_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    with pytest.raises(ParameterError):
+        sample(EXP, RandomStream(0, 0), 0)
+
+
+def _traced_peak(fn):
+    """(result, peak traced bytes) of one call, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_scratch_is_one_block_whatever_the_count():
+    spec = DistributionSpec.pnormal(3.0)
+    sample(spec, RandomStream(3, 0), 10)  # first-call caches out of the trace
+    scratch = {}
+    for count in (1_000_000, 4_000_000):
+        x, peak = _traced_peak(lambda: sample(spec, RandomStream(3, 0), count))
+        scratch[count] = peak - x.nbytes
+        del x
+    assert scratch[1_000_000] < 0.5 * 8 * 1_000_000
+    assert abs(scratch[4_000_000] - scratch[1_000_000]) <= 64 * 1024
+
+
+def test_sampler_moment_check_holds_one_sample():
+    verify.check_sampler_moments()  # first-call caches out of the trace
+    result, peak = _traced_peak(verify.check_sampler_moments)
+    assert result.passed
+    assert peak < 1.5 * 8 * 1_000_000
 
 
 def test_weibull_mean_one():

@@ -28,6 +28,7 @@ from subweibull import ExperimentPlan, VectorModel, orlicz, verify
 from subweibull.dist import canonical, mean
 from subweibull.montecarlo import BOOTSTRAP_STREAM_BASE, deviations
 from subweibull.orlicz import OrliczNormResult
+from subweibull.quadrature import improper_integral
 
 EXP = DistributionSpec.exponential()
 
@@ -277,6 +278,48 @@ def test_exp_moment_divergence_detection():
     assert exp_moment(law, 1.0, 0.5) == math.inf
     assert exp_moment(law, 1.0, 1.5) == pytest.approx(3.0, rel=1e-9)
     assert exp_moment(law, 2.0, 10.0) == math.inf  # supercritical growth
+
+
+def _exp_moment_by_the_method_integrand(law, p, K, center):
+    """exp_moment with the integrand written as it reads: y**p / K**p + law.log_base_pdf(x)."""
+    a = (law.scale / K) ** p
+    r = law.exponent(p)
+    if not law.exp_moment_converges(a, r):
+        return math.inf
+    e, c, inv_kp = law.e, law.scale, K**-p
+    boundary = 1.0 if law.base == "exp1" else 2.0
+
+    def integrand(x):
+        y = c * x**e - center
+        y = -y if y < 0.0 else y
+        if math.isinf(y):
+            return 0.0 if r < boundary - 1e-9 else math.exp(708.0)
+        val = y**p * inv_kp + law.log_base_pdf(x)
+        if val > 708.0:
+            return math.exp(708.0)
+        return math.exp(val)
+
+    breakpoints = ((center / c) ** (1.0 / e),) if center > 0.0 else ()
+    return improper_integral(integrand, breakpoints=breakpoints)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EXP,
+        DistributionSpec.weibull(3.0, 2.0),
+        DistributionSpec.pnormal(3.0),
+        DistributionSpec.halfgauss_pow(4.0, 0.5),
+    ],
+    ids=lambda spec: spec.family,
+)
+@pytest.mark.parametrize("center", [0.0, 0.7])
+def test_exp_moment_has_the_bits_of_the_method_integrand(spec, center):
+    law = canonical(spec)
+    for p in (0.5, 1.0, 2.0, 3.0):
+        for K in (0.8, 2.0, 5.0):
+            got = exp_moment(law, p, K, center)
+            assert got == _exp_moment_by_the_method_integrand(law, p, K, center), (p, K)
 
 
 def test_scaling_homogeneity():
