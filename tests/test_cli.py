@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from subweibull import cli, montecarlo, verify
+from subweibull import DistributionSpec, ExperimentPlan, VectorModel, cli, montecarlo, verify
 from subweibull.cli import dumps17, main
 
 
@@ -432,6 +432,26 @@ def test_bound_domination_fails_on_one_inflated_exp_row(monkeypatch):
     assert "exp n=100: 12 rows, 1 violations" in result.detail
 
 
+def test_exact_exp_tail_is_the_gamma_law_tail():
+    from scipy.stats import gamma
+
+    model = VectorModel(DistributionSpec.exponential(), 100, 1.0)
+    plan = ExperimentPlan(model, 10_000, 778)
+    n = model.n
+    # the check's grid, then t = n and beyond, where n - t leaves the support
+    grid = (*plan.effective_t_grid(), float(n), 150.0, 1e4)
+    rows = tuple(montecarlo.TailRow(t=t, freq=0.0, se=0.0, bound=2.0, C=1.0) for t in grid)
+    nan = math.nan
+    report = montecarlo.ConcentrationReport(
+        "exp", 1.0, n, plan.trials, plan.seed, nan, nan, nan, nan, nan, nan, nan, nan, rows,
+    )
+    exact = verify._exact_exp_tail(report)
+    assert [row.bound for row in exact.tail_rows] == [
+        float(gamma.sf(n + t, n) + gamma.cdf(n - t, n)) for t in grid
+    ]
+    assert [row.bound for row in exact.tail_rows[-3:]] == [float(gamma.sf(n + t, n)) for t in grid[-3:]]
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["norm", "--nonsense"])
@@ -513,3 +533,18 @@ def test_quadrature_norm_loads_scipy_and_succeeds(fresh_python):
     assert proc.returncode == 0, proc.stderr
     assert "scipy.integrate" in _scipy_imports(proc.stderr)
     assert math.isfinite(json.loads(proc.stdout)["value"])
+
+
+def test_ks_and_exact_tail_checks_do_not_load_scipy_stats(fresh_python):
+    # the KS checks and the exact exponential tail need scipy.special only
+    code = (
+        "from subweibull import verify\n"
+        "checks = (verify.check_weibull_sampler_identity, verify.check_pnormal_symmetry,\n"
+        "          verify.check_bound_domination)\n"
+        "assert all(check().passed for check in checks)\n"
+    )
+    proc = fresh_python(["-X", "importtime", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    loaded = _scipy_imports(proc.stderr)
+    assert "scipy.special" in loaded
+    assert [name for name in loaded if name.startswith("scipy.stats")] == []

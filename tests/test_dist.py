@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
@@ -398,6 +399,49 @@ def test_weibull_equals_powered_exponential_in_law():
     e = sample(EXP, RandomStream(411, 1), n)
     b = scale * e ** (1.0 / shape)
     assert ks_2samp(a, b).pvalue > 1e-3
+
+
+def _verify_ks_samples():
+    """The sample pairs that the two verify KS checks compare, as they build them."""
+    shape, scale = 1.7, 1.3
+    a = sample(DistributionSpec.weibull(shape, scale), RandomStream(411, 0), 100_000)
+    b = scale * sample(EXP, RandomStream(411, 1), 100_000) ** (1.0 / shape)
+    x = sample(DistributionSpec.pnormal(3.0), RandomStream(7, 0), 50_000)
+    return [(a, b), (x[x > 0.0], -x[x < 0.0])]
+
+
+def test_ks_helper_matches_scipy_on_the_verify_samples():
+    for a, b in _verify_ks_samples():
+        d, pvalue = verify._ks_2samp(a, b)
+        reference = ks_2samp(a, b)
+        assert min(a.size, b.size) > 10_000  # ks_2samp's asymptotic regime
+        assert d == reference.statistic
+        assert abs(pvalue - reference.pvalue) <= 0.01
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # ks_2samp at en < 0.5
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=60),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=40),
+)
+def test_ks_helper_statistic_matches_scipy_with_ties(a, b):
+    # ks_2samp's exact method (its default up to 10 000 draws) rounds D to a
+    # multiple of 1/lcm(n1, n2); its asymptotic method keeps the raw counts
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    assert verify._ks_2samp(a, b)[0] == ks_2samp(a, b, method="asymp").statistic
+
+
+def test_ks_helper_rejects_a_shifted_sample(monkeypatch):
+    (a, b), _ = _verify_ks_samples()
+    assert verify._ks_2samp(a, b + 0.05)[1] < 1e-3
+
+    def shifted_exponential(spec, stream, count):
+        x = sample(spec, stream, count)
+        return x + 0.05 if spec.family == EXP.family else x
+
+    monkeypatch.setattr(verify.dist, "sample", shifted_exponential)
+    assert not verify.check_weibull_sampler_identity().passed
 
 
 def test_sample_supports():
