@@ -8,10 +8,11 @@ apply the Monte Carlo predicates (:func:`growth_contrast`,
 full-strength experiments.
 
 The two KS checks and the exact exponential tail of
-:func:`check_bound_domination` need only ``scipy.special``, and the quadrature
-checks only ``scipy.integrate`` (through :mod:`subweibull.quadrature`).  Each
-is imported when a check runs, so importing this module, and with it the CLI,
-loads no scipy, and no check loads ``scipy.stats``.
+:func:`check_bound_domination` need ``scipy.special``, imported when such a
+check runs; they are the only checks that load scipy.  The quadrature checks
+use :mod:`subweibull.quadrature`'s own rule.  So importing this module, and
+with it the CLI, loads no scipy, and no check loads ``scipy.stats`` or
+``scipy.integrate``.
 """
 
 from __future__ import annotations

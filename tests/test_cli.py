@@ -527,12 +527,35 @@ def test_commands_without_quadrature_do_not_load_scipy(fresh_python, argv):
     assert _scipy_imports(proc.stderr) == []
 
 
-def test_quadrature_norm_loads_scipy_and_succeeds(fresh_python):
-    argv = ["norm", "--family", "exp", "--p", "0.5", "--method", "quadrature"]
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["norm", "--family", "exp", "--p", "0.5", "--method", "quadrature"], "value"),
+        # weibull(1.5, 1) at p = 1 is off the closed-form table: its
+        # coordinate norm, and so the prop13 bound, comes from quadrature
+        (["concentrate", "--family", "weibull", "--param", "shape=1.5", "--param", "scale=1",
+          "--p", "1", "--n", "16", "--trials", "1000", "--seed", "1"], "prop13_bound"),
+    ],
+    ids=["norm-quadrature", "concentrate-off-table"],
+)
+def test_quadrature_commands_load_no_scipy(fresh_python, argv, key):
+    # the quadrature rule is the package's own: integrating loads no scipy
     proc = fresh_python(["-X", "importtime", "-m", "subweibull", *argv])
     assert proc.returncode == 0, proc.stderr
-    assert "scipy.integrate" in _scipy_imports(proc.stderr)
-    assert math.isfinite(json.loads(proc.stdout)["value"])
+    assert _scipy_imports(proc.stderr) == []
+    assert math.isfinite(json.loads(proc.stdout)[key])
+
+
+def test_quadrature_checks_do_not_load_scipy(fresh_python):
+    code = (
+        "from subweibull import verify\n"
+        "checks = (verify.check_density_normalization, verify.check_mgf_quadrature,\n"
+        "          verify.check_closed_form_table, verify.check_power_identity)\n"
+        "assert all(check().passed for check in checks)\n"
+    )
+    proc = fresh_python(["-X", "importtime", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert _scipy_imports(proc.stderr) == []
 
 
 def test_ks_and_exact_tail_checks_do_not_load_scipy_stats(fresh_python):

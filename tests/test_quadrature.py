@@ -71,3 +71,55 @@ def test_breakpoint_kink():
 
 def test_segment_integral_basic():
     assert segment_integral(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-10)
+
+
+def _recorded(fn, seen):
+    def recorded(x):
+        seen.append(x)
+        return fn(x)
+
+    return recorded
+
+
+def test_rule_never_evaluates_at_or_outside_an_end():
+    seen = []
+    got = segment_integral(_recorded(lambda x: x**-0.5, seen), 0.0, 8.0)
+    assert got == pytest.approx(2.0 * math.sqrt(8.0), rel=1e-12)
+    assert all(0.0 < x < 8.0 for x in seen)
+    # nodes are placed by their distance from the end, so they reach deep
+    # into the singularity at 0 without rounding onto it
+    assert min(seen) < 1e-100
+
+    seen.clear()
+    fn = lambda x: abs(x - 10.0) * math.exp(-x)
+    got = segment_integral(_recorded(fn, seen), 8.0, 16.0, breakpoints=(10.0,))
+    want = math.exp(-8.0) + 2.0 * math.exp(-10.0) - 7.0 * math.exp(-16.0)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert all(8.0 < x < 16.0 and x != 10.0 for x in seen)
+    assert any(x < 10.0 for x in seen) and any(x > 10.0 for x in seen)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_node_value_makes_the_segment_infinite(bad):
+    seen = []
+    segment_integral(_recorded(lambda x: math.exp(-x), seen), 0.0, 8.0)
+    # the middle node, the first level-0 node and the last node evaluated
+    for target in (seen[0], seen[1], seen[-1]):
+        got = segment_integral(lambda x: bad if x == target else math.exp(-x), 0.0, 8.0)
+        assert got == math.inf
+
+
+def test_integrable_endpoint_singularities():
+    # x^{-1/2} e^{-x} is the Gamma(1/2) law's integrand; x^{-0.9} is far steeper
+    got = improper_integral(lambda x: x**-0.5 * math.exp(-x) if x > 0.0 else math.inf)
+    assert got == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    got = improper_integral(lambda x: x**-0.9 * math.exp(-x) if x > 0.0 else math.inf)
+    assert got == pytest.approx(math.gamma(0.1), rel=1e-12)
+
+
+def test_unconverged_segment_returns_the_last_estimate():
+    # a kink that is not a breakpoint leaves the rule only O(h^2) accurate, so
+    # the last level's change stays above REL_TOL; its estimate is returned
+    got = segment_integral(lambda x: abs(x - 1.0), 0.0, 3.0)
+    assert math.isfinite(got)
+    assert got == pytest.approx(2.5, rel=1e-4)
