@@ -7,12 +7,11 @@ apply the Monte Carlo predicates (:func:`growth_contrast`,
 :func:`tail_domination`, :func:`csv_reproducibility`) to their own
 full-strength experiments.
 
-The two KS checks and the exact exponential tail of
-:func:`check_bound_domination` need ``scipy.special``, imported when such a
-check runs; they are the only checks that load scipy.  The quadrature checks
-use :mod:`subweibull.quadrature`'s own rule.  So importing this module, and
-with it the CLI, loads no scipy, and no check loads ``scipy.stats`` or
-``scipy.integrate``.
+The two KS checks take Kolmogorov's limit law, and the exact exponential
+tail of :func:`check_bound_domination` the incomplete gamma functions, from
+:mod:`subweibull.specfun`; the quadrature checks use
+:mod:`subweibull.quadrature`'s own rule.  So no check, and no command of the
+CLI, loads scipy.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 from . import concentration as conc
 from . import dist, montecarlo, orlicz, tau
 from .quadrature import improper_integral
+from .specfun import gammainc, gammaincc, kolmogorov
 from .streams import RandomStream
 
 
@@ -94,10 +94,9 @@ def _ks_2samp(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     empirical cdf counted by ``searchsorted(..., side="right")``: the same
     count/n arithmetic, and so the same bits, as ``scipy.stats.ks_2samp`` in
     its asymptotic method, which it takes above 10 000 draws.  The p-value is
-    Kolmogorov's limit law at sqrt(n1 n2 / (n1 + n2)) D.
+    Kolmogorov's limit law at sqrt(n1 n2 / (n1 + n2)) D, from
+    :func:`subweibull.specfun.kolmogorov`.
     """
-    from scipy.special import kolmogorov
-
     a, b = np.sort(a), np.sort(b)
     n1, n2 = a.size, b.size
     d = max(
@@ -106,7 +105,7 @@ def _ks_2samp(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
         for x in (a, b)
     )
     en = n1 * n2 / (n1 + n2)
-    return d, float(kolmogorov(math.sqrt(en) * d))
+    return d, kolmogorov(math.sqrt(en) * d)
 
 
 def check_weibull_sampler_identity() -> CheckResult:
@@ -578,10 +577,8 @@ def _exact_exp_tail(report: montecarlo.ConcentrationReport) -> montecarlo.Concen
     :func:`tail_domination` applies, so it cannot fail there, and even at
     C1 = 1 the Bernstein bound stays above 0.6 on the whole grid.
     """
-    from scipy.special import gammainc, gammaincc
-
     n = report.n
-    exact = lambda t: float(gammaincc(n, n + t) + (gammainc(n, n - t) if t < n else 0.0))
+    exact = lambda t: gammaincc(n, n + t) + (gammainc(n, n - t) if t < n else 0.0)
     rows = tuple(replace(row, bound=exact(row.t), C=math.nan) for row in report.tail_rows)
     return replace(report, tail_rows=rows)
 

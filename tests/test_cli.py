@@ -433,7 +433,7 @@ def test_bound_domination_fails_on_one_inflated_exp_row(monkeypatch):
 
 
 def test_exact_exp_tail_is_the_gamma_law_tail():
-    from scipy.stats import gamma
+    import mpmath as mp
 
     model = VectorModel(DistributionSpec.exponential(), 100, 1.0)
     plan = ExperimentPlan(model, 10_000, 778)
@@ -446,10 +446,13 @@ def test_exact_exp_tail_is_the_gamma_law_tail():
         "exp", 1.0, n, plan.trials, plan.seed, nan, nan, nan, nan, nan, nan, nan, nan, rows,
     )
     exact = verify._exact_exp_tail(report)
-    assert [row.bound for row in exact.tail_rows] == [
-        float(gamma.sf(n + t, n) + gamma.cdf(n - t, n)) for t in grid
-    ]
-    assert [row.bound for row in exact.tail_rows[-3:]] == [float(gamma.sf(n + t, n)) for t in grid[-3:]]
+    with mp.workdps(40):
+        upper = [float(mp.gammainc(n, n + t, mp.inf, regularized=True)) for t in grid]
+        lower = [float(mp.gammainc(n, 0, n - t, regularized=True)) if t < n else 0.0 for t in grid]
+    assert [row.bound for row in exact.tail_rows] == pytest.approx(
+        [q + p for q, p in zip(upper, lower)], rel=1e-10
+    )
+    assert [row.bound for row in exact.tail_rows[-3:]] == pytest.approx(upper[-3:], rel=1e-10)
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -558,16 +561,10 @@ def test_quadrature_checks_do_not_load_scipy(fresh_python):
     assert _scipy_imports(proc.stderr) == []
 
 
-def test_ks_and_exact_tail_checks_do_not_load_scipy_stats(fresh_python):
-    # the KS checks and the exact exponential tail need scipy.special only
-    code = (
-        "from subweibull import verify\n"
-        "checks = (verify.check_weibull_sampler_identity, verify.check_pnormal_symmetry,\n"
-        "          verify.check_bound_domination)\n"
-        "assert all(check().passed for check in checks)\n"
-    )
-    proc = fresh_python(["-X", "importtime", "-c", code])
+def test_verify_loads_no_scipy(fresh_python):
+    # the KS checks and the exact exponential tail use subweibull.specfun:
+    # the whole verify battery runs without scipy
+    proc = fresh_python(["-X", "importtime", "-m", "subweibull", "verify", "--seed", "20240817"])
     assert proc.returncode == 0, proc.stderr
-    loaded = _scipy_imports(proc.stderr)
-    assert "scipy.special" in loaded
-    assert [name for name in loaded if name.startswith("scipy.stats")] == []
+    assert proc.stdout.rstrip().endswith("29/29 checks passed")
+    assert _scipy_imports(proc.stderr) == []
