@@ -6,7 +6,10 @@ Usage, after running ``perfbench/run.py`` in both checkouts:
     python3 scripts/bench_summary.py PARENT_CHECKOUT CHANGE_CHECKOUT --number 10 \\
         --summary "what the change does" [--note TEXT ...] [--extra BLOCK.json]
 
-Every ``.perfbench/results/*.json`` of each checkout is read.  Runs are
+Every ``.perfbench/results/*.json`` of each checkout is read, and they must
+all be runs of one code: a checkout whose results carry more than one
+``code_sha256`` (runs left from an earlier revision) is refused, with each
+hash and its run count, rather than pooled.  Runs are
 grouped by workload and seed; the default seed keeps the workload's name,
 any other seed is named ``<workload>_seed_<seed>`` (``_heldout_seed_`` for
 the held-out one).  Within a group, each side's runs are taken in the order
@@ -27,6 +30,7 @@ output, for measurements made outside the benchmark.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import statistics
 import sys
@@ -39,13 +43,19 @@ QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
 
 def load_runs(checkout: Path) -> list[dict]:
     """The checkout's results records, oldest first (file names end in a ns time stamp)."""
-    paths = sorted(
-        (checkout / ".perfbench" / "results").glob("*.json"),
-        key=lambda path: int(path.stem.rsplit("-", 1)[1]),
-    )
+    results = checkout / ".perfbench" / "results"
+    paths = sorted(results.glob("*.json"), key=lambda path: int(path.stem.rsplit("-", 1)[1]))
     if not paths:
-        raise SystemExit(f"no benchmark results under {checkout}/.perfbench/results")
-    return [json.loads(path.read_text()) for path in paths]
+        raise SystemExit(f"no benchmark results under {results}")
+    records = [json.loads(path.read_text()) for path in paths]
+    runs = collections.Counter(r["environment"]["code_sha256"] for r in records)
+    if len(runs) > 1:
+        listed = ", ".join(
+            f"{code}: {n} run{'s' if n > 1 else ''}" for code, n in sorted(runs.items())
+        )
+        raise SystemExit(f"{results} holds runs of {len(runs)} code hashes ({listed}); "
+                         "keep the runs of one")
+    return records
 
 
 def group_name(record: dict) -> str:

@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("norm", help="Luxemburg-type norm of a family")
     formatted(sp)
-    sp.add_argument("--family", choices=("exp", "weibull", "pnormal", "halfgauss_pow"))
+    sp.add_argument("--family", choices=dist.FAMILIES)
     sp.add_argument("--param", action="append", metavar="NAME=VALUE")
     sp.add_argument("--p", type=float, help="norm order")
     sp.add_argument("--method", choices=("analytic", "quadrature", "empirical"),
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("concentrate", help="Monte Carlo concentration report")
     formatted(sp)
-    sp.add_argument("--family", choices=("exp", "weibull", "pnormal", "halfgauss_pow"))
+    sp.add_argument("--family", choices=dist.FAMILIES)
     sp.add_argument("--param", action="append", metavar="NAME=VALUE")
     sp.add_argument("--p", type=float)
     sp.add_argument("--n", type=int)

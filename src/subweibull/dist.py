@@ -13,11 +13,15 @@ upper tails, and an inverse-transform sampler driven by a counter-based
 - ``halfgauss_pow``  ``scale * |g|**(2/p)``, the one-sided relative of
                      ``pnormal``
 
-Every family can be written as ``|X| = c * B**e`` for a base variable ``B``
-that is either a unit exponential or ``|g|``.  That representation
-(:class:`CanonicalLaw`) is what the quadrature routines integrate against:
-the change of variables absorbs the ``|x|**(p/2-1)`` endpoint singularity of
-the ``pnormal`` density into a smooth integrand.
+Every family is one law, ``|X| = scale * B**(m/q)`` of order ``q`` for a base
+variable ``B`` that is either a unit exponential (``m = 1``) or ``|g|``
+(``m = 2``), with a fair sign for ``pnormal``.  :func:`canonical` is the one
+map from a family to that law (:class:`CanonicalLaw`), and every family fact
+is read from it: the density, the exact tail, the MGF table, the sampler, the
+analytic norms of :mod:`subweibull.orlicz` and the centered cumulants of
+:mod:`subweibull.tau`.  The quadrature routines integrate in ``B``, where the
+change of variables absorbs the ``|x|**(p/2-1)`` endpoint singularity of the
+``pnormal`` density into a smooth integrand.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ FAMILY_WEIBULL = "weibull"
 FAMILY_PNORMAL = "pnormal"
 FAMILY_HALFGAUSS = "halfgauss_pow"
 
-_FAMILIES = (FAMILY_EXP, FAMILY_WEIBULL, FAMILY_PNORMAL, FAMILY_HALFGAUSS)
+FAMILIES = (FAMILY_EXP, FAMILY_WEIBULL, FAMILY_PNORMAL, FAMILY_HALFGAUSS)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
 BASE_EXP = "exp1"
@@ -70,7 +75,7 @@ class DistributionSpec:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
         object.__setattr__(self, "shape", _require_positive("shape", self.shape))
         object.__setattr__(self, "scale", _require_positive("scale", self.scale))
@@ -161,13 +166,9 @@ class CanonicalLaw:
 
 
 def canonical(spec: DistributionSpec) -> CanonicalLaw:
-    if spec.family == FAMILY_EXP:
-        return CanonicalLaw(BASE_EXP, 1.0, 1.0)
-    if spec.family == FAMILY_WEIBULL:
-        return CanonicalLaw(BASE_EXP, spec.scale, spec.shape)
-    if spec.family == FAMILY_PNORMAL:
-        return CanonicalLaw(BASE_ABSGAUSS, 1.0, spec.shape)
-    return CanonicalLaw(BASE_ABSGAUSS, spec.scale, spec.shape)
+    """The family's law: an exponential base for exp and weibull, ``|g|`` otherwise."""
+    base = BASE_EXP if spec.family in (FAMILY_EXP, FAMILY_WEIBULL) else BASE_ABSGAUSS
+    return CanonicalLaw(base, spec.scale, spec.order)
 
 
 # ---------------------------------------------------------------------------
@@ -175,38 +176,28 @@ def canonical(spec: DistributionSpec) -> CanonicalLaw:
 
 
 def density(spec: DistributionSpec, x: float) -> float:
-    """Density at ``x``.
+    """Density at ``x``: ``(q/c) * z**(q/m-1) * exp(-z**q/m)`` for ``z = |x|/scale``.
 
-    For ``pnormal``/``halfgauss_pow`` with shape < 2 the density has an
-    integrable singularity at 0 and ``density(spec, 0.0)`` returns
-    ``math.inf``; quadrature never evaluates it there because it integrates
-    in the canonical base variable.
+    ``c`` is the scale, times ``sqrt(2 pi)`` for the ``|g|`` base and 2 for
+    the symmetric law.  Below the base exponent (``q < m``: Weibull shape < 1,
+    ``pnormal``/``halfgauss_pow`` shape < 2) the density has an integrable
+    singularity at 0 and ``density(spec, 0.0)`` returns ``math.inf``;
+    quadrature never evaluates it there because it integrates in the
+    canonical base variable.
     """
     x = float(x)
-    if spec.family == FAMILY_EXP:
-        return math.exp(-x) if x >= 0.0 else 0.0
-    q, theta = spec.shape, spec.scale
-    if spec.family == FAMILY_WEIBULL:
-        if x < 0.0:
-            return 0.0
-        if x == 0.0:
-            return math.inf if q < 1.0 else (1.0 / theta if q == 1.0 else 0.0)
-        z = x / theta
-        return (q / theta) * z ** (q - 1.0) * math.exp(-(z**q))
-    if spec.family == FAMILY_PNORMAL:
-        z = abs(x)
-        if z == 0.0:
-            return math.inf if q < 2.0 else (1.0 / _SQRT_2PI if q == 2.0 else 0.0)
-        return (q / (2.0 * _SQRT_2PI)) * z ** (0.5 * q - 1.0) * math.exp(-0.5 * z**q)
-    # halfgauss_pow
-    if x < 0.0:
+    if x < 0.0 and not spec.symmetric:
         return 0.0
-    if x == 0.0:
-        if q < 2.0:
-            return math.inf
-        return math.sqrt(2.0 / math.pi) / theta if q == 2.0 else 0.0
-    z = x / theta
-    return (q / (theta * _SQRT_2PI)) * z ** (0.5 * q - 1.0) * math.exp(-0.5 * z**q)
+    law = canonical(spec)
+    q, m = law.order, law.exponent(law.order)
+    z = abs(x) / law.scale
+    c = law.scale * (2.0 if spec.symmetric else 1.0)
+    if z == 0.0 and q <= m:
+        # at q == m, |X| = scale * B: the base density at 0 over c
+        return math.inf if q < m else (1.0 if law.base == BASE_EXP else _SQRT_2_OVER_PI) / c
+    if law.base == BASE_ABSGAUSS:
+        c *= _SQRT_2PI
+    return (q / c) * z ** (q / m - 1.0) * math.exp(-(z**q) / m)
 
 
 def moment_abs(spec: DistributionSpec, alpha: float) -> float:
@@ -245,11 +236,10 @@ def exact_upper_tail(spec: DistributionSpec, t: float) -> float:
     t = float(t)
     if t <= 0.0:
         return 1.0
-    q, theta = spec.order, spec.scale
-    if spec.family in (FAMILY_EXP, FAMILY_WEIBULL):
-        return math.exp(-((t / theta) ** q))
-    # |X| >= t  <=>  |g| >= (t/theta)**(q/2)
-    return math.erfc((t / theta) ** (0.5 * q) / math.sqrt(2.0))
+    law = canonical(spec)
+    # |X| >= t  <=>  B >= (t/scale)**(q/m)
+    b = (t / law.scale) ** (law.order / law.exponent(law.order))
+    return math.exp(-b) if law.base == BASE_EXP else math.erfc(b / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +249,25 @@ def exact_upper_tail(spec: DistributionSpec, t: float) -> float:
 def mgf(spec: DistributionSpec, t: float, power: float | None = None) -> float | None:
     """Closed-form moment generating function, or None when not tabulated.
 
-    ``power=None`` is E exp(tX); ``power=p`` is E exp(t |X|**p).  ``math.inf``
-    is a valid return on the divergent branch.  Callers that need values
-    outside the table fall back to :func:`mgf_quadrature`.
+    ``power=None`` is E exp(tX); ``power=p`` is E exp(t |X|**p).  The table
+    holds the order itself, where ``|X|**q = scale**q * B**m`` and the base
+    MGFs E exp(sB) = 1/(1-s) and E exp(s g**2) = (1-2s)**-0.5 apply, and the
+    symmetric law of order 2, the standard normal.  ``math.inf`` is a valid
+    return on the divergent branch.  Callers that need values outside the
+    table fall back to :func:`mgf_quadrature`.
     """
     t = float(t)
-    fam = spec.family
-    if fam == FAMILY_EXP and (power is None or power == 1.0):
-        return 1.0 / (1.0 - t) if t < 1.0 else math.inf
-    if fam == FAMILY_WEIBULL:
-        if power == spec.shape or (spec.shape == 1.0 and power is None):
-            u = spec.scale**spec.shape * t if power == spec.shape else spec.scale * t
-            return 1.0 / (1.0 - u) if u < 1.0 else math.inf
-    if fam == FAMILY_PNORMAL:
-        if power == spec.shape:
-            return (1.0 - 2.0 * t) ** -0.5 if t < 0.5 else math.inf
-        if power is None and spec.shape == 2.0:
-            return math.exp(0.5 * t * t)
-    if fam == FAMILY_HALFGAUSS and power == spec.shape:
-        u = spec.scale**spec.shape * t
-        return (1.0 - 2.0 * u) ** -0.5 if u < 0.5 else math.inf
-    return None
+    law = canonical(spec)
+    if power is None:
+        if spec.symmetric:
+            return math.exp(0.5 * t * t) if law.order == 2.0 else None
+        power = 1.0  # X = |X|
+    if power != law.order:
+        return None
+    u = law.scale**law.order * t
+    if law.base == BASE_EXP:
+        return 1.0 / (1.0 - u) if u < 1.0 else math.inf
+    return (1.0 - 2.0 * u) ** -0.5 if u < 0.5 else math.inf
 
 
 def mgf_quadrature(spec: DistributionSpec, t: float, power: float | None = None) -> float:
@@ -330,9 +318,9 @@ BLOCK_DRAWS = 65_536
 
 
 def _uniforms_per_draw(spec: DistributionSpec) -> int:
-    if spec.family in (FAMILY_EXP, FAMILY_WEIBULL):
+    if canonical(spec).base == BASE_EXP:
         return 1
-    return 3 if spec.family == FAMILY_PNORMAL else 2
+    return 3 if spec.symmetric else 2
 
 
 def _transform_uniforms(
@@ -344,31 +332,30 @@ def _transform_uniforms(
     same elementwise operations in the same order as the expressions in the
     comments, so they carry the bits of those expressions.
     """
+    law = canonical(spec)
     k = _uniforms_per_draw(spec)
     x = np.negative(u[..., 0::k], out=out)
     np.log1p(x, out=x)
-    if spec.family in (FAMILY_EXP, FAMILY_WEIBULL):
-        # scale * (-log1p(-u)) ** (1 / shape)
+    if law.base == BASE_EXP:
+        # B = -log1p(-u)
         np.negative(x, out=x)
-        if spec.family == FAMILY_WEIBULL:
-            x **= 1.0 / spec.shape
-            x *= spec.scale
-        return x
-    # |g| ** (2 / p) for the Box-Muller g = sqrt(-2 log1p(-u1)) * cos(2 pi u2)
-    x *= -2.0
-    np.sqrt(x, out=x)
-    angle = np.multiply(u[..., 1::k], 2.0 * np.pi)
-    x *= np.cos(angle, out=angle)
-    np.abs(x, out=x)
-    exponent = 2.0 / spec.shape
-    if exponent != 1.0:
-        x **= exponent
-    if spec.family == FAMILY_PNORMAL:
+    else:
+        # B = |g| for the Box-Muller g = sqrt(-2 log1p(-u1)) * cos(2 pi u2)
+        x *= -2.0
+        np.sqrt(x, out=x)
+        angle = np.multiply(u[..., 1::k], 2.0 * np.pi)
+        x *= np.cos(angle, out=angle)
+        np.abs(x, out=x)
+    # scale * B ** e; a power or a factor of exactly 1 would leave the bits as they are
+    if law.e != 1.0:
+        x **= law.e
+    if law.scale != 1.0:
+        x *= law.scale
+    if spec.symmetric:
         # the sign uniform u3: negative at u3 >= 0.5.  Uniforms are multiples
         # of 2**-53 and 0.5 - 2**-54 is the largest double below 0.5, so the
         # difference is never zero and is negative exactly when u3 >= 0.5.
         return np.copysign(x, np.subtract(0.5 - 2.0**-54, u[..., 2::3], out=angle), out=x)
-    x *= spec.scale
     return x
 
 
@@ -431,7 +418,7 @@ def spec_from_json(obj: Mapping) -> DistributionSpec:
         params = dict(obj.get("params", {}))
     except (TypeError, KeyError) as exc:
         raise ParameterError(f"malformed distribution object: {obj!r}") from exc
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
     expected = set(_PARAM_KEYS[family])
     if set(params) != expected:

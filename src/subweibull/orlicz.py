@@ -43,11 +43,8 @@ import numpy as np
 from .dist import (
     _LOG_SQRT_2_OVER_PI,
     BASE_ABSGAUSS,
+    BASE_EXP,
     DistributionSpec,
-    FAMILY_EXP,
-    FAMILY_HALFGAUSS,
-    FAMILY_PNORMAL,
-    FAMILY_WEIBULL,
     CanonicalLaw,
     canonical,
     exact_upper_tail,
@@ -581,27 +578,21 @@ _ANALYTIC_TABLE_NOTE = (
 
 
 def psi_norm_analytic(spec: DistributionSpec, p: float) -> OrliczNormResult:
-    """Closed-form norm where one is known.
+    """Closed-form norm at the law's own order q, ``scale * (2 or 8/3)**(1/q)``.
 
-    exp at order 1 gives 2; weibull(q, s) at order q gives s*2**(1/q);
-    pnormal(q) at order q gives (8/3)**(1/q); halfgauss_pow scales the
-    pnormal value.
+    There ``|X/K|**q = (scale/K)**q * B**m``, so the norm solves
+    E exp(s B**m) = 2 for ``s = (scale/K)**q``.  The base MGFs give
+    1/(1-s) = 2, s = 1/2, for the unit exponential (m = 1), and
+    (1-2s)**-0.5 = 2, s = 3/8, for ``|g|`` (m = 2): K = scale * (1/s)**(1/q).
     """
     if p <= 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
-    fam = spec.family
-    if fam == FAMILY_EXP and p == 1.0:
-        value = 2.0
-    elif fam == FAMILY_WEIBULL and p == spec.shape:
-        value = spec.scale * 2.0 ** (1.0 / p)
-    elif fam == FAMILY_PNORMAL and p == spec.shape:
-        value = (8.0 / 3.0) ** (1.0 / p)
-    elif fam == FAMILY_HALFGAUSS and p == spec.shape:
-        value = spec.scale * (8.0 / 3.0) ** (1.0 / p)
-    else:
+    law = canonical(spec)
+    if p != law.order:
         raise NoClosedFormError(
-            f"no closed form for family {fam!r} at order {p}; {_ANALYTIC_TABLE_NOTE}"
+            f"no closed form for family {spec.family!r} at order {p}; {_ANALYTIC_TABLE_NOTE}"
         )
+    value = law.scale * (2.0 if law.base == BASE_EXP else 8.0 / 3.0) ** (1.0 / p)
     return OrliczNormResult(value, p, METHOD_ANALYTIC, (value, value), 0.0)
 
 

@@ -28,12 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import (
-    DistributionSpec,
-    FAMILY_EXP,
-    FAMILY_PNORMAL,
-    FAMILY_WEIBULL,
-)
+from .dist import BASE_EXP, DistributionSpec, canonical
 from .errors import (
     InfeasibleError,
     NoClosedFormError,
@@ -250,13 +245,12 @@ def sum_of(cumulants: Sequence[Cumulant]) -> Cumulant:
 
 
 def centered_cumulant(spec: DistributionSpec) -> Cumulant:
-    """Closed-form cumulant of X - EX for the families that have one."""
-    if spec.family == FAMILY_EXP:
-        return exp_centered()
-    if spec.family == FAMILY_WEIBULL and spec.shape == 1.0:
-        return scaled(exp_centered(), spec.scale)
-    if spec.family == FAMILY_PNORMAL and spec.shape == 2.0:
-        return gaussian(1.0)
+    """Closed-form cumulant of X - EX: the scaled exponential and the normal law."""
+    law = canonical(spec)
+    if law.base == BASE_EXP and law.order == 1.0:
+        return exp_centered() if law.scale == 1.0 else scaled(exp_centered(), law.scale)
+    if spec.symmetric and law.order == 2.0:
+        return gaussian(law.scale)
     raise NoClosedFormError(
         f"no closed-form centered cumulant for {spec.family!r} with shape {spec.shape}"
     )

@@ -112,3 +112,16 @@ def test_per_layer_keeps_metrics_that_moved(tmp_path):
 def test_no_results_is_an_error(tmp_path):
     with pytest.raises(SystemExit):
         _load().load_runs(tmp_path)
+
+
+def test_runs_of_two_codes_in_one_checkout_are_refused(tmp_path):
+    checkout = tmp_path / "change"
+    for stamp in (10, 20, 30):
+        _write_run(checkout, stamp, 0.5)
+    path = checkout / ".perfbench" / "results" / "growth-20240817-trace0-10.json"
+    record = json.loads(path.read_text())
+    record["environment"]["code_sha256"] = "older"
+    path.write_text(json.dumps(record))
+    with pytest.raises(SystemExit, match="2 code hashes") as refused:
+        _load().load_runs(checkout)
+    assert "change: 2 runs" in str(refused.value) and "older: 1 run" in str(refused.value)

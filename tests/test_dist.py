@@ -10,6 +10,7 @@ from scipy.stats import ks_2samp
 
 from subweibull import (
     DistributionSpec,
+    NoClosedFormError,
     ParameterError,
     RandomStream,
     density,
@@ -19,6 +20,7 @@ from subweibull import (
     mgf_quadrature,
     moment_abs,
     moment_abs_quadrature,
+    psi_norm_analytic,
     sample,
     spec_from_json,
 )
@@ -121,6 +123,15 @@ def test_density_integrates_to_one(spec):
     assert abs(float(total) - 1.0) <= 1e-8
 
 
+def test_density_where_x_over_scale_underflows_is_its_value_at_zero():
+    # 5e-324 / 2.5 rounds to 0: the pole below the base exponent, not a
+    # ZeroDivisionError from 0.0 ** negative, and the value at 0 at the exponent
+    for spec in (DistributionSpec.weibull(0.7, 2.5), DistributionSpec.halfgauss_pow(1.5, 2.5)):
+        assert density(spec, 5e-324) == math.inf
+    spec = DistributionSpec.halfgauss_pow(2.0, 2.5)
+    assert density(spec, 5e-324) == density(spec, 0.0) == math.sqrt(2.0 / math.pi) / 2.5
+
+
 def test_density_zero_off_support():
     assert density(EXP, -0.5) == 0.0
     assert density(DistributionSpec.weibull(2.0, 1.0), -1e-9) == 0.0
@@ -161,6 +172,16 @@ def test_mgf_weibull_abs_power():
 def test_mgf_not_available_returns_none():
     assert mgf(DistributionSpec.pnormal(3.0), 0.1) is None
     assert mgf(DistributionSpec.weibull(2.0, 1.0), 0.1, power=1.0) is None
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.1, 0.25])
+def test_mgf_halfgauss_pow_order_one_has_the_closed_form(t):
+    # X = s * g**2 >= 0, so E exp(tX) is the order-1 table entry (1 - 2st)**-0.5
+    spec = DistributionSpec.halfgauss_pow(1.0, 1.7)
+    closed = mgf(spec, t)
+    assert closed == mgf(spec, t, power=1.0)
+    assert closed == pytest.approx(mgf_quadrature(spec, t), rel=1e-8)
+    assert mgf(spec, 1.0 / 3.4) == math.inf
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 0.9])
@@ -447,3 +468,134 @@ def test_ks_helper_rejects_a_shifted_sample(monkeypatch):
 def test_sample_supports():
     assert np.all(sample(EXP, RandomStream(1, 0), 1000) >= 0.0)
     assert np.all(sample(DistributionSpec.halfgauss_pow(2.0, 1.0), RandomStream(1, 0), 1000) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the law-based forms carry the bits of the per-family expressions they replaced
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _ref_density(spec, x):
+    q, theta = spec.shape, spec.scale
+    if spec.family == "exp":
+        return math.exp(-x) if x >= 0.0 else 0.0
+    if spec.family == "weibull":
+        if x < 0.0:
+            return 0.0
+        if x == 0.0:
+            return math.inf if q < 1.0 else (1.0 / theta if q == 1.0 else 0.0)
+        z = x / theta
+        return (q / theta) * z ** (q - 1.0) * math.exp(-(z**q))
+    if spec.family == "pnormal":
+        z = abs(x)
+        if z == 0.0:
+            return math.inf if q < 2.0 else (1.0 / _SQRT_2PI if q == 2.0 else 0.0)
+        return (q / (2.0 * _SQRT_2PI)) * z ** (0.5 * q - 1.0) * math.exp(-0.5 * z**q)
+    if x < 0.0:
+        return 0.0
+    if x == 0.0:
+        if q < 2.0:
+            return math.inf
+        return math.sqrt(2.0 / math.pi) / theta if q == 2.0 else 0.0
+    z = x / theta
+    return (q / (theta * _SQRT_2PI)) * z ** (0.5 * q - 1.0) * math.exp(-0.5 * z**q)
+
+
+def _ref_tail(spec, t):
+    if t <= 0.0:
+        return 1.0
+    q, theta = spec.order, spec.scale
+    if spec.family in ("exp", "weibull"):
+        return math.exp(-((t / theta) ** q))
+    return math.erfc((t / theta) ** (0.5 * q) / math.sqrt(2.0))
+
+
+def _ref_mgf(spec, t, power):
+    fam = spec.family
+    if fam == "exp" and (power is None or power == 1.0):
+        return 1.0 / (1.0 - t) if t < 1.0 else math.inf
+    if fam == "weibull":
+        if power == spec.shape or (spec.shape == 1.0 and power is None):
+            u = spec.scale**spec.shape * t if power == spec.shape else spec.scale * t
+            return 1.0 / (1.0 - u) if u < 1.0 else math.inf
+    if fam == "pnormal":
+        if power == spec.shape:
+            return (1.0 - 2.0 * t) ** -0.5 if t < 0.5 else math.inf
+        if power is None and spec.shape == 2.0:
+            return math.exp(0.5 * t * t)
+    if fam == "halfgauss_pow" and power == spec.shape:
+        u = spec.scale**spec.shape * t
+        return (1.0 - 2.0 * u) ** -0.5 if u < 0.5 else math.inf
+    # the one entry the law adds: X = s * g**2 >= 0 at order 1
+    if fam == "halfgauss_pow" and power is None and spec.shape == 1.0:
+        u = spec.scale * t
+        return (1.0 - 2.0 * u) ** -0.5 if u < 0.5 else math.inf
+    return None
+
+
+def _ref_psi_norm_analytic(spec, p):
+    fam = spec.family
+    if fam == "exp" and p == 1.0:
+        return 2.0
+    if fam == "weibull" and p == spec.shape:
+        return spec.scale * 2.0 ** (1.0 / p)
+    if fam == "pnormal" and p == spec.shape:
+        return (8.0 / 3.0) ** (1.0 / p)
+    if fam == "halfgauss_pow" and p == spec.shape:
+        return spec.scale * (8.0 / 3.0) ** (1.0 / p)
+    return None
+
+
+def _ref_transform(spec, u):
+    if spec.family in ("exp", "weibull"):
+        return spec.scale * (-np.log1p(-u)) ** (1.0 / spec.shape)
+    k = 3 if spec.symmetric else 2
+    g = np.sqrt(-2.0 * np.log1p(-u[0::k])) * np.cos(u[1::k] * (2.0 * np.pi))
+    x = np.abs(g) ** (2.0 / spec.shape)
+    if spec.symmetric:
+        return np.where(u[2::3] >= 0.5, -x, x)
+    return spec.scale * x
+
+
+# every family, with scale != 1 and shapes below, at and above the base exponent
+# m (1 for exp and weibull, 2 for pnormal and halfgauss_pow); at halfgauss_pow(2,
+# 2.5) 2/(scale sqrt(2 pi)) and sqrt(2/pi)/scale, the value at 0, differ in the
+# last bit
+_BITS_LAWS = [
+    EXP,
+    DistributionSpec.weibull(0.7, 1.5),
+    DistributionSpec.weibull(1.0, 1.0),
+    DistributionSpec.weibull(1.0, 2.5),
+    DistributionSpec.weibull(3.3, 0.4),
+    DistributionSpec.pnormal(0.6),
+    DistributionSpec.pnormal(1.0),
+    DistributionSpec.pnormal(2.0),
+    DistributionSpec.pnormal(3.0),
+    DistributionSpec.halfgauss_pow(1.0, 1.7),
+    DistributionSpec.halfgauss_pow(1.5, 2.0),
+    DistributionSpec.halfgauss_pow(2.0, 1.0),
+    DistributionSpec.halfgauss_pow(2.0, 2.5),
+    DistributionSpec.halfgauss_pow(4.0, 0.3),
+]
+
+
+@pytest.mark.parametrize("spec", _BITS_LAWS, ids=lambda s: f"{s.family}({s.shape:g},{s.scale:g})")
+def test_law_based_forms_are_bitwise_the_family_expressions(spec):
+    for x in (0.0, -0.0, 1e-320, 1e-300, 1e-10, 0.3, 1.0, 2.7, 15.0, 40.0, -1e-300, -0.4,
+              -2.0):
+        assert density(spec, x) == _ref_density(spec, x), x
+    for t in (-1.0, 0.0, 1e-8, 0.5, 1.0, 3.0, 9.0):
+        assert exact_upper_tail(spec, t) == _ref_tail(spec, t), t
+    for power in (None, 0.5, 1.0, 2.0, spec.order):
+        for t in (-2.0, -0.3, 0.0, 0.1, 0.2, 0.49, 0.5, 0.9, 1.0, 1.5):
+            assert mgf(spec, t, power) == _ref_mgf(spec, t, power), (power, t)
+    for p in (0.5, 1.0, 2.0, spec.order):
+        ref = _ref_psi_norm_analytic(spec, p)
+        if ref is None:
+            with pytest.raises(NoClosedFormError):
+                psi_norm_analytic(spec, p)
+        else:
+            assert psi_norm_analytic(spec, p).value == ref, p
+    u = RandomStream(3, 1).uniforms(_uniforms_per_draw(spec) * 999)
+    assert np.array_equal(_transform_uniforms(spec, u), _ref_transform(spec, u))
