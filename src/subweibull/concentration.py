@@ -119,7 +119,7 @@ def thm14_tail_bound(p: float, K_p: float, L_p_norm: float, t: float, C: float) 
 
 def psi_tail_bound(norm: float, p: float, t: float, clamp: bool = False) -> float:
     """2 exp(-(t/norm)**p); with clamp=True, capped at 1 for use as a probability."""
-    if norm <= 0.0 or p <= 0.0 or t < 0.0:
+    if not (norm > 0.0 and p > 0.0 and t >= 0.0):
         raise ParameterError(f"need norm > 0, p > 0, t >= 0; got {norm}, {p}, {t}")
     value = 2.0 * math.exp(-((t / norm) ** p))
     return min(value, 1.0) if clamp else value

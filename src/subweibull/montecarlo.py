@@ -148,7 +148,7 @@ class ExperimentPlan:
                 f"trials must be an integer >= {MIN_TRIALS_NORM}, got {self.trials}"
             )
         grid = tuple(float(t) for t in self.t_grid)
-        if any(t < 0.0 for t in grid) or any(
+        if any(not t >= 0.0 for t in grid) or any(
             b <= a for a, b in zip(grid, grid[1:])
         ):
             raise ParameterError("t_grid must be nonnegative and strictly increasing")

@@ -8,15 +8,16 @@ base variable (``psi_norm_quadrature``), or as a sample mean
 (``psi_norm_empirical``).
 
 The quadrature and sample versions share one bisection of a scalar Phi, and
-both return its bits without paying for its probes.  The root is located
-first: by a safeguarded secant on log Phi - log 2 for quadrature (see
+both return its bits without paying for its probes; ``tau.tau_norm`` runs
+the same bisection on its feasibility test.  The root is located first: by
+a safeguarded secant on log Phi - log 2 for quadrature (see
 ``_locate_root``), by Newton for a sample, started at a two-moment bound on
 the root and stopped after its first step below 1e-6 relative (see
-``_newton_roots``).  The bisection is then replayed
-against the located root, and real evaluations of Phi at the replay's final
-bracket and at every asked K inside it certify the replay.  The certificate
-applies the bisection's monotone test only to the points it evaluates; a
-norm it rejects is bisected on its own Phi, with the full monotone check.
+``_newton_roots``).  The bisection is then replayed against the located
+root.  It asks for no K strictly inside its final bracket (after a shrink,
+its first hi is the floor's last halving), so real evaluations of Phi at
+the replay's final lo and hi alone certify it.  A norm the certificate
+rejects is bisected on its own Phi, with the full monotone check.
 
 ``_bisect_norm`` stays the one scalar bisection and the reference.  A sample
 call of at least ``REPLAY_BATCH_ROWS`` rows replays their bisections at once
@@ -151,7 +152,7 @@ def _bisect_norm(
 
     With ``polish_residual`` it also bisects until |phi(hi) - 2| <= ``RESIDUAL_TARGET``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     lo = lo_start
     f_lo = f_start = phi(lo)
@@ -163,7 +164,8 @@ def _bisect_norm(
             return OrliczNormResult(0.0, p, method, (0.0, lo_start), abs(f_start - 2.0))
         f_lo = phi(lo)
         shrink += 1
-    hi = max(2.0 * lo, 1.0)
+    # after a shrink hi is the last halving: no asked K is inside the final bracket
+    hi = 2.0 * lo if shrink else max(2.0 * lo, 1.0)
     f_hi = phi(hi)
     expansions = 0
     while f_hi > 2.0:
@@ -261,17 +263,30 @@ def psi_norm_quadrature_canonical(
     *,
     center: float = 0.0,
 ) -> OrliczNormResult:
-    if p <= 0.0:
+    if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
     phi = functools.cache(lambda K: exp_moment(law, p, K, center))
     # phi / 2 is exact and log(x) <= 0 exactly when x <= 1, so the sign of g
     # is the bisection's test phi <= 2
     located = _locate_root(lambda K: math.log(phi(K) / 2.0), 1e-6, QUADRATURE_K_MAX)
+    return _located_norm(phi, located, 1e-6, p, tol, METHOD_QUADRATURE, QUADRATURE_K_MAX, True)
+
+
+def _located_norm(
+    phi, located, lo_start: float, p: float, tol: float, method: str, k_max: float, polish: bool
+) -> OrliczNormResult:
+    """``_bisect_norm`` of the scalar ``phi``, bit for bit, steered by its root in ``located``.
+
+    ``located`` is an (a, b) of ``_locate_root``, or None, when the plain
+    bisection runs.  Otherwise the bisection is replayed against it and
+    certified (see ``_located_bisection``), and a rejected replay is bisected
+    on ``phi`` itself.
+    """
     if located is None:
-        return _bisect_norm(phi, 1e-6, p, tol, METHOD_QUADRATURE, QUADRATURE_K_MAX, True)
+        return _bisect_norm(phi, lo_start, p, tol, method, k_max, polish)
     (result,) = _located_bisection(
-        lambda K, rows: np.array([phi(k) for k in K.tolist()]), [located], [1e-6], p, tol,
-        METHOD_QUADRATURE, QUADRATURE_K_MAX, True,
+        lambda K, rows: np.array([phi(k) for k in K.tolist()]), [located], [lo_start], p, tol,
+        method, k_max, polish,
     )
     return result
 
@@ -283,11 +298,10 @@ def psi_norm_quadrature(
 
     The result is the bisection's, bit for bit, with a third to a half of
     its quadratures: a secant locates the root of log Phi - log 2, the
-    bisection is replayed against it, and real Phi values certify the
-    replay (see ``_located_bisection``).  The certificate applies the
-    bisection's monotone test to the points it evaluates; a norm it rejects,
-    or whose root cannot be bracketed, is bisected on Phi itself with the
-    full monotone check and every error of the bisection.
+    bisection is replayed against it, and real Phi values at its final
+    bracket certify the replay (see ``_located_bisection``).  A norm they
+    reject, or whose root cannot be bracketed, is bisected on Phi itself
+    with the full monotone check and every error of the bisection.
     """
     return psi_norm_quadrature_canonical(canonical(spec), p, tol)
 
@@ -310,9 +324,9 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     The estimator is consistent but biased low in small samples (extreme
     tails go unobserved); no correction is applied.
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     a = np.abs(np.asarray(samples, dtype=float))
     if a.ndim > 2:
@@ -414,8 +428,8 @@ def _certified_points(phi, lo_start: np.ndarray, roots: np.ndarray, p: float, to
     """The empirical ``_located_bisection`` of rows with point roots, for many rows at once.
 
     Every row's bisection is replayed as arrays (see ``_replay_points``),
-    which keeps only rows with lo < root and no asked K inside (lo, hi), and
-    certified by one batched phi call at its final lo and hi: the row's
+    which keeps only rows with lo < root, and certified by one batched phi
+    call at its final lo and hi: the row's
     result is the replay's when phi(hi) <= 2 < phi(lo).  A row the replay
     leaves out, or the certificate rejects, is None, for
     ``_located_bisection`` to take on its own.
@@ -439,13 +453,13 @@ def _replay_points(lo_start: np.ndarray, root: np.ndarray, tol: float, k_max: fl
     Returns each row's final (lo, hi) and a mask of the rows replayed.  A row
     is left out, for ``_replay`` to take, when its search asks for K = root,
     where the stand-in has no answer, or ends at the zero norm, at the shrink
-    cap or past ``k_max``, or leaves an asked K inside its final bracket (the
-    floor's halvings, on the shrink path).  No residual polish.
+    cap or past ``k_max``.  No residual polish.
 
     Halving the floor and doubling the first hi are exact above 1e-300, so
     each run of them is one ``ldexp`` by a count read off the binary
-    exponents; only the bisection steps loop.  A K equal to the root is
-    decided as below it, so a row that asks for the root ends with lo = root.
+    exponents; only the bisection steps loop.  After a shrink the first hi is
+    the last halving, twice the floor.  A K equal to the root is decided as
+    below it, so a row that asks for the root ends with lo = root.
     """
     m_root, e_root = np.frexp(root)
     m_lo, e_lo = np.frexp(lo_start)
@@ -454,7 +468,7 @@ def _replay_points(lo_start: np.ndarray, root: np.ndarray, tol: float, k_max: fl
     floor = np.ldexp(lo_start, -halvings)
     with np.errstate(over="ignore"):  # an infinite hi is past k_max
         twice = 2.0 * floor
-        start = np.maximum(twice, 1.0)
+        start = np.where(halvings > 0, twice, np.maximum(twice, 1.0))
         m_hi, e_hi = np.frexp(start)
         # the fewest doublings that take the first hi above the root
         doublings = np.where(start <= root, e_root - e_hi + (m_hi <= m_root), 0)
@@ -475,9 +489,7 @@ def _replay_points(lo_start: np.ndarray, root: np.ndarray, tol: float, k_max: fl
         above = mid > root
         np.copyto(hi, mid, where=live & above)
         np.copyto(lo, mid, where=live > above)
-    # the last halving, 2 floor, is the lowest asked K that can lie inside
-    # the final bracket
-    return lo, hi, replayed & (lo < root) & ((halvings == 0) | (twice >= hi))
+    return lo, hi, replayed & (lo < root)
 
 
 def _located_bisection(
@@ -488,15 +500,15 @@ def _located_bisection(
     ``phi(K, rows)`` evaluates the rows ``rows`` at the matching entries of
     the array ``K``.  Row i's root is located in ``located[i]`` = (a, b):
     its phi is above 2 below a and at most 2 from b on.  Each row's
-    bisection is replayed against that answer (see ``_replay``), and the K
-    it asks for are recorded.  One batched phi call then takes the final lo
-    and hi and every asked K strictly between them.  The row is certified
-    when phi(hi) <= 2 < phi(lo), lo < b, each inner K's real decision is
-    the replayed one, and these values pass the bisection's monotone test
-    in order.  The replay decides no K below a as at most 2, so a <= hi.
-    phi is nonincreasing, so every asked K at or below lo, or at or above
-    hi, was then decided as phi would decide it; while the bracket is within
-    tol, hi lies in the span where the replay reads the real phi, so the
+    bisection is replayed against that answer (see ``_replay``), and one
+    batched phi call takes every replay's final lo and hi.  The row is
+    certified when phi(hi) <= 2 < phi(lo) and lo < b.  The bisection asks
+    for no K strictly inside its final bracket: after a shrink, hi is the
+    last halving.  Every K the replay decided above 2 is at or below lo, and
+    every one it decided at most 2 at or above hi, so phi, being
+    nonincreasing, decides them all as the replay did.  The replay decides
+    no K below a as at most 2, so a <= hi; while the bracket is within tol,
+    hi lies in the span where the replay reads the real phi, so the
     residual polish saw real values; and the replay is the bisection
     itself.  Its residual is |phi(hi) - 2|.  A row that fails the
     certificate, or whose replay diverges or ends at the zero norm, is
@@ -509,24 +521,13 @@ def _located_bisection(
         for lo, (a, b), real in zip(lo_start, located, reals)
     ]
     replayed = [i for i, replay in enumerate(replays) if replay is not None]
-    owners, points = [], []
-    for i in replayed:
-        result, inner = replays[i]
-        lo, hi = result.bracket
-        owners += [i] * (2 + len(inner))
-        points += [lo, *(K for K, _ in inner), hi]
-    values = iter(phi(np.array(points), np.array(owners, dtype=int)).tolist())
+    points = [K for i in replayed for K in replays[i].bracket]
+    values = phi(np.array(points), np.repeat(np.array(replayed, dtype=int), 2)).tolist()
     results: list = [None] * len(replays)
-    for i in replayed:
-        result, inner = replays[i]
-        lo, hi = result.bracket
-        # phi at lo, at each inner K and at hi, in order of K; most rows have no inner K
-        f = [next(values) for _ in range(2 + len(inner))]
-        if f[-1] <= 2.0 < f[0] and lo < located[i][1] and (not inner or (
-            all((f_k <= 2.0) == (v <= 2.0) for (_, v), f_k in zip(inner, f[1:]))
-            and all(_monotone(*f[j : j + 3]) for j in range(len(f) - 2))
-        )):
-            results[i] = OrliczNormResult(hi, p, method, (lo, hi), abs(f[-1] - 2.0))
+    for i, f_lo, f_hi in zip(replayed, values[::2], values[1::2]):
+        lo, hi = replays[i].bracket
+        if f_hi <= 2.0 < f_lo and lo < located[i][1]:
+            results[i] = OrliczNormResult(hi, p, method, (lo, hi), abs(f_hi - 2.0))
     for i, result in enumerate(results):
         if result is None:
             results[i] = _bisect_norm(reals[i], lo_start[i], p, tol, method, k_max, polish)
@@ -541,34 +542,24 @@ def _replay(
 
     The row's own phi, ``real``, answers in [a, b], where the located answer
     is open, and with ``polish`` up to ``tol`` above b, the span where the
-    residual polish reads phi's value.  Returns (result, the (K, stand-in
-    value) pairs asked strictly inside its bracket, in order of K), or None
-    when the search diverges, ends at the zero norm or finds the real values
-    out of order.
+    residual polish reads phi's value.  Returns the result, or None when the
+    search diverges, ends at the zero norm or finds the real values out of
+    order.
     """
-    asked = {}
     reach = tol if polish else 0.0
 
     def stand_in(K: float) -> float:
         if K < a:
-            value = math.inf  # a phi value above 2
-        elif K - b > reach:
-            value = 1.0  # one at most 2
-        else:
-            value = real(K)
-        asked[K] = value
-        return value
+            return math.inf  # a phi value above 2
+        if K - b > reach:
+            return 1.0  # one at most 2
+        return real(K)
 
     try:
         result = _bisect_norm(stand_in, lo_start, p, tol, method, k_max, polish)
     except (DivergenceError, VerificationError):
         return None
-    if result.value == 0.0:
-        return None
-    lo, hi = result.bracket
-    inner = [(K, v) for K, v in asked.items() if lo < K < hi]
-    inner.sort()
-    return result, inner
+    return None if result.value == 0.0 else result
 
 
 _ANALYTIC_TABLE_NOTE = (
@@ -585,7 +576,7 @@ def psi_norm_analytic(spec: DistributionSpec, p: float) -> OrliczNormResult:
     1/(1-s) = 2, s = 1/2, for the unit exponential (m = 1), and
     (1-2s)**-0.5 = 2, s = 3/8, for ``|g|`` (m = 2): K = scale * (1/s)**(1/q).
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
     law = canonical(spec)
     if p != law.order:

@@ -13,10 +13,10 @@ C(0) = C'(0) = 0, C(t) <= sup_{|s|<=|t|} C''(s) * t**2 / 2, so the condition
 
 is what the feasibility check decides.  It is monotone in K (a larger K
 both shrinks the window and raises the parabola), so the norm is found by
-bisection, whose answer a secant on the curvature margin locates first and
-a few real checks certify (see ``tau_norm``).  For the unit-rate centered
-exponential the binding equation is C''(1/K) = K**2 with solution K = 2,
-and the centered sum of n copies gives sqrt(n) + 1.
+the psi_p norms' bisection, whose answer a secant on the curvature margin
+locates first and two real checks certify (see ``tau_norm``).  For the
+unit-rate centered exponential the binding equation is C''(1/K) = K**2 with
+solution K = 2, and the centered sum of n copies gives sqrt(n) + 1.
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ import numpy as np
 
 from .dist import BASE_EXP, DistributionSpec, canonical
 from .errors import (
+    DivergenceError,
     InfeasibleError,
     NoClosedFormError,
     ParameterError,
     UnboundedSupremumError,
 )
-from .orlicz import _locate_root
+from .orlicz import _locate_root, _located_norm
 
 _DOMAIN_EDGE = 1e-12  # evaluations this close to a domain edge return inf
 
@@ -78,6 +79,8 @@ def convex_conjugate(
     if search_bound <= 0.0 or not math.isfinite(search_bound):
         raise ParameterError(f"search_bound must be finite and > 0, got {search_bound}")
     ts = np.asarray(t, dtype=float)
+    if np.isnan(ts).any():
+        raise ParameterError(f"t must not be NaN, got {t}")
     tt = np.abs(ts)
 
     def objective(u):
@@ -310,86 +313,30 @@ def tau_feasible(cumulant: Cumulant, K: float) -> bool:
     return _margin(_window_curvature_sup(cumulant, K), K) <= 0.0
 
 
-def _bisect_tau(feasible: Callable[[float], bool], tol: float) -> tuple[float, float]:
-    """Final bracket (lo, hi) of the bisection for the smallest K with ``feasible(K)``.
-
-    hi is the norm; (0.0, 0.0) stands for the zero norm.  Raises
-    ``InfeasibleError`` when no K up to ``K_MAX`` is feasible.
-    """
-    hi = 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > K_MAX:
-            raise InfeasibleError(f"no feasible K up to {K_MAX:g}")
-    lo = 0.5 * hi
-    if hi == 1.0:
-        while lo > 1e-12 and feasible(lo):
-            hi = lo
-            lo *= 0.5
-        if lo <= 1e-12:
-            return 0.0, 0.0
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def _located_bisection(margin: Callable[[float], float], tol: float) -> tuple[float, float]:
-    """``_bisect_tau`` on ``margin(K) <= 0``, bit for bit, with a fraction of its probes.
-
-    A secant locates the root of ``margin`` in (a, b] (``_locate_root``), and
-    the bisection is replayed with "K >= b" for feasibility outside [a, b],
-    where the real margin answers.  The replay is certified by real
-    decisions at its final lo and hi and at every asked K strictly between
-    them.  The replay finds no K below a feasible and none above b
-    infeasible, so lo <= b and a <= hi, and feasibility, being monotone in
-    K, then decides every other asked K as the replay did.  A bracket that
-    cannot be located, a zero norm or a failed certificate runs the
-    bisection on the real margin, with its errors.
-    """
-
-    def feasible(K: float) -> bool:
-        return margin(K) <= 0.0
-
-    located = _locate_root(margin, 1e-12, K_MAX)
-    if located is not None:
-        a, b = located
-        asked = {}
-
-        def stand_in(K: float) -> bool:
-            asked[K] = feasible(K) if a <= K <= b else K > b
-            return asked[K]
-
-        lo, hi = _bisect_tau(stand_in, tol)
-        if (
-            hi > 0.0 and feasible(hi) and not feasible(lo)
-            and all(feasible(K) == ok for K, ok in asked.items() if lo < K < hi)
-        ):
-            return lo, hi
-    return _bisect_tau(feasible, tol)
-
-
 def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
     """Smallest K whose curvature bound certifies cumulant domination.
 
-    Bisection on K; feasibility is monotone.  The bisection's answer is
-    found with a fraction of its curvature scans: a secant locates the
-    root, the bisection is replayed against it and real feasibility checks
-    at the final bracket certify the replay, falling back to the bisection
-    itself (see ``_located_bisection``).  Raises ``InfeasibleError`` when no
-    K up to ``K_MAX`` works.
+    Feasibility is monotone in K, so the norm is the psi_p norms' bisection
+    (``orlicz._bisect_norm``) started at K = 1 on a stand-in for Phi that is
+    at most 2 exactly where K is feasible.  Its answer is found with a
+    fraction of the bisection's curvature scans: a secant locates the root
+    of the margin, the bisection is replayed against it and real
+    feasibility checks at the final bracket certify the replay, falling back
+    to the bisection itself (see ``orlicz._located_norm``).  Raises
+    ``InfeasibleError`` when no K up to ``K_MAX`` works.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     if not cumulant.value(0.0) == 0.0:
         raise ParameterError("cumulant must vanish at 0")
     margin = functools.cache(lambda K: _margin(_window_curvature_sup(cumulant, K), K))
-    _, value = _located_bisection(margin, tol)
+    try:
+        value = _located_norm(
+            lambda K: 1.0 if margin(K) <= 0.0 else math.inf, _locate_root(margin, 1e-12, K_MAX),
+            1.0, 1.0, tol, "tau", K_MAX, False,
+        ).value
+    except DivergenceError:
+        raise InfeasibleError(f"no feasible K up to {K_MAX:g}") from None
     if value == 0.0:
         return TauNormResult(0.0, ((0.0, 0.0),))
     u = np.linspace(-1.0, 1.0, 201)  # = value * t, so |u| <= 1 by construction
@@ -433,7 +380,7 @@ def bernstein_bound(n: int, t: float, K: float, C1: float) -> BernsteinBound:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"n must be an integer >= 1, got {n}")
-    if t < 0.0 or K <= 0.0 or C1 < 1.0:
+    if not (t >= 0.0 and K > 0.0 and C1 >= 1.0):
         raise ParameterError(f"need t >= 0, K > 0, C1 >= 1; got t={t}, K={K}, C1={C1}")
     u = t / (2.0 * C1 * K)
     value = 2.0 * math.exp(-n * float(phi1(u)))

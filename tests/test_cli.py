@@ -65,6 +65,30 @@ def test_norm_numeric_failure_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--family", "exp", "--p", "1", "--method", "empirical", "--samples", "1000",
+         "--seed", "1", "--tol", "nan"],
+        ["norm", "--family", "exp", "--p", "nan", "--method", "quadrature"],
+        ["concentrate", "--family", "exp", "--p", "1", "--n", "16", "--trials", "10000",
+         "--seed", "1", "--t-grid", "nan"],
+        ["tau", "--cumulant", "exp_centered", "--tol", "nan"],
+        ["norm", "--family", "exp", "--p", "1", "--method", "quadrature", "--tol", "nan"],
+        ["bernstein", "--n", "10", "--t", "nan", "--k", "1"],
+        ["bernstein", "--n", "10", "--t", "1", "--k", "1", "--c1", "nan"],
+        ["tailbound", "--norm", "1", "--p", "1", "--t", "nan"],
+        ["tailbound", "--norm", "1", "--p", "nan", "--t", "1"],
+        ["conjugate", "--t", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_nan_input_is_a_config_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_norm_analytic_without_closed_form_is_config_error(capsys):
     # the closed form of weibull(3, 5) exists only at order 3
     code, out = run_cli(

@@ -217,13 +217,12 @@ def test_quadrature_certifies_a_wide_but_right_located_bracket(monkeypatch, bise
 @pytest.mark.parametrize(
     "root, dip",
     [
-        (3e-5, 0.5),  # decisions right, but phi(5e-5) dips below phi(hi): out of order
         (6e-5, None),  # located root 3e-5 too low: 5e-5 is decided at most 2, phi says 2.4
     ],
 )
 def test_certificate_checks_the_points_inside_the_bracket(bisected_rows, root, dip):
-    # phi = 2 root / K, located at 3e-5 below tol = 1e-4: the floor's halvings
-    # 1e-4 and 5e-5, asked before the bracket, lie inside the final one
+    # phi = 2 root / K, located at 3e-5 below tol = 1e-4: the floor's last
+    # halving 5e-5, asked before the bracket, is its hi, where phi is checked
     def phi_at(K):
         return dip if K == 5e-5 and dip is not None else 2.0 * root / K
 
@@ -419,10 +418,12 @@ def _empirical_reference(samples, p, tol):
     phi = lambda K: float(np.mean(np.exp(np.minimum((a / K) ** p, 708.0))))
     lo = max(tol, top / math.log(2.0 * n) ** (1.0 / p))
     f_lo = phi(lo)
+    shrunk = f_lo <= 2.0
     while f_lo <= 2.0:
         lo *= 0.5
         f_lo = phi(lo)
-    hi = max(2.0 * lo, 1.0)
+    # after a shrink, hi is the last halving
+    hi = 2.0 * lo if shrunk else max(2.0 * lo, 1.0)
     while phi(hi) > 2.0:
         lo, hi = hi, 2.0 * hi
     for _ in range(200):
@@ -521,9 +522,9 @@ def test_empirical_falls_back_when_the_located_root_is_off(monkeypatch, bisected
 
 
 def test_empirical_certificate_checks_the_points_inside_the_bracket(monkeypatch, bisected_rows):
-    # on the shrink path the halvings of the floor at tol stay inside the final
-    # bracket; a root placed on the last halving below the true one passes the
-    # bracket ends and is caught only there
+    # on the shrink path a root placed on the last halving below the true one
+    # ends the replay with lo on the located root, which the certificate
+    # does not take
     tol = 1e-4
     locate = orlicz._newton_roots
 
@@ -668,7 +669,7 @@ def test_resampled_rows_are_certified_by_the_array_replay(monkeypatch):
 
 
 def _point_replay(lo_start, root, tol):
-    """``_replay`` of a point root: (result, inner points) or None, and the K it asked phi for."""
+    """``_replay`` of a point root: its result or None, and the K it asked phi for."""
     asked = []
     found = orlicz._replay(
         lo_start, root, root, 1.0, tol, orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False,
@@ -726,12 +727,36 @@ def test_array_replay_is_the_bisection_on_the_stand_in(rows, log_tol):
     for i, (a, root) in enumerate(zip(lo_start, roots)):
         found, asked = _point_replay(a, root, tol)
         # the row replay hands on a row that diverges or ends at the zero
-        # norm; its certificate, one that asked phi at the root, left an asked
-        # K inside the bracket or, past the shrink cap, ended with lo >= root
-        kept = found is not None and not asked and not found[1] and found[0].bracket[0] < root
+        # norm; its certificate, one that asked phi at the root or, past the
+        # shrink cap, ended with lo >= root
+        kept = found is not None and not asked and found.bracket[0] < root
         assert replayed[i] == kept
         if kept:
-            assert (lo[i], hi[i]) == found[0].bracket
+            assert (lo[i], hi[i]) == found.bracket
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_lo=st.one_of(st.floats(-320.0, 20.0), st.floats(290.0, 300.0)),
+    log_root=st.one_of(st.floats(-320.0, 21.0), st.floats(17.0, 21.0)),
+    log_tol=st.one_of(st.floats(-12.0, 6.0), st.floats(-320.0, -290.0)),
+)
+@example(log_lo=-4.0, log_root=-6.0, log_tol=-12.0)  # the shrink path
+@example(log_lo=300.0, log_root=-3.0, log_tol=-12.0)  # the shrink cap
+def test_bisection_asks_for_no_point_inside_its_final_bracket(log_lo, log_root, log_tol):
+    # what lets two real phi values certify a replay: every asked K is at or
+    # below the final lo or at or above the final hi
+    lo_start, root, tol = (max(10.0**x, 5e-324) for x in (log_lo, log_root, log_tol))
+    asked = []
+    with contextlib.suppress(DivergenceError):
+        result = orlicz._bisect_norm(
+            lambda K: asked.append(K) or (math.inf if K < root else 1.0), lo_start, 1.0, tol,
+            orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False,
+        )
+        # the zero norm's bracket is (0, floor), and no replay takes it
+        if result.value > 0.0:
+            lo, hi = result.bracket
+            assert [K for K in asked if lo < K < hi] == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

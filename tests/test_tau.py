@@ -16,6 +16,7 @@ from subweibull import (
     exp_centered,
     gaussian,
     iid_sum,
+    orlicz,
     phi1,
     phi_inf,
     rotation_invariance_check,
@@ -294,6 +295,14 @@ def test_tau_infeasible_cumulant():
         tau_norm(gaussian(1e15))
 
 
+def test_tau_norm_of_a_tiny_gaussian_is_not_zero():
+    # the search halves K from 1 down to 1e-12 and reads no zero norm on the way
+    for tol in (1e-6, 1e-8):
+        value = tau_norm(gaussian(1e-12), tol).value
+        assert 0.0 < value and abs(value - 1e-12) <= tol
+        assert tau_feasible(gaussian(1e-12), value)
+
+
 _TAU_CASES = {
     "exp_centered": exp_centered,
     "sum1": lambda: iid_sum(exp_centered(), 1),
@@ -308,21 +317,48 @@ _TAU_CASES = {
 
 
 def _plain_tau_norm(cum, tol):
-    """The bisection on the real feasibility check."""
-    return tau._bisect_tau(lambda K: tau_feasible(cum, K), tol)[1]
+    """The norm of a bisection on the real feasibility check, in its own arithmetic.
+
+    It doubles K from 1 until K is feasible, or halves it while K is, down
+    to a zero norm at 1e-12, then bisects until the bracket is within tol.
+    """
+    def feasible(K):
+        return tau_feasible(cum, K)
+
+    hi = 1.0
+    while not feasible(hi):
+        hi *= 2.0
+        if hi > tau.K_MAX:
+            raise InfeasibleError(f"no feasible K up to {tau.K_MAX:g}")
+    lo = 0.5 * hi
+    if hi == 1.0:
+        while lo > 1e-12 and feasible(lo):
+            hi = lo
+            lo *= 0.5
+        if lo <= 1e-12:
+            return 0.0
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @pytest.fixture
 def tau_bisections(monkeypatch):
     """Count the bisections ``tau_norm`` runs: the replay's, and one more on a fallback."""
     count = [0]
-    bisect = tau._bisect_tau
+    bisect = orlicz._bisect_norm
 
     def counted(*args):
         count[0] += 1
         return bisect(*args)
 
-    monkeypatch.setattr(tau, "_bisect_tau", counted)
+    monkeypatch.setattr(orlicz, "_bisect_norm", counted)
     return count
 
 
