@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Print one sha256 per reproducible CLI output, so two checkouts can be diffed.
+"""Print one sha256 per reproducible output, so two checkouts can be diffed.
 
-Covers ``subweibull verify`` stdout at its default seed and at 20240817, and
-the output file of each call of the benchmark's ``cli_numerics`` workload,
-built from ``perfbench/workloads.py`` at its default sizes and seed.  Each
-line is ``<sha256 or "-" when nothing was written>  exit <code>  <label>``.
-Run it in each checkout and compare the lists:
+Covers ``subweibull verify`` stdout at its default seed and at 20240817, the
+output file of each call of the benchmark's ``cli_numerics`` workload, and
+the report and tail CSVs of its ``growth`` and ``tail_small_n`` workloads at
+20240817 and 19090677, each digested by the workload itself; workloads are
+built from ``perfbench/workloads.py`` at their default sizes.  Each line is
+``<sha256 or "-" when nothing was written>  exit <code>  <label>``, with
+``exit -`` for the CSVs, which come from in-process calls.  Run it in each
+checkout and compare the lists:
 
     python3 scripts/output_fingerprint.py > fingerprint.txt
 """
@@ -25,6 +28,7 @@ from subweibull import cli  # noqa: E402
 import workloads  # noqa: E402
 
 VERIFY_SEEDS = (None, 20_240_817)  # None: the command's default seed
+CSV_SEEDS = (20_240_817, 19_090_677)  # the seeds of perfbench/reference_digests.json
 
 
 def _digest(path: str) -> str:
@@ -48,6 +52,12 @@ def main() -> int:
         for i, call in enumerate(workload.calls):
             rc = call.invoke()
             print(f"{_digest(os.path.join(out_dir, f'call{i}.json'))}  exit {rc}  {call.label}")
+        for name in ("growth", "tail_small_n"):
+            for seed in CSV_SEEDS:
+                workload = workloads.build(name, seed, out_dir)
+                digests = workload.digest([call.invoke() for call in workload.calls])
+                for key, digest in digests.items():
+                    print(f"{digest}  exit -  {name} --seed {seed} {key}")
     return 0
 
 

@@ -19,9 +19,8 @@ once and every dimension resamples its deviations with it.  The vectors of
 a chunk of resamples come from one re-keyed generator
 (``streams.keyed_generators``), with the bits of a fresh generator per
 stream, and each chunk's empirical norms come from one
-``psi_norm_empirical`` call, which replays and certifies the bisections of
-a chunk of at least ``orlicz.REPLAY_BATCH_ROWS`` resamples as arrays, so
-little of a worker's time holds the interpreter lock.
+``psi_norm_empirical`` call, which certifies the bisections of all its
+resamples with one batched evaluation.
 """
 
 from __future__ import annotations

@@ -7,23 +7,18 @@ closed-form table (``psi_norm_analytic``), by quadrature in the canonical
 base variable (``psi_norm_quadrature``), or as a sample mean
 (``psi_norm_empirical``).
 
-The quadrature and sample versions share one bisection of a scalar Phi, and
-both return its bits without paying for its probes; ``tau.tau_norm`` runs
-the same bisection on its feasibility test.  The root is located first: by
-a safeguarded secant on log Phi - log 2 for quadrature (see
-``_locate_root``), by Newton for a sample, started at a two-moment bound on
-the root and stopped after its first step below 1e-6 relative (see
-``_newton_roots``).  The bisection is then replayed against the located
-root.  It asks for no K strictly inside its final bracket (after a shrink,
-its first hi is the floor's last halving), so real evaluations of Phi at
-the replay's final lo and hi alone certify it.  A norm the certificate
-rejects is bisected on its own Phi, with the full monotone check.
-
-``_bisect_norm`` stays the one scalar bisection and the reference.  A sample
-call of at least ``REPLAY_BATCH_ROWS`` rows replays their bisections at once
-with the same arithmetic on arrays (see ``_replay_points``) and certifies
-them with array comparisons on its one batched Phi call, so few rows pay
-for a per-row replay in Python, which holds the interpreter lock.
+The quadrature and sample versions share one bisection of a scalar Phi,
+``_bisect_norm``, and both return its bits without paying for its probes;
+``tau.tau_norm`` runs the same bisection on its feasibility test.  The root
+is located first: by a safeguarded secant on log Phi - log 2 for quadrature
+(see ``_locate_root``), by Newton for a sample, started at a two-moment
+bound on the root and stopped after its first step below 1e-6 relative (see
+``_newton_roots``).  The bisection is then replayed in plain floats against
+that point root, with no Phi at all (see ``_replay``).  It asks for no K
+strictly inside its final bracket (after a shrink, its first hi is the
+floor's last halving), so real evaluations of Phi at the replay's final lo
+and hi, one batched call for every row of a sample, certify it.  A norm the
+certificate rejects is bisected on its own Phi, with the full monotone check.
 
 Divergent exponential moments are recognized in closed form for the
 canonical integrands (the growth exponent versus the base density's decay
@@ -37,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +74,9 @@ _NEWTON_STEPS = 100  # a row still moving after this many goes to the certificat
 _NEWTON_RTOL = 1e-6
 _LOCATE_RTOL = 1e-12  # relative bracket width that ends a secant root search
 _LOCATE_PROBES = 60  # cap on the secant probes of one root search
-# calls with at least this many live rows replay their bisections as arrays,
-# smaller ones row by row: the measured crossover at 1 thread on bootstrap
-# resamples, where against the row replay the array replay cost 145-175 us
-# more per call at 3 rows, 20-40 us more at 12, 28 us less at 16 and
-# 680-810 us less at 65
-REPLAY_BATCH_ROWS = 16
+# 2**-1022: halving a double at or above it is exact, so a floor halved
+# below it ends the search at the zero norm
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -157,15 +150,13 @@ def _bisect_norm(
     lo = lo_start
     f_lo = f_start = phi(lo)
     # degenerate laws may already satisfy the condition at the floor
-    shrink = 0
-    while f_lo <= 2.0 and shrink < 1000:
+    while f_lo <= 2.0:
         lo *= 0.5
-        if lo < 1e-300:
+        if lo < _SMALLEST_NORMAL:
             return OrliczNormResult(0.0, p, method, (0.0, lo_start), abs(f_start - 2.0))
         f_lo = phi(lo)
-        shrink += 1
     # after a shrink hi is the last halving: no asked K is inside the final bracket
-    hi = 2.0 * lo if shrink else max(2.0 * lo, 1.0)
+    hi = 2.0 * lo if lo < lo_start else max(2.0 * lo, 1.0)
     f_hi = phi(hi)
     expansions = 0
     while f_hi > 2.0:
@@ -177,7 +168,15 @@ def _bisect_norm(
                 f"exponential moment stays above 2 for every K up to {k_max:g}"
             )
         f_hi = phi(hi)
-    for _ in range(MAX_BISECTIONS):
+    return _bisect_bracket(phi, lo, f_lo, hi, f_hi, p, tol, method, polish_residual, MAX_BISECTIONS)
+
+
+def _bisect_bracket(
+    phi, lo: float, f_lo: float, hi: float, f_hi: float, p: float, tol: float, method: str,
+    polish_residual: bool, steps: int,
+) -> OrliczNormResult:
+    """``_bisect_norm``'s bisection of (lo, hi), phi(hi) <= 2 < phi(lo), in at most ``steps``."""
+    for _ in range(steps):
         if hi - lo <= tol and (not polish_residual or abs(f_hi - 2.0) <= RESIDUAL_TARGET):
             break
         mid = 0.5 * (lo + hi)
@@ -265,6 +264,8 @@ def psi_norm_quadrature_canonical(
 ) -> OrliczNormResult:
     if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
+    if not tol > 0.0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
     phi = functools.cache(lambda K: exp_moment(law, p, K, center))
     # phi / 2 is exact and log(x) <= 0 exactly when x <= 1, so the sign of g
     # is the bisection's test phi <= 2
@@ -278,14 +279,14 @@ def _located_norm(
     """``_bisect_norm`` of the scalar ``phi``, bit for bit, steered by its root in ``located``.
 
     ``located`` is an (a, b) of ``_locate_root``, or None, when the plain
-    bisection runs.  Otherwise the bisection is replayed against it and
-    certified (see ``_located_bisection``), and a rejected replay is bisected
-    on ``phi`` itself.
+    bisection runs.  Otherwise phi(a) > 2 is known, so the bisection is
+    replayed against the point root a and certified (see
+    ``_located_bisection``).
     """
     if located is None:
         return _bisect_norm(phi, lo_start, p, tol, method, k_max, polish)
     (result,) = _located_bisection(
-        lambda K, rows: np.array([phi(k) for k in K.tolist()]), [located], [lo_start], p, tol,
+        lambda K, rows: np.array([phi(k) for k in K.tolist()]), [located[0]], [lo_start], p, tol,
         method, k_max, polish,
     )
     return result
@@ -299,9 +300,10 @@ def psi_norm_quadrature(
     The result is the bisection's, bit for bit, with a third to a half of
     its quadratures: a secant locates the root of log Phi - log 2, the
     bisection is replayed against it, and real Phi values at its final
-    bracket certify the replay (see ``_located_bisection``).  A norm they
-    reject, or whose root cannot be bracketed, is bisected on Phi itself
-    with the full monotone check and every error of the bisection.
+    bracket certify the replay, from which the residual polish bisects on
+    Phi (see ``_located_bisection``).  A norm they reject, or whose root
+    cannot be bracketed, is bisected on Phi itself with the full monotone
+    check and every error of the bisection.
     """
     return psi_norm_quadrature_canonical(canonical(spec), p, tol)
 
@@ -315,19 +317,18 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
 
     The result is the monotone bisection's, bit for bit, found with far fewer
     passes over the sample: Newton locates each row's root, the bisection is
-    replayed against it, and one batched evaluation certifies the replay (see
-    ``_located_bisection``).  From ``REPLAY_BATCH_ROWS`` rows on, the replay
-    and its certificate run on arrays (see ``_certified_points``), and only
-    the rows they leave out are replayed one by one.  A row the certificate
-    rejects is bisected directly, on its own.
+    replayed against it, and one batched evaluation certifies every row's
+    replay (see ``_located_bisection``).  A row the certificate rejects is
+    bisected directly, on its own.
 
     The estimator is consistent but biased low in small samples (extreme
     tails go unobserved); no correction is applied.
     """
     if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    # an infinite tol would put the search's floor at inf, which halves to inf
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     a = np.abs(np.asarray(samples, dtype=float))
     if a.ndim > 2:
         raise ParameterError(f"samples must be 1-D or 2-D, got shape {a.shape}")
@@ -358,20 +359,10 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     # at this K the largest sample alone pushes the mean above 2; the floor
     # at tol is corrected downward by the bisection if it overshoots
     lo = np.maximum(tol, top / math.log(2.0 * n) ** (1.0 / p))
-    roots = _newton_roots(x, top, p)
-    found = [None] * len(x)
-    if len(x) >= REPLAY_BATCH_ROWS:
-        found = _certified_points(phi, lo, roots, p, tol)
-    # the rows left are replayed one by one
-    left = [i for i, result in enumerate(found) if result is None]
-    if left:
-        rest = np.array(left)
-        rebisected = _located_bisection(
-            lambda K, idx: phi(K, rest[idx]), [(k, k) for k in roots[rest].tolist()],
-            lo[rest].tolist(), p, tol, METHOD_EMPIRICAL, _EMPIRICAL_K_MAX, False,
-        )
-        for i, result in zip(left, rebisected):
-            found[i] = result
+    found = _located_bisection(
+        phi, _newton_roots(x, top, p).tolist(), lo.tolist(), p, tol, METHOD_EMPIRICAL,
+        _EMPIRICAL_K_MAX, False,
+    )
     # an all-zero row has norm 0
     results = [OrliczNormResult(0.0, p, METHOD_EMPIRICAL, (0.0, tol), 1.0)] * len(rows)
     for i, result in zip(live.tolist(), found):
@@ -424,142 +415,74 @@ def _newton_start(y: np.ndarray) -> np.ndarray:
     return np.minimum(math.log(2.0 * n), m / q * np.log1p(q / (m * m)))
 
 
-def _certified_points(phi, lo_start: np.ndarray, roots: np.ndarray, p: float, tol: float) -> list:
-    """The empirical ``_located_bisection`` of rows with point roots, for many rows at once.
-
-    Every row's bisection is replayed as arrays (see ``_replay_points``),
-    which keeps only rows with lo < root, and certified by one batched phi
-    call at its final lo and hi: the row's
-    result is the replay's when phi(hi) <= 2 < phi(lo).  A row the replay
-    leaves out, or the certificate rejects, is None, for
-    ``_located_bisection`` to take on its own.
-    """
-    lo, hi, replayed = _replay_points(lo_start, roots, tol, _EMPIRICAL_K_MAX)
-    rows = np.flatnonzero(replayed)
-    lo, hi = lo[rows], hi[rows]
-    f_lo, f_hi = phi(np.concatenate([lo, hi]), np.concatenate([rows, rows])).reshape(2, -1)
-    ok = (f_hi <= 2.0) & (f_lo > 2.0)
-    found = [None] * len(roots)
-    for i, a, b, residual in zip(
-        rows[ok].tolist(), lo[ok].tolist(), hi[ok].tolist(), np.abs(f_hi[ok] - 2.0).tolist()
-    ):
-        found[i] = OrliczNormResult(b, p, METHOD_EMPIRICAL, (a, b), residual)
-    return found
-
-
-def _replay_points(lo_start: np.ndarray, root: np.ndarray, tol: float, k_max: float):
-    """``_bisect_norm`` of every row against "phi(K) <= 2 exactly when K > root", as arrays.
-
-    Returns each row's final (lo, hi) and a mask of the rows replayed.  A row
-    is left out, for ``_replay`` to take, when its search asks for K = root,
-    where the stand-in has no answer, or ends at the zero norm, at the shrink
-    cap or past ``k_max``.  No residual polish.
-
-    Halving the floor and doubling the first hi are exact above 1e-300, so
-    each run of them is one ``ldexp`` by a count read off the binary
-    exponents; only the bisection steps loop.  After a shrink the first hi is
-    the last halving, twice the floor.  A K equal to the root is decided as
-    below it, so a row that asks for the root ends with lo = root.
-    """
-    m_root, e_root = np.frexp(root)
-    m_lo, e_lo = np.frexp(lo_start)
-    # the fewest halvings that take the floor to the root or below
-    halvings = np.where(lo_start > root, e_lo - e_root + (m_lo > m_root), 0)
-    floor = np.ldexp(lo_start, -halvings)
-    with np.errstate(over="ignore"):  # an infinite hi is past k_max
-        twice = 2.0 * floor
-        start = np.where(halvings > 0, twice, np.maximum(twice, 1.0))
-        m_hi, e_hi = np.frexp(start)
-        # the fewest doublings that take the first hi above the root
-        doublings = np.where(start <= root, e_root - e_hi + (m_hi <= m_root), 0)
-        hi = np.ldexp(start, doublings)
-    lo = np.where(doublings > 0, 0.5 * hi, floor)
-    # a zero or nonfinite root ends at the zero norm or diverges
-    replayed = np.isfinite(root) & (root > 0.0)
-    replayed &= (halvings == 0) | ((floor >= 1e-300) & (halvings <= 1000))
-    replayed &= (doublings == 0) | ((hi <= k_max) & (doublings <= MAX_BISECTIONS))
-    # rows left out take no bisection steps
-    lo, hi = np.where(replayed, lo, 0.0), np.where(replayed, hi, 0.0)
-    for _ in range(MAX_BISECTIONS):
-        live = hi - lo > tol
-        if not np.count_nonzero(live):
-            break
-        mid = lo + hi
-        mid *= 0.5
-        above = mid > root
-        np.copyto(hi, mid, where=live & above)
-        np.copyto(lo, mid, where=live > above)
-    return lo, hi, replayed & (lo < root)
-
-
 def _located_bisection(
-    phi, located, lo_start, p: float, tol: float, method: str, k_max: float, polish: bool
+    phi, roots, lo_start, p: float, tol: float, method: str, k_max: float, polish: bool
 ):
-    """``_bisect_norm`` of each row's phi, bit for bit, steered by located roots.
+    """``_bisect_norm`` of each row's phi, bit for bit, steered by located point roots.
 
     ``phi(K, rows)`` evaluates the rows ``rows`` at the matching entries of
-    the array ``K``.  Row i's root is located in ``located[i]`` = (a, b):
-    its phi is above 2 below a and at most 2 from b on.  Each row's
-    bisection is replayed against that answer (see ``_replay``), and one
-    batched phi call takes every replay's final lo and hi.  The row is
-    certified when phi(hi) <= 2 < phi(lo) and lo < b.  The bisection asks
-    for no K strictly inside its final bracket: after a shrink, hi is the
-    last halving.  Every K the replay decided above 2 is at or below lo, and
-    every one it decided at most 2 at or above hi, so phi, being
-    nonincreasing, decides them all as the replay did.  The replay decides
-    no K below a as at most 2, so a <= hi; while the bracket is within tol,
-    hi lies in the span where the replay reads the real phi, so the
-    residual polish saw real values; and the replay is the bisection
-    itself.  Its residual is |phi(hi) - 2|.  A row that fails the
-    certificate, or whose replay diverges or ends at the zero norm, is
-    bisected alone on phi itself, with every check and error of
-    ``_bisect_norm``.
+    the array ``K``.  Row i's bisection is replayed against "phi(K) <= 2
+    exactly when K > roots[i]" (see ``_replay``), and one batched phi call
+    takes every replay's final lo and hi.  The row is certified when
+    phi(hi) <= 2 < phi(lo): the bisection asks for no K strictly inside its
+    final bracket, so phi, being nonincreasing, decides every K the replay
+    asked for as the replay did, whatever the root.  The replay is then the
+    bisection, which goes on from its bracket on phi with the steps it has
+    left, as the residual ``polish`` may.  A row that fails the certificate,
+    or whose replay diverges or ends at the zero norm, is bisected alone on
+    phi, with every check and error of ``_bisect_norm``.
     """
-    reals = [lambda K, i=i: phi(np.array([K]), np.array([i])).item() for i in range(len(located))]
-    replays = [
-        _replay(lo, a, b, p, tol, method, k_max, polish, real)
-        for lo, (a, b), real in zip(lo_start, located, reals)
-    ]
-    replayed = [i for i, replay in enumerate(replays) if replay is not None]
-    points = [K for i in replayed for K in replays[i].bracket]
-    values = phi(np.array(points), np.repeat(np.array(replayed, dtype=int), 2)).tolist()
-    results: list = [None] * len(replays)
-    for i, f_lo, f_hi in zip(replayed, values[::2], values[1::2]):
-        lo, hi = replays[i].bracket
-        if f_hi <= 2.0 < f_lo and lo < located[i][1]:
-            results[i] = OrliczNormResult(hi, p, method, (lo, hi), abs(f_hi - 2.0))
-    for i, result in enumerate(results):
-        if result is None:
-            results[i] = _bisect_norm(reals[i], lo_start[i], p, tol, method, k_max, polish)
+    replays = [_replay(lo, root, tol, k_max) for lo, root in zip(lo_start, roots)]
+    rows = [i for i, replay in enumerate(replays) if replay is not None]
+    points = [K for i in rows for K in replays[i][:2]]
+    values = iter(phi(np.array(points), np.repeat(np.array(rows, dtype=int), 2)).tolist())
+
+    def real(i):
+        return lambda K: phi(np.array([K]), np.array([i])).item()
+
+    results = []
+    for i, replay in enumerate(replays):
+        if replay is not None:
+            lo, hi, steps = replay
+            f_lo, f_hi = next(values), next(values)
+            if f_hi <= 2.0 < f_lo:
+                results.append(_bisect_bracket(
+                    real(i), lo, f_lo, hi, f_hi, p, tol, method, polish, MAX_BISECTIONS - steps
+                ))
+                continue
+        results.append(_bisect_norm(real(i), lo_start[i], p, tol, method, k_max, polish))
     return results
 
 
-def _replay(
-    lo_start: float, a: float, b: float, p: float, tol: float, method: str, k_max: float,
-    polish: bool, real,
-):
-    """``_bisect_norm`` with a stand-in phi: above 2 below ``a``, at most 2 from ``b`` on.
+def _replay(lo_start: float, root: float, tol: float, k_max: float):
+    """``_bisect_norm`` on "phi(K) <= 2 exactly when K > root": (lo, hi, bisection steps).
 
-    The row's own phi, ``real``, answers in [a, b], where the located answer
-    is open, and with ``polish`` up to ``tol`` above b, the span where the
-    residual polish reads phi's value.  Returns the result, or None when the
-    search diverges, ends at the zero norm or finds the real values out of
-    order.
+    None where that bisection would end at the zero norm or raise its
+    ``DivergenceError``.  No residual polish: the bracket is the one the
+    polish starts from.
     """
-    reach = tol if polish else 0.0
-
-    def stand_in(K: float) -> float:
-        if K < a:
-            return math.inf  # a phi value above 2
-        if K - b > reach:
-            return 1.0  # one at most 2
-        return real(K)
-
-    try:
-        result = _bisect_norm(stand_in, lo_start, p, tol, method, k_max, polish)
-    except (DivergenceError, VerificationError):
-        return None
-    return None if result.value == 0.0 else result
+    lo = lo_start
+    while lo > root:
+        lo *= 0.5
+        if lo < _SMALLEST_NORMAL:
+            return None
+    hi = 2.0 * lo if lo < lo_start else max(2.0 * lo, 1.0)
+    expansions = 0
+    while hi <= root:
+        lo = hi
+        hi *= 2.0
+        expansions += 1
+        if hi > k_max or expansions > MAX_BISECTIONS:
+            return None
+    steps = 0
+    while hi - lo > tol and steps < MAX_BISECTIONS:
+        mid = 0.5 * (lo + hi)
+        if mid > root:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return lo, hi, steps
 
 
 _ANALYTIC_TABLE_NOTE = (

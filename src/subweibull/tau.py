@@ -82,9 +82,13 @@ def convex_conjugate(
     if np.isnan(ts).any():
         raise ParameterError(f"t must not be NaN, got {t}")
     tt = np.abs(ts)
+    # an infinite t would meet f's +inf as inf - inf, so there t is taken as
+    # 0, which keeps the objective at -inf; finite t keep every bit
+    infinite = bool(np.isinf(tt).any())
 
     def objective(u):
-        return tt * u - np.asarray(f(u), dtype=float)
+        fu = np.asarray(f(u), dtype=float)
+        return (np.where(fu != math.inf, tt, 0.0) if infinite else tt) * u - fu
 
     def raise_to(best, g, where=True):
         # Python's max(best, g): g replaces best only when strictly larger
@@ -320,10 +324,11 @@ def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
     (``orlicz._bisect_norm``) started at K = 1 on a stand-in for Phi that is
     at most 2 exactly where K is feasible.  Its answer is found with a
     fraction of the bisection's curvature scans: a secant locates the root
-    of the margin, the bisection is replayed against it and real
-    feasibility checks at the final bracket certify the replay, falling back
-    to the bisection itself (see ``orlicz._located_norm``).  Raises
-    ``InfeasibleError`` when no K up to ``K_MAX`` works.
+    of the margin, the bisection is replayed in plain floats against the
+    last infeasible K it found, and real feasibility checks at the final
+    bracket certify the replay, falling back to the bisection itself (see
+    ``orlicz._located_norm``).  Raises ``InfeasibleError`` when no K up to
+    ``K_MAX`` works.
     """
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")

@@ -517,6 +517,13 @@ def test_main_calls_carry_no_state_between_them(tmp_path, capsys):
     assert values == [3.0 * 2.0 ** (1.0 / 2.0), (8.0 / 3.0) ** (1.0 / 3.0), 2.0 ** (1.0 / 1.5), 8.0]
 
 
+def test_conjugate_of_an_infinite_t_writes_no_stderr(fresh_python):
+    proc = fresh_python(["-m", "subweibull", "conjugate", "--t", "inf"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["value"] == math.inf
+    assert proc.stderr == ""
+
+
 def test_module_entry_point_smoke(fresh_python):
     proc = fresh_python(["-m", "subweibull", "conjugate", "--f", "phi_inf", "--t", "0.5"])
     assert proc.returncode == 0

@@ -198,8 +198,8 @@ def test_quadrature_falls_back_when_the_located_root_is_off(monkeypatch, bisecte
 
 
 def test_quadrature_certifies_a_wide_but_right_located_bracket(monkeypatch, bisected_rows):
-    # phi itself answers inside the located bracket, so widening it costs
-    # quadratures but never the certificate
+    # the replay reads the bracket's low end as the root, so a widened one
+    # fails the certificate and costs one bisection on phi, with the same bits
     locate = orlicz._locate_root
 
     def widened(*args):
@@ -211,7 +211,7 @@ def test_quadrature_certifies_a_wide_but_right_located_bracket(monkeypatch, bise
         expected = _quadrature_reference(spec, p, 1e-6)
         bisected_rows[0] = 0
         assert psi_norm_quadrature(spec, p, 1e-6) == expected
-        assert bisected_rows[0] == 0
+        assert bisected_rows[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -232,7 +232,7 @@ def test_certificate_checks_the_points_inside_the_bracket(bisected_rows, root, d
     args = (1.0, 1e-4, orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False)
     expected = orlicz._bisect_norm(phi_at, 1e-4, *args)
     bisected_rows[0] = 0
-    (result,) = orlicz._located_bisection(phi, [(3e-5, 3e-5)], [1e-4], *args)
+    (result,) = orlicz._located_bisection(phi, [3e-5], [1e-4], *args)
     assert result == expected
     assert bisected_rows[0] == 1
 
@@ -457,9 +457,8 @@ def _resampled_deviations(spec, n, p, trials):
 
 
 def _tiled_edge_rows():
-    """The edge rows repeated until the call takes the array replay."""
-    rows = _bootstrap_like_rows()
-    return np.tile(rows, (orlicz.REPLAY_BATCH_ROWS // len(rows) + 1, 1))
+    """The edge rows repeated four times, 20 rows in one call."""
+    return np.tile(_bootstrap_like_rows(), (4, 1))
 
 
 _EMPIRICAL_ROWS = {
@@ -485,8 +484,8 @@ def test_empirical_rows_match_single_rows(p, tol, rows_name):
     for row, result in zip(rows, results):
         assert result == psi_norm_empirical(row, p, tol)
         assert result == _empirical_reference(row, p, tol)
-    # a batch below the array replay's crossover replays row by row
-    short = rows[: orlicz.REPLAY_BATCH_ROWS - 1]
+    # a prefix of the rows gives the prefix of the results
+    short = rows[:15]
     assert psi_norm_empirical(short, p, tol) == results[: len(short)]
     if rows_name.startswith("edge_cases"):
         assert results[1].value == 0.0
@@ -494,19 +493,15 @@ def test_empirical_rows_match_single_rows(p, tol, rows_name):
 
 @pytest.fixture
 def bisected_rows(monkeypatch):
-    """Count the rows that ``psi_norm_empirical`` bisects on the real phi.
-
-    Each row's bisection is one ``_bisect_norm`` call, and each ``_replay``
-    makes one more on its stand-in phi, so a replay counts -1.
-    """
+    """Count the norms bisected on the real phi: one ``_bisect_norm`` call each."""
     count = [0]
-    for name, step in (("_bisect_norm", 1), ("_replay", -1)):
+    bisect = orlicz._bisect_norm
 
-        def counted(*args, _call=getattr(orlicz, name), _step=step, **kwargs):
-            count[0] += _step
-            return _call(*args, **kwargs)
+    def counted(*args):
+        count[0] += 1
+        return bisect(*args)
 
-        monkeypatch.setattr(orlicz, name, counted)
+    monkeypatch.setattr(orlicz, "_bisect_norm", counted)
     return count
 
 
@@ -523,8 +518,8 @@ def test_empirical_falls_back_when_the_located_root_is_off(monkeypatch, bisected
 
 def test_empirical_certificate_checks_the_points_inside_the_bracket(monkeypatch, bisected_rows):
     # on the shrink path a root placed on the last halving below the true one
-    # ends the replay with lo on the located root, which the certificate
-    # does not take
+    # ends the replay with lo on the located root; phi is above 2 there and
+    # at most 2 at the halving before, so the certificate takes it
     tol = 1e-4
     locate = orlicz._newton_roots
 
@@ -538,20 +533,43 @@ def test_empirical_certificate_checks_the_points_inside_the_bracket(monkeypatch,
     monkeypatch.setattr(orlicz, "_newton_roots", on_a_halving)
     row = _bootstrap_like_rows()[2]
     assert psi_norm_empirical(row, 1.0, tol) == _empirical_reference(row, 1.0, tol)
-    assert bisected_rows[0] == 1
+    assert bisected_rows[0] == 0
 
 
 def test_empirical_divergent_row_raises_like_the_bisection(bisected_rows):
     message = "exponential moment stays above 2 for every K up to 1e+18"
     rows = _bootstrap_like_rows()
     rows[4] = 1e18  # the norm, 1e18 / log 2, is past the ceiling
-    # alone among the edge rows, then tiled past the array replay's crossover
-    for copies in (1, orlicz.REPLAY_BATCH_ROWS // len(rows) + 1):
+    # alone among the edge rows, then tiled to 20 rows
+    for copies in (1, 4):
         bisected_rows[0] = 0
         with pytest.raises(DivergenceError) as raised:
             psi_norm_empirical(np.tile(rows, (copies, 1)), 1.0, 1e-4)
         assert str(raised.value) == message
         assert bisected_rows[0] == 1  # only the first divergent row is bisected on phi
+
+
+def test_empirical_norm_of_tiny_samples_is_not_zero():
+    # the floor halves down to the smallest normal double, 2**-1022, before
+    # the search reports the zero norm; after a shrink the bracket is the
+    # floor's last two halvings
+    result = psi_norm_empirical(np.full(1000, 1e-305), 1.0, 1e-4)
+    lo, hi = result.bracket
+    assert 0.0 < lo < 1e-305 / math.log(2.0) <= hi == result.value == 2.0 * lo
+    # a norm below 2**-1022 still reads 0
+    assert psi_norm_empirical(np.full(1000, 1e-310), 1.0, 1e-4).value == 0.0
+
+
+def test_quadrature_norm_of_a_tiny_scale_is_not_zero():
+    unit = psi_norm_quadrature(DistributionSpec.weibull(1.5), 1.0).value
+    tiny = psi_norm_quadrature(DistributionSpec.weibull(1.5, 1e-305), 1.0).value
+    assert tiny == pytest.approx(1e-305 * unit, rel=1e-5, abs=0.0)
+
+
+def test_empirical_rejects_an_infinite_tol():
+    # the search would start at a floor of inf, and halving inf gives inf
+    with pytest.raises(ParameterError, match="^tol must be finite and > 0, got inf$"):
+        psi_norm_empirical(np.ones(200), 1.0, math.inf)
 
 
 def test_empirical_rows_reject_like_single_rows():
@@ -657,36 +675,32 @@ def test_empirical_norm_at_p2_takes_few_exponential_passes(monkeypatch):
     assert counter.calls <= 6
 
 
-def test_resampled_rows_are_certified_by_the_array_replay(monkeypatch):
-    replays = []
-    replay = orlicz._replay
-    monkeypatch.setattr(orlicz, "_replay", lambda *args: replays.append(args) or replay(*args))
-    for name, p in (("exp_n16", 1.0), ("pnormal3_n256", 3.0)):
-        rows = _empirical_rows(name)
-        assert len(rows) >= orlicz.REPLAY_BATCH_ROWS
-        psi_norm_empirical(rows, p, 1e-4)
-    assert replays == []
-
-
-def _point_replay(lo_start, root, tol):
-    """``_replay`` of a point root: its result or None, and the K it asked phi for."""
-    asked = []
-    found = orlicz._replay(
-        lo_start, root, root, 1.0, tol, orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False,
-        lambda K: asked.append(K) or 1.0,
-    )
-    return found, asked
+def _stand_in(root, asked):
+    """A phi above 2 exactly at or below ``root``, appending each K it is asked for to ``asked``."""
+    return lambda K: asked.append(K) or (math.inf if K <= root else 1.0)
 
 
 def _asked_points(lo_start, root, tol):
-    """Every K the bisection asks for when phi is above 2 exactly below ``root``."""
+    """Every K the bisection of ``_stand_in(root)`` asks for."""
     asked = []
     with contextlib.suppress(DivergenceError):
         orlicz._bisect_norm(
-            lambda K: asked.append(K) or (math.inf if K < root else 1.0), lo_start, 1.0, tol,
-            orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False,
+            _stand_in(root, asked), lo_start, 1.0, tol, orlicz.METHOD_EMPIRICAL,
+            orlicz._EMPIRICAL_K_MAX, False,
         )
     return asked
+
+
+def _stand_in_bisection(lo_start, root, tol, polish):
+    """``_bisect_norm`` of ``_stand_in(root)``: its bracket, or None if it diverges or ends at 0."""
+    try:
+        result = orlicz._bisect_norm(
+            _stand_in(root, []), lo_start, 1.0, tol, orlicz.METHOD_EMPIRICAL,
+            orlicz._EMPIRICAL_K_MAX, polish,
+        )
+    except DivergenceError:
+        return None
+    return None if result.value == 0.0 else result.bracket
 
 
 @settings(max_examples=300, deadline=None)
@@ -701,17 +715,16 @@ def _asked_points(lo_start, root, tol):
     ),
     log_tol=st.one_of(st.floats(-12.0, 6.0), st.floats(-320.0, -290.0)),
 )
-@example(rows=[(300.0, -3.0, "free", 0)], log_tol=-12.0)  # the shrink cap
+@example(rows=[(300.0, -3.0, "free", 0)], log_tol=-12.0)  # 1007 halvings
 @example(rows=[(-4.0, -310.0, "free", 0)], log_tol=-4.0)  # the zero norm
 @example(rows=[(0.0, 18.5, "free", 0)], log_tol=5.0)  # the ceiling
-def test_array_replay_is_the_bisection_on_the_stand_in(rows, log_tol):
+def test_replay_is_the_bisection_on_the_stand_in(rows, log_tol):
     # floors from 1e-320 to 1e300 and roots from 1e-320 to 1e21 take the
-    # shrink path, its cap, the zero norm, the expansion and the ceiling at
-    # 1e18, which only a tol above the spacing of doubles there can reach;
-    # "floor" and "asked" put the root on the floor or on a halving, doubling
-    # or midpoint the search asks for
+    # shrink path, its long runs, the zero norm, the expansion and the
+    # ceiling at 1e18, which only a tol above the spacing of doubles there
+    # can reach; "floor" and "asked" put the root on the floor or on a
+    # halving, doubling or midpoint the search asks for
     tol = max(10.0**log_tol, 5e-324)
-    lo_start, roots = [], []
     for log_lo, log_root, kind, pick in rows:
         lo, root = max(10.0**log_lo, 5e-324), max(10.0**log_root, 5e-324)
         if kind == "floor":
@@ -719,20 +732,19 @@ def test_array_replay_is_the_bisection_on_the_stand_in(rows, log_tol):
         elif kind == "asked":
             asked = _asked_points(lo, root, tol)
             root = asked[pick % len(asked)]
-        lo_start.append(lo)
-        roots.append(root)
-    lo, hi, replayed = orlicz._replay_points(
-        np.array(lo_start), np.array(roots), tol, orlicz._EMPIRICAL_K_MAX
-    )
-    for i, (a, root) in enumerate(zip(lo_start, roots)):
-        found, asked = _point_replay(a, root, tol)
-        # the row replay hands on a row that diverges or ends at the zero
-        # norm; its certificate, one that asked phi at the root or, past the
-        # shrink cap, ended with lo >= root
-        kept = found is not None and not asked and found.bracket[0] < root
-        assert replayed[i] == kept
-        if kept:
-            assert (lo[i], hi[i]) == found.bracket
+        replay = orlicz._replay(lo, root, tol, orlicz._EMPIRICAL_K_MAX)
+        expected = _stand_in_bisection(lo, root, tol, False)
+        assert (replay and replay[:2]) == expected
+        if replay is not None:
+            # the stand-in never meets the residual target, so the polished
+            # bisection takes every step, and so does the replay's bracket
+            # bisected on with the steps the replay left
+            a, b, steps = replay
+            polished = orlicz._bisect_bracket(
+                _stand_in(root, []), a, math.inf, b, 1.0, 1.0, tol, orlicz.METHOD_EMPIRICAL,
+                True, orlicz.MAX_BISECTIONS - steps,
+            )
+            assert polished.bracket == _stand_in_bisection(lo, root, tol, True)
 
 
 @settings(max_examples=300, deadline=None)
