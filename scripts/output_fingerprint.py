@@ -5,16 +5,21 @@ Covers ``subweibull verify`` stdout at its default seed and at 20240817, the
 output file of each call of the benchmark's ``cli_numerics`` workload, and
 the report and tail CSVs of its ``growth`` and ``tail_small_n`` workloads at
 20240817 and 19090677, each digested by the workload itself; workloads are
-built from ``perfbench/workloads.py`` at their default sizes.  Each line is
-``<sha256 or "-" when nothing was written>  exit <code>  <label>``, with
-``exit -`` for the CSVs, which come from in-process calls.  Run it in each
-checkout and compare the lists:
+built from ``perfbench/workloads.py`` at their default sizes.  A grid of
+norms follows: one line per quadrature law (p in 0.5, 1, 2, 3, 4 and two
+tols), per sample row (p in 0.5, 1, 2, 3 and two tols) plus the batch of the
+rows with a finite norm, and per tau cumulant (three tols), each the digest
+of the reprs of its results, an exception as its class and message.  Each
+line is ``<sha256 or "-" when nothing was written>  exit <code>  <label>``,
+with ``exit -`` for the CSVs and the grid, which come from in-process calls.
+Run it in each checkout and compare the lists:
 
     python3 scripts/output_fingerprint.py > fingerprint.txt
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import sys
@@ -24,11 +29,90 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from subweibull import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from subweibull import DistributionSpec, RandomStream, cli, orlicz, sample, tau  # noqa: E402
 import workloads  # noqa: E402
 
 VERIFY_SEEDS = (None, 20_240_817)  # None: the command's default seed
 CSV_SEEDS = (20_240_817, 19_090_677)  # the seeds of perfbench/reference_digests.json
+
+_W, _P, _H = DistributionSpec.weibull, DistributionSpec.pnormal, DistributionSpec.halfgauss_pow
+QUADRATURE_LAWS = (
+    DistributionSpec.exponential(), _W(0.5), _W(1.5), _W(2.5, 1.5), _W(3.0), _P(1.0), _P(2.0),
+    _P(3.0), _P(4.0), _H(1.0, 1.7), _H(2.0, 0.5), _H(2.5),
+    # K**-p, (scale/K)**p or the integrand's y**p overflows
+    _W(2.0, 1e200), _W(2.0, 1e-160), _W(5.0, 1e80), _H(5.0, 1e80),
+    # divergent, with (scale/K)**p underflowing to 0
+    _H(2.0, 1e-100), _W(1.0, 1e-200),
+)
+QUADRATURE_P = (0.5, 1.0, 2.0, 3.0, 4.0)
+QUADRATURE_TOLS = (1e-6, 1e-8)
+SAMPLE_P = (0.5, 1.0, 2.0, 3.0)
+SAMPLE_TOLS = (1e-4, 1e-6)
+TAU_TOLS = (1e-4, 1e-6, 1e-8)
+
+
+def _sample_rows() -> dict[str, np.ndarray]:
+    """Eight rows of 1000 values: draws, a point mass, tiny values and spikes."""
+    draws = {
+        f"sample {name}": np.abs(sample(spec, RandomStream(7, 0), 1000))
+        for name, spec in (("exp", DistributionSpec.exponential()), ("pnormal(2)", _P(2.0)),
+                           ("weibull(0.5)", _W(0.5)))
+    }
+    return draws | {
+        "zeros": np.zeros(1000),
+        "1e-300 x 1000": np.full(1000, 1e-300),
+        "1 among 999 zeros": np.r_[1.0, np.zeros(999)],
+        "1e300 among 999 zeros": np.r_[1e300, np.zeros(999)],
+        "1e300 x 1000": np.full(1000, 1e300),
+    }
+
+
+def _tau_cumulants() -> dict[str, tau.Cumulant]:
+    exp = tau.exp_centered()
+    return {
+        "exp_centered": exp,
+        "gaussian(1.3)": tau.gaussian(1.3),
+        "exp_centered x 2.5": tau.scaled(exp, 2.5),
+        "exp_centered x 0.3": tau.scaled(exp, 0.3),
+        "exp_centered sum 3": tau.iid_sum(exp, 3),
+        "exp_centered + gaussian(0.7)": tau.sum_of([exp, tau.gaussian(0.7)]),
+    }
+
+
+def _results_digest(calls) -> str:
+    """sha256 of the reprs of each call's result, or of its exception's class and message."""
+    parts = []
+    for call in calls:
+        try:
+            parts.append(repr(call()))
+        except Exception as exc:  # noqa: BLE001 - an error is an output too
+            parts.append(f"{type(exc).__name__}: {exc}")
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def norm_grid() -> list[tuple[str, str]]:
+    """(digest, label) per quadrature law, sample row, batch of rows and tau cumulant."""
+    lines = []
+    for spec in QUADRATURE_LAWS:
+        calls = [functools.partial(orlicz.psi_norm_quadrature, spec, p, tol)
+                 for p in QUADRATURE_P for tol in QUADRATURE_TOLS]
+        label = f"quadrature {spec.family}({spec.shape:g}, {spec.scale:g})"
+        lines.append((_results_digest(calls), label))
+    rows = _sample_rows()
+    for name, row in rows.items():
+        calls = [functools.partial(orlicz.psi_norm_empirical, row, p, tol)
+                 for p in SAMPLE_P for tol in SAMPLE_TOLS]
+        lines.append((_results_digest(calls), f"empirical {name}"))
+    batch = np.stack([row for name, row in rows.items() if "1e300" not in name])
+    calls = [functools.partial(orlicz.psi_norm_empirical, batch, p, tol)
+             for p in SAMPLE_P for tol in SAMPLE_TOLS]
+    lines.append((_results_digest(calls), "empirical batch of the rows without 1e300"))
+    for name, cumulant in _tau_cumulants().items():
+        calls = [functools.partial(tau.tau_norm, cumulant, tol) for tol in TAU_TOLS]
+        lines.append((_results_digest(calls), f"tau {name}"))
+    return lines
 
 
 def _digest(path: str) -> str:
@@ -58,6 +142,8 @@ def main() -> int:
                 digests = workload.digest([call.invoke() for call in workload.calls])
                 for key, digest in digests.items():
                     print(f"{digest}  exit -  {name} --seed {seed} {key}")
+    for digest, label in norm_grid():
+        print(f"{digest}  exit -  {label}")
     return 0
 
 

@@ -149,13 +149,12 @@ class CanonicalLaw:
         return self.scale**alpha * 2.0**k * math.gamma(k + 0.5) / _SQRT_PI
 
     def exp_moment_converges(self, a: float, r: float) -> bool:
-        """Whether E exp(a * B**r) is finite, decided in closed form.
+        """Whether E exp(a * B**r) is finite for a > 0, decided in closed form.
 
-        The boundary cases r == 1 (exp base) and r == 2 (gauss base) are
-        recognized within 1e-9 to absorb float rounding of exponent ratios.
+        Off the boundary r alone decides.  The boundary cases r == 1 (exp
+        base) and r == 2 (gauss base) are recognized within 1e-9 to absorb
+        float rounding of exponent ratios.
         """
-        if a == 0.0:
-            return True
         boundary = 1.0 if self.base == BASE_EXP else 2.0
         crit = 1.0 if self.base == BASE_EXP else 0.5
         if r < boundary - 1e-9:
@@ -279,7 +278,7 @@ def mgf_quadrature(spec: DistributionSpec, t: float, power: float | None = None)
         # E exp(tX) = E cosh(t |X|) by symmetry
         r = law.exponent(1.0)
         a = abs(t) * law.scale
-        divergent = not law.exp_moment_converges(a, r)
+        divergent = a > 0.0 and not law.exp_moment_converges(a, r)
 
         def integrand(x: float) -> float:
             y = abs(t) * law.scale * x**e

@@ -167,7 +167,7 @@ def default_t_grid(model: VectorModel) -> tuple[float, ...]:
     p, n = model.p, model.n
     mp = moment_abs(model.coordinate_spec, p)
     var_p = moment_abs(model.coordinate_spec, 2.0 * p) - mp * mp
-    center = (n * mp) ** (1.0 / p)
+    center = center_value(model)
     sigma = math.sqrt(max(n * var_p, 1e-300)) / (p * center ** (p - 1.0))
     return tuple(np.linspace(0.0, 6.0 * sigma, TAIL_POINTS))
 

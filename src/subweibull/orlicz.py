@@ -14,11 +14,11 @@ is located first: by a safeguarded secant on log Phi - log 2 for quadrature
 (see ``_locate_root``), by Newton for a sample, started at a two-moment
 bound on the root and stopped after its first step below 1e-6 relative (see
 ``_newton_roots``).  The bisection is then replayed in plain floats against
-that point root, with no Phi at all (see ``_replay``).  It asks for no K
-strictly inside its final bracket (after a shrink, its first hi is the
-floor's last halving), so real evaluations of Phi at the replay's final lo
-and hi, one batched call for every row of a sample, certify it.  A norm the
-certificate rejects is bisected on its own Phi, with the full monotone check.
+that point root, with no Phi but the same ``_bracket`` (see ``_replay``).
+It asks for no K strictly inside its final bracket (after a shrink, its
+first hi is the floor's last halving), so real evaluations of Phi at the
+replay's final lo and hi, one batched call for every row of a sample,
+certify it.  A norm the certificate rejects is bisected on its own Phi.
 
 Divergent exponential moments are recognized in closed form for the
 canonical integrands (the growth exponent versus the base density's decay
@@ -105,17 +105,22 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
     endpoint singularity.  Convergence is classified in closed form from the
     growth exponent r = e*p against the base decay; the classification
     ignores the center shift, which only matters on the measure-zero
-    boundary r == boundary, a == critical.
+    boundary r == boundary, a == critical.  A ``K**-p`` that overflows is
+    avoided by taking the moment in units of K, where an ``a`` that
+    overflows means an inf moment.
     """
     if K <= 0.0:
         raise ParameterError(f"K must be > 0, got {K}")
-    a = (law.scale / K) ** p
+    try:
+        a, inv_kp = (law.scale / K) ** p, K**-p
+    except OverflowError:
+        units = CanonicalLaw(law.base, law.scale / K, law.order)
+        return math.inf if K == 1.0 else exp_moment(units, p, 1.0, center / K)
     r = law.exponent(p)
     if not law.exp_moment_converges(a, r):
         return math.inf
     e = law.e
     c = law.scale
-    inv_kp = K**-p
     gauss = law.base == BASE_ABSGAUSS
     cap = math.exp(_EXP_CAP)
     at_inf = 0.0 if r < (2.0 if gauss else 1.0) - 1e-9 else cap
@@ -128,7 +133,10 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
         y = -y if y < 0.0 else y
         if y == inf:
             return at_inf
-        val = y**p * inv_kp
+        try:
+            val = y**p * inv_kp
+        except OverflowError:  # y**p > 1e308 is above the cap for every K**p < 1e305
+            return cap
         val = val + (_LOG_SQRT_2_OVER_PI - 0.5 * x * x) if gauss else val - x
         return cap if val > _EXP_CAP else exp(val)
 
@@ -141,34 +149,42 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
 def _bisect_norm(
     phi, lo_start: float, p: float, tol: float, method: str, k_max: float, polish_residual: bool
 ) -> OrliczNormResult:
-    """Smallest K with phi(K) <= 2 for a nonincreasing scalar ``phi``, searched from ``lo_start``.
+    """Smallest K with phi(K) <= 2 for a nonincreasing scalar ``phi``: bisects its ``_bracket``.
 
     With ``polish_residual`` it also bisects until |phi(hi) - 2| <= ``RESIDUAL_TARGET``.
     """
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
+    lo, f_lo, hi, f_hi = _bracket(phi, lo_start, k_max)
+    if lo == 0.0:
+        return OrliczNormResult(0.0, p, method, (0.0, hi), abs(f_hi - 2.0))
+    return _bisect_bracket(phi, lo, f_lo, hi, f_hi, p, tol, method, polish_residual, MAX_BISECTIONS)
+
+
+def _bracket(phi, lo_start: float, k_max: float):
+    """``_bisect_norm``'s first (lo, phi(lo), hi, phi(hi)): phi(hi) <= 2 < phi(lo), hi <= k_max.
+
+    The floor is halved while phi(lo) <= 2, and hi is then its last halving,
+    so no K asked for lies inside the final bracket; else hi = max(2 lo, 1).
+    hi doubles while phi(hi) is above 2 or NaN, and a hi past ``k_max``
+    raises ``DivergenceError`` before phi sees it.  A floor halved below
+    2**-1022 is the zero norm: lo = 0.0, hi = lo_start, phi(lo_start).
+    """
     lo = lo_start
     f_lo = f_start = phi(lo)
     # degenerate laws may already satisfy the condition at the floor
     while f_lo <= 2.0:
         lo *= 0.5
         if lo < _SMALLEST_NORMAL:
-            return OrliczNormResult(0.0, p, method, (0.0, lo_start), abs(f_start - 2.0))
+            return 0.0, f_lo, lo_start, f_start
         f_lo = phi(lo)
-    # after a shrink hi is the last halving: no asked K is inside the final bracket
     hi = 2.0 * lo if lo < lo_start else max(2.0 * lo, 1.0)
-    f_hi = phi(hi)
-    expansions = 0
-    while f_hi > 2.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        expansions += 1
-        if hi > k_max or expansions > MAX_BISECTIONS:
-            raise DivergenceError(
-                f"exponential moment stays above 2 for every K up to {k_max:g}"
-            )
+    while hi <= k_max:
         f_hi = phi(hi)
-    return _bisect_bracket(phi, lo, f_lo, hi, f_hi, p, tol, method, polish_residual, MAX_BISECTIONS)
+        if f_hi <= 2.0:
+            return lo, f_lo, hi, f_hi
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+    raise DivergenceError(f"exponential moment stays above 2 for every K up to {k_max:g}")
 
 
 def _bisect_bracket(
@@ -457,23 +473,16 @@ def _located_bisection(
 def _replay(lo_start: float, root: float, tol: float, k_max: float):
     """``_bisect_norm`` on "phi(K) <= 2 exactly when K > root": (lo, hi, bisection steps).
 
-    None where that bisection would end at the zero norm or raise its
+    None where its ``_bracket`` ends at the zero norm or raises
     ``DivergenceError``.  No residual polish: the bracket is the one the
     polish starts from.
     """
-    lo = lo_start
-    while lo > root:
-        lo *= 0.5
-        if lo < _SMALLEST_NORMAL:
-            return None
-    hi = 2.0 * lo if lo < lo_start else max(2.0 * lo, 1.0)
-    expansions = 0
-    while hi <= root:
-        lo = hi
-        hi *= 2.0
-        expansions += 1
-        if hi > k_max or expansions > MAX_BISECTIONS:
-            return None
+    try:
+        lo, _, hi, _ = _bracket(lambda K: math.inf if K <= root else 1.0, lo_start, k_max)
+    except DivergenceError:
+        return None
+    if lo == 0.0:
+        return None
     steps = 0
     while hi - lo > tol and steps < MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)

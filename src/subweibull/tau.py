@@ -283,25 +283,17 @@ K_MAX = 1e12  # no feasible K up to this ceiling means no finite norm
 def _window_curvature_sup(cumulant: Cumulant, K: float) -> float:
     """sup of C'' over [-1/K, 1/K] by dense grid plus local refinement."""
     w = 1.0 / K
-    grid = np.linspace(-w, w, _GRID_POINTS)
-    vals = cumulant.curvature(grid)
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    idx = int(np.argmax(vals))
-    best = float(vals[idx])
-    if math.isinf(best):
-        return best
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, grid.size - 1)]
-    for _ in range(_REFINEMENTS):
-        local = np.linspace(lo, hi, 21)
-        lv = cumulant.curvature(local)
-        lv = np.where(np.isnan(lv), np.inf, lv)
-        j = int(np.argmax(lv))
-        best = max(best, float(lv[j]))
+    lo, hi, points = -w, w, _GRID_POINTS
+    best = -math.inf
+    for _ in range(_REFINEMENTS + 1):
+        grid = np.linspace(lo, hi, points)
+        vals = cumulant.curvature(grid)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
         if math.isinf(best):
             return best
-        lo = local[max(j - 1, 0)]
-        hi = local[min(j + 1, local.size - 1)]
+        lo, hi, points = grid[max(j - 1, 0)], grid[min(j + 1, points - 1)], 21
     return best
 
 

@@ -65,6 +65,39 @@ def test_norm_numeric_failure_exit_code(capsys):
     assert code == 3
 
 
+def _norm_argv(family, p, *params):
+    argv = ["norm", "--family", family, "--p", p]
+    for param in params:
+        argv += ["--param", param]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # (scale/K)**p, K**-p or the integrand's y**p overflows
+        (_norm_argv("weibull", "2", "shape=2", "scale=1e200"), 3),
+        (_norm_argv("weibull", "2", "shape=2", "scale=1e-160"), 0),
+        (_norm_argv("weibull", "4", "shape=5", "scale=1e80"), 3),
+        (_norm_argv("halfgauss_pow", "4", "p=5", "scale=1e80"), 3),
+        # divergent, with (scale/K)**p underflowing to 0
+        (_norm_argv("halfgauss_pow", "3", "p=2", "scale=1e-100"), 3),
+        (_norm_argv("weibull", "2", "shape=1", "scale=1e-200"), 3),
+        (_norm_argv("weibull", "3", "shape=2", "scale=1e-160"), 3),
+    ],
+    ids=lambda case: " ".join(case) if isinstance(case, list) else f"exit {case}",
+)
+def test_norm_at_an_extreme_scale_exits_with_the_code_of_its_outcome(capsys, argv, expected):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 3:
+        assert err.startswith("numeric error: ")
+    else:
+        assert json.loads(out)["value"] == pytest.approx(math.sqrt(2.0) * 1e-160, rel=1e-6)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

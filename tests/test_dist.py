@@ -203,6 +203,8 @@ def test_mgf_quadrature_symmetric_identity():
     spec = DistributionSpec.pnormal(2.0)
     for t in (0.3, -1.1):
         assert mgf_quadrature(spec, t) == pytest.approx(math.exp(0.5 * t * t), rel=1e-8)
+    # finite at t = 0 however heavy the tails
+    assert mgf_quadrature(DistributionSpec.pnormal(0.5), 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,24 @@ def test_exp_moment_divergence_detection():
     assert exp_moment(law, 1.0, 0.5) == math.inf
     assert exp_moment(law, 1.0, 1.5) == pytest.approx(3.0, rel=1e-9)
     assert exp_moment(law, 2.0, 10.0) == math.inf  # supercritical growth
+    # supercritical growth where (scale/K)**p underflows to 0: r alone decides
+    for spec, p, K in [
+        (DistributionSpec.halfgauss_pow(2.0, 1e-100), 3.0, 1e9),
+        (DistributionSpec.weibull(1.0, 1e-200), 2.0, 1.0),
+        (DistributionSpec.weibull(2.0, 1e-160), 3.0, 1.0),
+    ]:
+        assert exp_moment(canonical(spec), p, K) == math.inf
+
+
+def test_exp_moment_where_its_powers_overflow():
+    # (scale/K)**p above the largest double: above 2 for every law
+    assert exp_moment(canonical(DistributionSpec.weibull(2.0, 1e200)), 2.0, 1e-6) == math.inf
+    # K**-p overflows: the moment is taken in units of K, where it is E exp(B/2) = 2
+    law = canonical(DistributionSpec.weibull(2.0, 1e-160))
+    assert exp_moment(law, 2.0, math.sqrt(2.0) * 1e-160) == pytest.approx(2.0, rel=1e-9)
+    # the integrand's y**p overflows: it takes its cap there
+    for spec in (DistributionSpec.weibull(5.0, 1e80), DistributionSpec.halfgauss_pow(5.0, 1e80)):
+        assert exp_moment(canonical(spec), 4.0, 1e9) > 2.0
 
 
 def _exp_moment_by_the_method_integrand(law, p, K, center):
@@ -549,6 +567,18 @@ def test_empirical_divergent_row_raises_like_the_bisection(bisected_rows):
         assert bisected_rows[0] == 1  # only the first divergent row is bisected on phi
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+def test_empirical_norm_past_the_ceiling_raises_on_the_first_bracket(p, tol):
+    # the spike's floor is just below its norm, so the first hi is already
+    # past 1e18 and no doubling happens: the ceiling is checked before it
+    with pytest.raises(DivergenceError) as flat:
+        psi_norm_empirical(np.full(1000, 1e300), p, tol)
+    with pytest.raises(DivergenceError) as spike:
+        psi_norm_empirical(np.r_[1e300, np.zeros(999)], p, tol)
+    assert str(spike.value) == str(flat.value)
+
+
 def test_empirical_norm_of_tiny_samples_is_not_zero():
     # the floor halves down to the smallest normal double, 2**-1022, before
     # the search reports the zero norm; after a shrink the bracket is the
@@ -755,6 +785,7 @@ def test_replay_is_the_bisection_on_the_stand_in(rows, log_tol):
 )
 @example(log_lo=-4.0, log_root=-6.0, log_tol=-12.0)  # the shrink path
 @example(log_lo=300.0, log_root=-3.0, log_tol=-12.0)  # the shrink cap
+@example(log_lo=299.1, log_root=299.2, log_tol=-4.0)  # a first hi past the ceiling
 def test_bisection_asks_for_no_point_inside_its_final_bracket(log_lo, log_root, log_tol):
     # what lets two real phi values certify a replay: every asked K is at or
     # below the final lo or at or above the final hi
@@ -769,6 +800,7 @@ def test_bisection_asks_for_no_point_inside_its_final_bracket(log_lo, log_root, 
         if result.value > 0.0:
             lo, hi = result.bracket
             assert [K for K in asked if lo < K < hi] == []
+        assert result.value <= orlicz._EMPIRICAL_K_MAX
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
