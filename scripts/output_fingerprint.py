@@ -2,7 +2,9 @@
 """Print one sha256 per reproducible output, so two checkouts can be diffed.
 
 Covers ``subweibull verify`` stdout at its default seed and at 20240817, the
-output file of each call of the benchmark's ``cli_numerics`` workload, and
+output file of each call of the benchmark's ``cli_numerics`` workload,
+``subweibull concentrate`` for exp at n = 16, p = 1, 10 000 trials and seed
+20240817 in JSON (the one output written from nested dataclasses) and in CSV,
 the report and tail CSVs of its ``growth`` and ``tail_small_n`` workloads at
 20240817 and 19090677, each digested by the workload itself; workloads are
 built from ``perfbench/workloads.py`` at their default sizes.  A grid of
@@ -35,6 +37,8 @@ from subweibull import DistributionSpec, RandomStream, cli, orlicz, sample, tau 
 import workloads  # noqa: E402
 
 VERIFY_SEEDS = (None, 20_240_817)  # None: the command's default seed
+CONCENTRATE_ARGV = ("concentrate", "--family", "exp", "--p", "1", "--n", "16",
+                    "--trials", "10000", "--seed", "20240817")
 CSV_SEEDS = (20_240_817, 19_090_677)  # the seeds of perfbench/reference_digests.json
 
 _W, _P, _H = DistributionSpec.weibull, DistributionSpec.pnormal, DistributionSpec.halfgauss_pow
@@ -136,6 +140,9 @@ def main() -> int:
         for i, call in enumerate(workload.calls):
             rc = call.invoke()
             print(f"{_digest(os.path.join(out_dir, f'call{i}.json'))}  exit {rc}  {call.label}")
+        for fmt in ("json", "csv"):
+            rc = cli.main([*CONCENTRATE_ARGV, "--format", fmt, "--output", path])
+            print(f"{_digest(path)}  exit {rc}  {' '.join(CONCENTRATE_ARGV)} --format {fmt}")
         for name in ("growth", "tail_small_n"):
             for seed in CSV_SEEDS:
                 workload = workloads.build(name, seed, out_dir)

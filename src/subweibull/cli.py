@@ -24,7 +24,7 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 
 from . import dist, montecarlo, orlicz, tau, verify
 from .concentration import VectorModel, psi_tail_bound
@@ -42,7 +42,18 @@ EXIT_NUMERIC = 3
 
 
 def dumps17(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits."""
+    """JSON text with floats at 17 significant digits.
+
+    Floats are tested first, as most values are floats.  A dataclass is
+    written as the object of its fields, nested dataclasses included, which
+    gives the bytes of writing ``dataclasses.asdict(obj)`` without its deep
+    copy.
+    """
+    if isinstance(obj, float):
+        # JSON spells the non-finite floats NaN, Infinity and -Infinity
+        return montecarlo.format_cell(obj) if math.isfinite(obj) else json.dumps(obj)
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -57,9 +68,6 @@ def dumps17(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, float):
-        # JSON spells the non-finite floats NaN, Infinity and -Infinity
-        return montecarlo.format_cell(obj) if math.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if obj is None:
@@ -195,7 +203,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
             [[result.value, result.p, result.method, *result.bracket, result.residual]],
         )
     else:
-        text = dumps17(asdict(result)) + "\n"
+        text = dumps17(result) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 
@@ -213,7 +221,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
         rows = [[result.value, t, s] for t, s in result.margin_profile]
         text = montecarlo.csv_text(["value", "t", "slack"], rows)
     else:
-        text = dumps17(asdict(result)) + "\n"
+        text = dumps17(result) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 
@@ -264,7 +272,7 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(montecarlo.reports_to_csv([report]), args.output)
     else:
-        _emit(dumps17(asdict(report)) + "\n", args.output)
+        _emit(dumps17(report) + "\n", args.output)
     if args.tails_output:
         _atomic_write(args.tails_output, montecarlo.tails_to_csv([report]))
     return EXIT_OK

@@ -105,14 +105,17 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
     endpoint singularity.  Convergence is classified in closed form from the
     growth exponent r = e*p against the base decay; the classification
     ignores the center shift, which only matters on the measure-zero
-    boundary r == boundary, a == critical.  A ``K**-p`` that overflows is
-    avoided by taking the moment in units of K, where an ``a`` that
-    overflows means an inf moment.
+    boundary r == boundary, a == critical.  A ``K**-p`` that overflows, or
+    that falls below the normal floats (where ``y**p`` overflows before the
+    product would come back into range), is avoided by taking the moment in
+    units of K, where an ``a`` that overflows means an inf moment.
     """
     if K <= 0.0:
         raise ParameterError(f"K must be > 0, got {K}")
     try:
         a, inv_kp = (law.scale / K) ** p, K**-p
+        if inv_kp < _SMALLEST_NORMAL:  # subnormal or 0: the same moment in units of K
+            raise OverflowError
     except OverflowError:
         units = CanonicalLaw(law.base, law.scale / K, law.order)
         return math.inf if K == 1.0 else exp_moment(units, p, 1.0, center / K)

@@ -11,12 +11,15 @@ C(0) = C'(0) = 0, C(t) <= sup_{|s|<=|t|} C''(s) * t**2 / 2, so the condition
 
     sup over |t| <= 1/K of C''(t)  <=  K**2
 
-is what the feasibility check decides.  It is monotone in K (a larger K
-both shrinks the window and raises the parabola), so the norm is found by
-the psi_p norms' bisection, whose answer a secant on the curvature margin
-locates first and two real checks certify (see ``tau_norm``).  For the
-unit-rate centered exponential the binding equation is C''(1/K) = K**2 with
-solution K = 2, and the centered sum of n copies gives sqrt(n) + 1.
+is what the feasibility check decides.  Every cumulant built here has a
+convex C'', so the sup is the larger of C''(-1/K) and C''(1/K); a hand-built
+``Cumulant`` must keep that property (see its docstring).  The check is
+monotone in K (a larger K both shrinks the window and raises the parabola),
+so the norm is found by the psi_p norms' bisection, whose answer a secant on
+the curvature margin locates first and two real checks certify (see
+``tau_norm``).  For the unit-rate centered exponential the binding equation
+is C''(1/K) = K**2 with solution K = 2, and the centered sum of n copies
+gives sqrt(n) + 1.
 """
 
 from __future__ import annotations
@@ -142,7 +145,10 @@ class Cumulant:
 
     ``fn`` and ``d2`` must accept numpy arrays; the open interval ``domain``
     contains 0.  Values requested within 1e-12 of a domain edge come back as
-    +inf, which downstream feasibility checks read as infeasible.
+    +inf, which downstream feasibility checks read as infeasible.  ``d2``
+    must be convex on the domain, or at least reach its sup over every
+    window [-w, w] at an end: the domination norm reads only C''(-w) and
+    C''(w).
     """
 
     fn: Callable
@@ -275,26 +281,14 @@ class TauNormResult:
     margin_profile: tuple[tuple[float, float], ...]
 
 
-_GRID_POINTS = 10_001
-_REFINEMENTS = 3
 K_MAX = 1e12  # no feasible K up to this ceiling means no finite norm
 
 
 def _window_curvature_sup(cumulant: Cumulant, K: float) -> float:
-    """sup of C'' over [-1/K, 1/K] by dense grid plus local refinement."""
+    """sup of C'' over [-1/K, 1/K]: the larger end value, C'' being convex (a NaN counts as inf)."""
     w = 1.0 / K
-    lo, hi, points = -w, w, _GRID_POINTS
-    best = -math.inf
-    for _ in range(_REFINEMENTS + 1):
-        grid = np.linspace(lo, hi, points)
-        vals = cumulant.curvature(grid)
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        j = int(np.argmax(vals))
-        best = max(best, float(vals[j]))
-        if math.isinf(best):
-            return best
-        lo, hi, points = grid[max(j - 1, 0)], grid[min(j + 1, points - 1)], 21
-    return best
+    ends = cumulant.curvature(np.array([-w, w]))
+    return float(np.max(np.where(np.isnan(ends), np.inf, ends)))
 
 
 def _margin(sup: float, K: float) -> float:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import stat
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from subweibull import DistributionSpec, ExperimentPlan, VectorModel, cli, montecarlo, verify
@@ -25,6 +27,36 @@ def test_dumps17_floats():
     assert "0.33333333333333331" in text
     assert "Infinity" in text
     assert "null" in text and "true" in text
+
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    payload: dict
+
+
+def test_dumps17_writes_a_dataclass_as_its_asdict():
+    from subweibull import orlicz, tau
+
+    plan = ExperimentPlan(VectorModel(DistributionSpec.exponential(), 16, 1.0), 10_000, 5)
+    report = montecarlo.run_report(plan)
+    assert len(report.tail_rows) > 1
+    rows = list(report.tail_rows)
+    rows[0] = replace(rows[0], bound=math.inf, C=math.nan)
+    report = replace(report, boot_lo=math.nan, prop13_C=math.nan, tail_rows=tuple(rows))
+    mixed = {"empty": (), "np": np.float64(0.1), "inf": math.inf, "-inf": -math.inf,
+             "nan": math.nan, "true": True, "none": None}
+    objs = [
+        orlicz.psi_norm_quadrature(DistributionSpec.exponential(), 1.0, 1e-8),
+        tau.tau_norm(tau.iid_sum(tau.exp_centered(), 100)),
+        report,
+        _Holder(mixed),
+    ]
+    for obj in objs:
+        assert dumps17(obj) == dumps17(dataclasses.asdict(obj))
+    assert dumps17(mixed) == (
+        '{\n  "empty": [],\n  "np": 0.10000000000000001,\n  "inf": Infinity,\n'
+        '  "-inf": -Infinity,\n  "nan": NaN,\n  "true": true,\n  "none": null\n}'
+    )
 
 
 def test_norm_quadrature_exp(capsys):

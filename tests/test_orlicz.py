@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -295,6 +296,17 @@ def test_exp_moment_where_its_powers_overflow():
     # the integrand's y**p overflows: it takes its cap there
     for spec in (DistributionSpec.weibull(5.0, 1e80), DistributionSpec.halfgauss_pow(5.0, 1e80)):
         assert exp_moment(canonical(spec), 4.0, 1e9) > 2.0
+
+
+def test_exp_moment_where_k_to_the_minus_p_leaves_the_normal_floats():
+    # in units of K this is E exp(B**0.8), whatever the scale
+    unit = exp_moment(canonical(DistributionSpec.weibull(5.0, 1.0)), 4.0, 1.0)
+    assert unit == 3.935490806420585
+    # K**-p = 1e-320 is subnormal, and 1e-400 underflows to exactly 0
+    for scale in (1e80, 1e100):
+        assert 0.0 <= scale**-4.0 < sys.float_info.min
+        assert exp_moment(canonical(DistributionSpec.weibull(5.0, scale)), 4.0, scale) == unit
+    assert 1e100**-4.0 == 0.0
 
 
 def _exp_moment_by_the_method_integrand(law, p, K, center):

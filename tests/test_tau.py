@@ -435,6 +435,50 @@ def test_tau_norm_takes_few_curvature_scans(monkeypatch):
         assert len(calls) - located == plain
 
 
+def _scanned_curvature_sup(cumulant, K):
+    """sup of C'' on [-1/K, 1/K] by the scan the end rule replaced: 10 001 points, three zooms."""
+    w = 1.0 / K
+    lo, hi, points = -w, w, 10_001
+    best = -math.inf
+    for _ in range(4):
+        grid = np.linspace(lo, hi, points)
+        vals = cumulant.curvature(grid)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
+        if math.isinf(best):
+            return best
+        lo, hi, points = grid[max(j - 1, 0)], grid[min(j + 1, points - 1)], 21
+    return best
+
+
+_CURVATURE_KINDS = {
+    "exp_centered": exp_centered,
+    "sum100": lambda: iid_sum(exp_centered(), 100),
+    "gaussian1.3": lambda: gaussian(1.3),
+    "scaled2.5": lambda: scaled(exp_centered(), 2.5),
+    "sum_of": lambda: sum_of([scaled(exp_centered(), 0.7), gaussian(2.0), exp_centered()]),
+    "weibull(1, 3)": lambda: centered_cumulant(DistributionSpec.weibull(1.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CURVATURE_KINDS))
+def test_window_curvature_sup_is_the_scan(name):
+    cum = _CURVATURE_KINDS[name]()
+    edge = cum.domain[1]
+    if math.isfinite(edge):
+        # windows ending within 1e-12 of the domain edge: inf on both sides
+        extra = [1.0 / (edge - 0.5e-12), 1.0 / (edge - 1e-13)]
+    else:
+        extra = [1e-8, 1e8]
+    ks = [float(K) for K in np.geomspace(1e-2, 1e4, 48)] + extra
+    assert len(ks) == 50
+    for K in ks:
+        assert tau._window_curvature_sup(cum, K) == _scanned_curvature_sup(cum, K), K
+    if math.isfinite(edge):
+        assert tau._window_curvature_sup(cum, extra[0]) == math.inf
+
+
 def _margin_profiles_match_scalar_loop():
     """Per cumulant, whether the margin profile is the one-point-at-a-time loop's, bit for bit."""
     import numpy as np
