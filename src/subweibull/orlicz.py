@@ -7,18 +7,25 @@ closed-form table (``psi_norm_analytic``), by quadrature in the canonical
 base variable (``psi_norm_quadrature``), or as a sample mean
 (``psi_norm_empirical``).
 
-The quadrature and sample versions share one bisection of a scalar Phi,
-``_bisect_norm``, and both return its bits without paying for its probes;
-``tau.tau_norm`` runs the same bisection on its feasibility test.  The root
-is located first: by a safeguarded secant on log Phi - log 2 for quadrature
-(see ``_locate_root``), by Newton for a sample, started at a two-moment
-bound on the root and stopped after its first step below 1e-6 relative (see
-``_newton_roots``).  The bisection is then replayed in plain floats against
-that point root, with no Phi but the same ``_bracket`` (see ``_replay``).
-It asks for no K strictly inside its final bracket (after a shrink, its
-first hi is the floor's last halving), so real evaluations of Phi at the
-replay's final lo and hi, one batched call for every row of a sample,
-certify it.  A norm the certificate rejects is bisected on its own Phi.
+A quadrature norm is the norm of the law at scale 1 times the scale (the
+norm is homogeneous), so its search, its ceiling and its tolerance all work
+in units of the scale.  A safeguarded secant on log Phi - log 2 brackets
+that root to 1e-12 relative (see ``_locate_root``); Phi at the bracket's
+ends, both already computed, straddles 2, and the bracket is the answer,
+bisected on only while it is wider than the tolerance.  A root the secant
+cannot bracket is bisected from the floor by ``_bisect_norm``.
+
+The sample norm returns the bits of ``_bisect_norm`` without paying for
+its probes; ``tau.tau_norm`` does the same on its feasibility test.  Each
+row's root is located by Newton, started at a two-moment bound on the root
+and stopped after its first step below 1e-6 relative (see
+``_newton_roots``; ``tau_norm`` uses the secant).  The bisection is then
+replayed in plain floats against that point root, with no Phi but the same
+``_bracket`` (see ``_replay``).  It asks for no K strictly inside its final
+bracket (after a shrink, its first hi is the floor's last halving), so real
+evaluations of Phi at the replay's final lo and hi, one batched call for
+every row of a sample, certify it.  A norm the certificate rejects is
+bisected on its own Phi.
 
 Divergent exponential moments are recognized in closed form for the
 canonical integrands (the growth exponent versus the base density's decay
@@ -64,7 +71,7 @@ METHOD_QUADRATURE = "quadrature"
 METHOD_EMPIRICAL = "empirical"
 
 DEFAULT_TOL = 1e-6  # absolute bisection bracket width
-QUADRATURE_K_MAX = 1e9  # quadrature norms above this ceiling count as divergent
+QUADRATURE_K_MAX = 1e9  # quadrature norms above this many times the scale count as divergent
 RESIDUAL_TARGET = 1e-6
 MAX_BISECTIONS = 200
 _EMPIRICAL_K_MAX = 1e18  # empirical norms above this ceiling count as divergent
@@ -187,7 +194,11 @@ def _bracket(phi, lo_start: float, k_max: float):
         if f_hi <= 2.0:
             return lo, f_lo, hi, f_hi
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
-    raise DivergenceError(f"exponential moment stays above 2 for every K up to {k_max:g}")
+    raise _diverged(k_max)
+
+
+def _diverged(k_max: float) -> DivergenceError:
+    return DivergenceError(f"exponential moment stays above 2 for every K up to {k_max:g}")
 
 
 def _bisect_bracket(
@@ -281,15 +292,42 @@ def psi_norm_quadrature_canonical(
     *,
     center: float = 0.0,
 ) -> OrliczNormResult:
+    """Norm at order p of ``law`` shifted by ``center``, from the norm of its unit law.
+
+    The norm is homogeneous, so it is ``scale`` times the norm of the law at
+    scale 1, shifted by ``center / scale``.  There a secant on log Phi - log 2
+    brackets the root to 1e-12 relative (``_locate_root``), and a bracket
+    still wider than ``tol / scale`` is bisected on.  A root the secant
+    cannot bracket, or a bracket whose Phi values do not straddle 2, is
+    bisected from the floor, with every check and error of ``_bisect_norm``.
+    The ceiling ``QUADRATURE_K_MAX`` is in units of the scale.
+    """
     if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    phi = functools.cache(lambda K: exp_moment(law, p, K, center))
+    scale = law.scale
+    unit = CanonicalLaw(law.base, 1.0, law.order)
+    phi = functools.cache(lambda K: exp_moment(unit, p, K, center / scale))
     # phi / 2 is exact and log(x) <= 0 exactly when x <= 1, so the sign of g
     # is the bisection's test phi <= 2
     located = _locate_root(lambda K: math.log(phi(K) / 2.0), 1e-6, QUADRATURE_K_MAX)
-    return _located_norm(phi, located, 1e-6, p, tol, METHOD_QUADRATURE, QUADRATURE_K_MAX, True)
+    # phi is cached, so checking the located ends costs no quadrature
+    if located is not None and phi(located[1]) <= 2.0 < phi(located[0]):
+        a, b = located
+        result = _bisect_bracket(
+            phi, a, phi(a), b, phi(b), p, tol / scale, METHOD_QUADRATURE, False, MAX_BISECTIONS
+        )
+    else:
+        try:
+            result = _bisect_norm(
+                phi, 1e-6, p, tol / scale, METHOD_QUADRATURE, QUADRATURE_K_MAX, False
+            )
+        except DivergenceError:
+            raise _diverged(scale * QUADRATURE_K_MAX) from None
+    lo, hi = result.bracket
+    return OrliczNormResult(scale * result.value, p, METHOD_QUADRATURE, (scale * lo, scale * hi),
+                            result.residual)
 
 
 def _located_norm(
@@ -314,15 +352,11 @@ def _located_norm(
 def psi_norm_quadrature(
     spec: DistributionSpec, p: float, tol: float = DEFAULT_TOL
 ) -> OrliczNormResult:
-    """Norm at order p by quadrature plus monotone bisection.
+    """Norm at order p by quadrature, from the located root of its unit law.
 
-    The result is the bisection's, bit for bit, with a third to a half of
-    its quadratures: a secant locates the root of log Phi - log 2, the
-    bisection is replayed against it, and real Phi values at its final
-    bracket certify the replay, from which the residual polish bisects on
-    Phi (see ``_located_bisection``).  A norm they reject, or whose root
-    cannot be bracketed, is bisected on Phi itself with the full monotone
-    check and every error of the bisection.
+    The bracket is about 1e-12 relative wide, or narrower than ``tol`` where
+    that is tighter, and ``residual`` is |Phi - 2| at its upper end (see
+    ``psi_norm_quadrature_canonical``).
     """
     return psi_norm_quadrature_canonical(canonical(spec), p, tol)
 

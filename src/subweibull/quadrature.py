@@ -23,10 +23,17 @@ singularity such as a density's at 0.
 
 - Levels.  Level 0 has step 1 in t; each level halves the step and adds only
   its new nodes to the sum so far.  A piece stops once a level changes its
-  estimate by at most ``REL_TOL`` relative; after ``_LEVELS`` levels it
-  returns its last estimate.
+  estimate by at most ``REL_TOL`` relative, or by at most 2**-60 of the
+  integral so far (the ``floor`` that ``improper_integral`` passes on: the
+  sum of the segments before, 0 for the first), a change far below the
+  rounding of that sum; after ``_LEVELS`` levels it returns its last
+  estimate.  So a tail segment that adds a few ulps to the integral is not
+  refined to 1e-12 of itself.  At 2**-53 the error left moved the last bit
+  of about 1 integral in 170; at 2**-60 it moves none of the 14 685 that
+  ``tests/test_quadrature.py`` compares with and without the floor.
 - Tails.  On each side, finer levels stop past the last level-0 node whose
-  term is above 1e-17 of the level-0 sum, at their first term below that.
+  term is above 1e-17 of the level-0 sum and above 2**-60 of the floor (per
+  unit of t and of the half-width), at their first term below that.
 - Ends.  Nodes are placed by their distance from the nearer end, down to
   1e-150 of the half-width, and a node that rounds onto an end is dropped:
   ``fn`` is never evaluated at or outside an end.
@@ -51,6 +58,7 @@ MAX_DOUBLINGS = 48
 
 _LEVELS = 8  # tanh-sinh levels: steps 1, 1/2, ..., 1/128 in t
 _TAIL_REL = 1e-17  # terms below this share of the level-0 sum end a side's walk
+_FLOOR_REL = 2.0**-60  # changes below this share of the integral so far end a piece
 # nodes run out to t = 5.40, where they lie 1e-150 of the half-width from
 # the end: an x**-0.9 singularity there loses under 1e-14 of its mass, and
 # the square of a node near 0 is still a normal float
@@ -91,8 +99,11 @@ def _node_table() -> tuple[Nodes, tuple[tuple[tuple[Nodes, Nodes], ...], ...]]:
     return level0, tuple(finer)
 
 
-def _tanh_sinh(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Integral of ``fn`` on [a, b] by the tanh-sinh rule; ``math.inf`` if not finite."""
+def _tanh_sinh(fn: Callable[[float], float], a: float, b: float, floor: float = 0.0) -> float:
+    """Integral of ``fn`` on [a, b] by the tanh-sinh rule; ``math.inf`` if not finite.
+
+    ``floor`` >= 0 is the size of the integral the piece will be added to.
+    """
     c = 0.5 * (b - a)
     mid = a + c
     if not a < mid < b:  # no float lies inside
@@ -114,7 +125,8 @@ def _tanh_sinh(fn: Callable[[float], float], a: float, b: float) -> float:
         return math.inf
     # on each side, finer levels take every node inside the last level-0 term
     # above the tail, then walk out to the first term below it
-    tail = _TAIL_REL * abs(total)
+    stop = _FLOOR_REL * floor
+    tail = max(_TAIL_REL * abs(total), stop / c)
     walks = []
     for end, scale, terms in sides:
         n = len(terms)
@@ -141,7 +153,7 @@ def _tanh_sinh(fn: Callable[[float], float], a: float, b: float) -> float:
         previous, estimate = estimate, c * h * total
         if not math.isfinite(estimate):
             return math.inf
-        if abs(estimate - previous) <= REL_TOL * abs(estimate):
+        if abs(estimate - previous) <= max(REL_TOL * abs(estimate), stop):
             return estimate
     return estimate
 
@@ -151,16 +163,18 @@ def segment_integral(
     lo: float,
     hi: float,
     breakpoints: Sequence[float] = (),
+    floor: float = 0.0,
 ) -> float:
     """Integral of ``fn`` on [lo, hi], split at interior breakpoints.
 
     ``fn`` is called only strictly inside each piece; any non-finite value
-    makes the result ``math.inf``.
+    makes the result ``math.inf``.  Each piece also stops at 2**-60 of
+    ``floor``, the size of the integral the result will be added to.
     """
     edges = [lo] + sorted(b for b in breakpoints if lo < b < hi) + [hi]
     total = 0.0
     for a, b in zip(edges, edges[1:]):
-        value = _tanh_sinh(fn, a, b)
+        value = _tanh_sinh(fn, a, b, floor)
         if not math.isfinite(value):
             return math.inf
         total += value
@@ -187,7 +201,7 @@ def improper_integral(
     recent: list[float] = []
     for _ in range(MAX_DOUBLINGS):
         hi = 2.0 * lo
-        seg = segment_integral(fn, lo, hi, breakpoints)
+        seg = segment_integral(fn, lo, hi, breakpoints, abs(total))
         new_total = total + seg
         if not math.isfinite(new_total) or abs(new_total) > BLOWUP_THRESHOLD:
             return math.inf

@@ -56,17 +56,33 @@ def check_density_normalization() -> CheckResult:
         dist.DistributionSpec.halfgauss_pow(1.5, 2.0),
     ]
     for spec in cases:
-        law = dist.canonical(spec)
-        theta, e = law.scale, law.e
-        total = improper_integral(
-            lambda u: dist.density(spec, theta * u**e) * theta * e * u ** (e - 1.0)
-            if u > 0.0
-            else 0.0
-        )
+        total = improper_integral(_density_in_base_variable(spec))
         if spec.symmetric:
             total *= 2.0
         worst = max(worst, abs(total - 1.0))
     return _result("dist.density_normalization", worst <= 1e-8, f"max |integral-1| = {worst:.3g}")
+
+
+def _density_in_base_variable(spec: dist.DistributionSpec):
+    """u -> density(spec, x) dx/du at x = scale * u**e, computed in logs.
+
+    With z = x / scale = u**e, order q and base exponent m, the density is
+    density(spec, scale) * exp(1/m) * z**(q/m - 1) * exp(-z**q / m): its
+    constant is read from ``dist.density``, and its powers of u, with the
+    Jacobian's, are summed in logs.  So the integrand stays finite where x
+    underflows to 0, at which ``dist.density`` returns its pole at 0.
+    """
+    law = dist.canonical(spec)
+    q, e, m = law.order, law.e, law.exponent(law.order)
+    log_c = math.log(dist.density(spec, law.scale) * law.scale * e) + 1.0 / m
+    power = (q / m - 1.0) * e + (e - 1.0)  # 0 up to rounding
+
+    def integrand(u: float) -> float:
+        if u <= 0.0:
+            return 0.0
+        return math.exp(log_c + power * math.log(u) - (u**e) ** q / m)
+
+    return integrand
 
 
 def check_mgf_quadrature() -> CheckResult:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,3 +69,43 @@ def without_avx512():
         return out["result"]
 
     return run
+
+
+_UNIT_NORMS = {}
+
+
+def _mpmath_unit_norm(base, order, p, center, guess):
+    """Root K of E exp((|B**e - center| / K)**p) = 2 at 30 digits, found from ``guess``.
+
+    ``B`` is a unit exponential (``base`` "exp1", e = 1/order) or ``|g|``
+    (e = 2/order), integrated with mpmath's own tanh-sinh rule, split at the
+    center's kink.  Cached by everything but the guess.
+    """
+    key = (base, order, p, center)
+    if key not in _UNIT_NORMS:
+        with mp.workdps(30):
+            e = (1 if base == "exp1" else 2) / mp.mpf(order)
+            density = (lambda b: mp.exp(-b)) if base == "exp1" else (lambda g: 2 * mp.npdf(g))
+            c = mp.mpf(center)
+            kink = {c ** (1 / e)} if c > 0 else set()
+            knots = sorted({mp.mpf(k) for k in (0, 1, 4, 16)} | kink)
+            phi = lambda K: mp.quad(
+                lambda b: density(b) * mp.exp((abs(b**e - c) / K) ** p), [*knots, mp.inf]
+            )
+            _UNIT_NORMS[key] = float(mp.findroot(lambda K: phi(K) - 2, mp.mpf(guess)))
+    return _UNIT_NORMS[key]
+
+
+@pytest.fixture
+def mpmath_norm():
+    """``norm(law, p, guess, center=0.0)``: the order-p norm of ``law - center`` by mpmath.
+
+    ``law`` is a ``dist.CanonicalLaw``; its norm is its scale times the norm
+    of its unit law shifted by ``center / scale``, found near ``guess``.
+    """
+
+    def norm(law, p, guess, center=0.0):
+        unit = _mpmath_unit_norm(law.base, law.order, p, center / law.scale, guess / law.scale)
+        return law.scale * unit
+
+    return norm

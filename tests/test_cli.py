@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subweibull import DistributionSpec, ExperimentPlan, VectorModel, cli, montecarlo, verify
+from subweibull import DistributionSpec, ExperimentPlan, VectorModel, cli, dist, montecarlo, verify
 from subweibull.cli import dumps17, main
+from subweibull.dist import CanonicalLaw
 
 
 def run_cli(capsys, *argv):
@@ -104,30 +105,49 @@ def _norm_argv(family, p, *params):
     return argv
 
 
+def _unit_norm_times(scale, base, order, p, guess):
+    """scale times the order-p norm of the unit law, by mpmath (see ``mpmath_norm``)."""
+    return lambda mpmath_norm: scale * mpmath_norm(CanonicalLaw(base, 1.0, order), p, guess)
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        # (scale/K)**p, K**-p or the integrand's y**p overflows
-        (_norm_argv("weibull", "2", "shape=2", "scale=1e200"), 3),
-        (_norm_argv("weibull", "2", "shape=2", "scale=1e-160"), 0),
-        (_norm_argv("weibull", "4", "shape=5", "scale=1e80"), 3),
-        (_norm_argv("halfgauss_pow", "4", "p=5", "scale=1e80"), 3),
+        # (scale/K)**p, K**-p or the integrand's y**p overflows; the norm is
+        # its scale times the unit law's
+        (_norm_argv("weibull", "2", "shape=2", "scale=1e200"), lambda _: math.sqrt(2.0) * 1e200),
+        (_norm_argv("weibull", "2", "shape=2", "scale=1e-160"),
+         lambda _: math.sqrt(2.0) * 1e-160),
+        (_norm_argv("weibull", "4", "shape=5", "scale=1e80"),
+         _unit_norm_times(1e80, "exp1", 5.0, 4.0, 1.13)),
+        (_norm_argv("halfgauss_pow", "4", "p=5", "scale=1e80"),
+         _unit_norm_times(1e80, "absgauss", 5.0, 4.0, 1.17)),
         # divergent, with (scale/K)**p underflowing to 0
-        (_norm_argv("halfgauss_pow", "3", "p=2", "scale=1e-100"), 3),
-        (_norm_argv("weibull", "2", "shape=1", "scale=1e-200"), 3),
-        (_norm_argv("weibull", "3", "shape=2", "scale=1e-160"), 3),
+        (_norm_argv("halfgauss_pow", "3", "p=2", "scale=1e-100"), None),
+        (_norm_argv("weibull", "2", "shape=1", "scale=1e-200"), None),
+        (_norm_argv("weibull", "3", "shape=2", "scale=1e-160"), None),
     ],
-    ids=lambda case: " ".join(case) if isinstance(case, list) else f"exit {case}",
+    ids=lambda case: " ".join(case) if isinstance(case, list) else f"exit {0 if case else 3}",
 )
-def test_norm_at_an_extreme_scale_exits_with_the_code_of_its_outcome(capsys, argv, expected):
+def test_norm_at_an_extreme_scale_exits_with_the_code_of_its_outcome(
+    capsys, mpmath_norm, argv, expected
+):
     code = main(argv)
     out, err = capsys.readouterr()
-    assert code == expected
+    assert code == (3 if expected is None else 0)
     assert "Traceback" not in err
-    if expected == 3:
+    if expected is None:
         assert err.startswith("numeric error: ")
     else:
-        assert json.loads(out)["value"] == pytest.approx(math.sqrt(2.0) * 1e-160, rel=1e-6)
+        assert json.loads(out)["value"] == pytest.approx(expected(mpmath_norm), rel=1e-12, abs=0)
+
+
+def test_quadrature_divergence_names_the_ceiling_in_the_law_units(capsys):
+    # the search runs on the unit law up to 1e9, which is 1e-91 at scale 1e-100
+    code = main(_norm_argv("halfgauss_pow", "3", "p=2", "scale=1e-100"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "numeric error: exponential moment stays above 2 for every K up to 1e-91\n"
 
 
 @pytest.mark.parametrize(
@@ -519,6 +539,28 @@ def test_bound_domination_fails_on_one_inflated_exp_row(monkeypatch):
     result = verify.check_bound_domination()
     assert not result.passed
     assert "exp n=100: 12 rows, 1 violations" in result.detail
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DistributionSpec.weibull(0.7, 1.5), DistributionSpec.pnormal(3.0),
+     DistributionSpec.halfgauss_pow(1.5, 2.0)],
+    ids=lambda spec: spec.family,
+)
+def test_density_normalization_integrand_is_finite_where_x_underflows(spec):
+    # at u = 1e-250, x = scale * u**e underflows to 0 for weibull(0.7, 1.5),
+    # where dist.density returns its pole; in logs the integrand stays the
+    # base density of u, and elsewhere it is density(x) dx/du
+    law = dist.canonical(spec)
+    theta, e = law.scale, law.e
+    integrand = verify._density_in_base_variable(spec)
+    base = math.exp(law.log_base_pdf(1e-250)) / (2.0 if spec.symmetric else 1.0)
+    assert integrand(1e-250) == pytest.approx(base, rel=1e-12)
+    if spec.order < 1.0:
+        assert theta * 1e-250**e == 0.0 and dist.density(spec, 0.0) == math.inf
+    for u in (1e-3, 0.5, 2.0, 5.0):
+        product = dist.density(spec, theta * u**e) * theta * e * u ** (e - 1.0)
+        assert integrand(u) == pytest.approx(product, rel=1e-13)
 
 
 def test_exact_exp_tail_is_the_gamma_law_tail():

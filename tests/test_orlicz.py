@@ -3,7 +3,6 @@ import functools
 import math
 import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +27,7 @@ from subweibull import (
 from subweibull import ExperimentPlan, VectorModel, orlicz, verify
 from subweibull.dist import canonical, mean
 from subweibull.montecarlo import BOOTSTRAP_STREAM_BASE, deviations
-from subweibull.orlicz import OrliczNormResult
+from subweibull.orlicz import OrliczNormResult, psi_norm_quadrature_canonical
 from subweibull.quadrature import improper_integral
 
 EXP = DistributionSpec.exponential()
@@ -129,12 +128,42 @@ def _quadrature_reference(spec, p, tol, center=0.0):
     )
 
 
+def _reference_norm(mpmath_norm, spec, p, guess, center=0.0):
+    """The norm's closed form at the family's own order, else its mpmath root."""
+    if p == spec.order and center == 0.0:
+        return psi_norm_analytic(spec, p).value
+    return mpmath_norm(canonical(spec), p, guess, center)
+
+
+def _check_located(spec, p, tol, result, reference, center=0.0):
+    """``result`` is ``reference`` to 1e-12 relative, on a bracket the bisection would decide.
+
+    Its value is the bracket's top, where phi is at most 2, and phi is above
+    2 at its bottom; the bracket is at most tol or 1e-12 relative wide.
+    """
+    law = canonical(spec)
+    lo, hi = result.bracket
+    assert result.value == hi == pytest.approx(reference, rel=1e-12, abs=0.0)
+    assert hi - lo <= max(tol, 1e-12 * hi) * (1.0 + 1e-9)
+    assert exp_moment(law, p, hi, center) <= 2.0 < exp_moment(law, p, lo, center)
+    assert result.residual <= 1e-10
+    assert result.method == "quadrature"
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
 @pytest.mark.parametrize("law", list(_GRID_LAWS))
-def test_quadrature_norm_is_the_bisection_bit_for_bit(law, tol):
+def test_quadrature_norm_is_the_bisection_bit_for_bit(law, tol, mpmath_norm):
+    # every finite norm is its reference on a bracket the bisection decides;
+    # a divergent one raises, naming its ceiling in units of the law's scale
     spec = _GRID_LAWS[law]
+    ceiling = spec.scale * orlicz.QUADRATURE_K_MAX
     for p in _GRID_ORDERS:
-        assert _outcome(psi_norm_quadrature, spec, p, tol) == _quadrature_reference(spec, p, tol)
+        if exp_moment(canonical(spec), p, ceiling) > 2.0:
+            message = f"exponential moment stays above 2 for every K up to {ceiling:g}"
+            assert _outcome(psi_norm_quadrature, spec, p, tol) == (DivergenceError, message)
+            continue
+        result = psi_norm_quadrature(spec, p, tol)
+        _check_located(spec, p, tol, result, _reference_norm(mpmath_norm, spec, p, result.value))
 
 
 _POLISHED = [
@@ -150,11 +179,12 @@ _POLISHED = [
     + [(EXP, 1.0, 1e-8)]  # the root lies next to the dyadic probe K = 2
     + [(spec, spec.order, 1e-8) for spec in _GRID_LAWS.values()],
 )
-def test_quadrature_norm_is_certified_without_a_bisection(bisected_rows, spec, p, tol):
-    expected = _quadrature_reference(spec, p, tol)
+def test_quadrature_norm_is_certified_without_a_bisection(bisected_rows, mpmath_norm, spec, p, tol):
+    # the located bracket is the answer: no bisection from the floor runs
     bisected_rows[0] = 0
-    assert psi_norm_quadrature(spec, p, tol) == expected
+    result = psi_norm_quadrature(spec, p, tol)
     assert bisected_rows[0] == 0
+    _check_located(spec, p, tol, result, _reference_norm(mpmath_norm, spec, p, result.value))
 
 
 def test_certified_cases_cover_polish_and_infinite_phi():
@@ -171,10 +201,15 @@ def test_certified_cases_cover_polish_and_infinite_phi():
     "spec, p",
     [(EXP, 1.0), (DistributionSpec.weibull(1.5), 1.0), (DistributionSpec.weibull(2.5, 1.5), 2.0)],
 )
-def test_centered_quadrature_norm_is_the_bisection(spec, p):
+def test_centered_quadrature_norm_is_the_bisection(mpmath_norm, spec, p):
     lhs, rhs = centering_bound_check(spec, p)
-    assert lhs == _quadrature_reference(spec, p, orlicz.DEFAULT_TOL, mean(spec)).value
-    assert rhs == 2.0 * _quadrature_reference(spec, p, orlicz.DEFAULT_TOL).value
+    center = mean(spec)
+    result = psi_norm_quadrature_canonical(canonical(spec), p, center=center)
+    assert lhs == result.value
+    _check_located(spec, p, orlicz.DEFAULT_TOL, result,
+                   mpmath_norm(canonical(spec), p, lhs, center), center)
+    assert rhs == pytest.approx(2.0 * _reference_norm(mpmath_norm, spec, p, rhs / 2.0),
+                                rel=1e-12, abs=0.0)
 
 
 def test_quadrature_divergence_raises_like_the_bisection():
@@ -183,7 +218,11 @@ def test_quadrature_divergence_raises_like_the_bisection():
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-3, 1.0 - 1e-3])
-def test_quadrature_falls_back_when_the_located_root_is_off(monkeypatch, bisected_rows, factor):
+def test_quadrature_falls_back_when_the_located_root_is_off(
+    monkeypatch, bisected_rows, mpmath_norm, factor
+):
+    # phi at a pushed bracket's ends does not straddle 2: it is bisected from
+    # the floor, here to a tol that leaves it within 1e-12 of the reference
     locate = orlicz._locate_root
 
     def pushed(*args):
@@ -192,27 +231,34 @@ def test_quadrature_falls_back_when_the_located_root_is_off(monkeypatch, bisecte
 
     monkeypatch.setattr(orlicz, "_locate_root", pushed)
     for spec, p in [(DistributionSpec.pnormal(3.0), 2.0), *_POLISHED]:
-        expected = _quadrature_reference(spec, p, 1e-6)
         bisected_rows[0] = 0
-        assert psi_norm_quadrature(spec, p, 1e-6) == expected
+        result = psi_norm_quadrature(spec, p, 1e-13)
         assert bisected_rows[0] == 1
+        _check_located(spec, p, 1e-13, result,
+                       _reference_norm(mpmath_norm, spec, p, result.value))
 
 
-def test_quadrature_certifies_a_wide_but_right_located_bracket(monkeypatch, bisected_rows):
-    # the replay reads the bracket's low end as the root, so a widened one
-    # fails the certificate and costs one bisection on phi, with the same bits
+def test_quadrature_certifies_a_wide_but_right_located_bracket(
+    monkeypatch, bisected_rows, mpmath_norm
+):
+    # a widened bracket still straddles the root, so it is taken and bisected
+    # on down to tol, with no bisection from the floor
     locate = orlicz._locate_root
+    widths = []
 
     def widened(*args):
         a, b = locate(*args)
+        widths.append(1.1 * b - 0.9 * a)
         return 0.9 * a, 1.1 * b
 
     monkeypatch.setattr(orlicz, "_locate_root", widened)
     for spec, p in [(EXP, 1.0), (DistributionSpec.pnormal(3.0), 2.0), *_POLISHED]:
-        expected = _quadrature_reference(spec, p, 1e-6)
         bisected_rows[0] = 0
-        assert psi_norm_quadrature(spec, p, 1e-6) == expected
-        assert bisected_rows[0] == 1
+        result = psi_norm_quadrature(spec, p, 1e-13)
+        assert bisected_rows[0] == 0
+        assert widths[-1] > 0.1
+        _check_located(spec, p, 1e-13, result,
+                       _reference_norm(mpmath_norm, spec, p, result.value))
 
 
 @pytest.mark.parametrize(
@@ -399,34 +445,20 @@ def test_empirical_exp_matches_quadrature():
     assert abs(got - oracle) <= 0.05
 
 
-def _mpmath_norm(base_density, magnitude, p, guess):
-    """Root of E exp((|X|/K)**p) = 2 at 30 digits, with |X| = magnitude(B), B ~ base_density."""
-    with mp.workdps(30):
-        phi = lambda K: mp.quad(
-            lambda b: base_density(b) * mp.exp((magnitude(b) / K) ** p), [0, 1, 4, 16, mp.inf]
-        )
-        return float(mp.findroot(lambda K: phi(K) - 2, mp.mpf(guess)))
-
-
-_UNIT_EXP = lambda b: mp.exp(-b)
-_HALF_GAUSS = lambda g: 2 * mp.npdf(g)
-
-# off the closed-form table: (spec, order, base density, |X| as a function of the base draw)
+# off the closed-form table: (spec, order)
 _OFF_TABLE = {
-    "weibull(1.5) p=1": (DistributionSpec.weibull(1.5, 1.0), 1.0, _UNIT_EXP,
-                         lambda b: b ** (1 / mp.mpf(1.5))),
-    "pnormal(3) p=2": (DistributionSpec.pnormal(3.0), 2.0, _HALF_GAUSS,
-                       lambda g: g ** (2 / mp.mpf(3))),
-    "exp p=0.5": (EXP, 0.5, _UNIT_EXP, lambda b: b),
+    "weibull(1.5) p=1": (DistributionSpec.weibull(1.5, 1.0), 1.0),
+    "pnormal(3) p=2": (DistributionSpec.pnormal(3.0), 2.0),
+    "exp p=0.5": (EXP, 0.5),
 }
 
 
 @pytest.mark.parametrize("name", list(_OFF_TABLE))
-def test_empirical_norm_approaches_the_quadrature_norm(name):
-    spec, p, base_density, magnitude = _OFF_TABLE[name]
+def test_empirical_norm_approaches_the_quadrature_norm(mpmath_norm, name):
+    spec, p = _OFF_TABLE[name]
     quadrature = psi_norm_quadrature(spec, p, tol=1e-8).value
-    reference = _mpmath_norm(base_density, magnitude, p, quadrature)
-    assert quadrature == pytest.approx(reference, rel=1e-6)
+    reference = mpmath_norm(canonical(spec), p, quadrature)
+    assert quadrature == pytest.approx(reference, rel=1e-12)
     draws = sample(spec, RandomStream(20_240_817, 0), 1_000_000)
     assert psi_norm_empirical(draws, p).value == pytest.approx(reference, rel=1e-2)
 

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from subweibull import dist, orlicz, quadrature
+from subweibull.dist import DistributionSpec
 from subweibull.quadrature import improper_integral, segment_integral
 
 
@@ -123,3 +125,60 @@ def test_unconverged_segment_returns_the_last_estimate():
     got = segment_integral(lambda x: abs(x - 1.0), 0.0, 3.0)
     assert math.isfinite(got)
     assert got == pytest.approx(2.5, rel=1e-4)
+
+
+_W, _P, _H = DistributionSpec.weibull, DistributionSpec.pnormal, DistributionSpec.halfgauss_pow
+_FLOOR_LAWS = [
+    DistributionSpec.exponential(), _W(0.5), _W(0.7, 1.5), _W(1.5), _W(2.0), _W(2.5, 1.5),
+    _W(3.0, 2.0), _P(1.0), _P(2.0), _P(3.0), _P(4.0), _H(1.0, 1.7), _H(2.0, 0.5), _H(2.5),
+    _H(4.0, 0.5),
+]
+
+
+def _floor_grid():
+    """Every package integrand over laws, orders, K from 0.3 to 350, centers and mgf arguments."""
+    calls = []
+    for spec in _FLOOR_LAWS:
+        law = dist.canonical(spec)
+        for p in (0.5, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0):
+            for i in range(45):
+                for center in (0.0, 0.7, 2.9):
+                    calls.append(lambda law=law, p=p, K=0.3 * 1.17**i, center=center:
+                                 orlicz.exp_moment(law, p, K, center))
+        for alpha in (0.25, 0.5, 1.0, 2.0, 3.5, 8.0):
+            calls.append(lambda spec=spec, alpha=alpha: dist.moment_abs_quadrature(spec, alpha))
+        for t in (-2.0, -0.5, 0.0, 0.1, 0.3, 0.49, 0.9):
+            for power in (None, 1.0, 2.0, spec.order):
+                calls.append(lambda spec=spec, t=t, power=power:
+                             dist.mgf_quadrature(spec, t, power))
+    return calls
+
+
+def test_the_floor_moves_no_bit(monkeypatch):
+    # a piece that stops at 2**-60 of the integral so far leaves an error too
+    # small to move the sum's rounding: every value equals the floorless one
+    calls = _floor_grid()
+    with_floor = [call() for call in calls]
+    rule = quadrature._tanh_sinh
+    monkeypatch.setattr(quadrature, "_tanh_sinh", lambda fn, a, b, floor=0.0: rule(fn, a, b))
+    without = [call() for call in calls]
+    assert len(calls) > 14_000
+    assert sum(math.isfinite(v) for v in with_floor) > 8_000
+    moved = [(i, x, y) for i, (x, y) in enumerate(zip(with_floor, without)) if x != y]
+    assert moved == []
+
+
+def test_the_floor_saves_work():
+    # exp(-x) on [32, 64] adds about 1.3e-14 to an integral near 1: with the
+    # floor it takes at most the nodes of the two coarsest rules, steps 1 and
+    # 1/2 in t, and under a third of those it takes alone, to 1e-12 of itself
+    seen = []
+    got = improper_integral(_recorded(lambda x: math.exp(-x), seen))
+    assert got == pytest.approx(1.0, rel=1e-15)
+    level0, finer = quadrature._node_table()
+    coarsest_rules = (1 + 2 * len(level0)) + (1 + 2 * (len(level0) + len(finer[0][-1][0])))
+    piece = [x for x in seen if 32.0 < x < 64.0]
+    assert len(piece) <= coarsest_rules
+    alone = []
+    segment_integral(_recorded(lambda x: math.exp(-x), alone), 32.0, 64.0)
+    assert 3 * len(piece) < len(alone)
