@@ -333,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cumulant", choices=("exp_centered", "exp_centered_sum", "gaussian"))
     sp.add_argument("--n", type=int, default=1, help="summand count for exp_centered_sum")
     sp.add_argument("--sigma", type=float, default=1.0, help="std deviation for gaussian")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=1e-6,
+                    help="bound on the reported bracket's width, which is about 1e-12 "
+                         "relative anyway (default 1e-6)")
     sp.set_defaults(fn=cmd_tau)
 
     sp = sub.add_parser("conjugate", help="numerical convex conjugate")

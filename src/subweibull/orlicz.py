@@ -13,19 +13,19 @@ in units of the scale.  A safeguarded secant on log Phi - log 2 brackets
 that root to 1e-12 relative (see ``_locate_root``); Phi at the bracket's
 ends, both already computed, straddles 2, and the bracket is the answer,
 bisected on only while it is wider than the tolerance.  A root the secant
-cannot bracket is bisected from the floor by ``_bisect_norm``.
+cannot bracket is bisected from the floor by ``_bisect_norm``.  That rule
+is ``_root_norm``, which ``tau.tau_norm`` shares on its curvature margin.
 
 The sample norm returns the bits of ``_bisect_norm`` without paying for
-its probes; ``tau.tau_norm`` does the same on its feasibility test.  Each
-row's root is located by Newton, started at a two-moment bound on the root
-and stopped after its first step below 1e-6 relative (see
-``_newton_roots``; ``tau_norm`` uses the secant).  The bisection is then
-replayed in plain floats against that point root, with no Phi but the same
-``_bracket`` (see ``_replay``).  It asks for no K strictly inside its final
-bracket (after a shrink, its first hi is the floor's last halving), so real
-evaluations of Phi at the replay's final lo and hi, one batched call for
-every row of a sample, certify it.  A norm the certificate rejects is
-bisected on its own Phi.
+its probes, so that its ends stay comparisons of the draws.  Each row's
+root is located by Newton, started at a two-moment bound on the root and
+stopped after its first step below 1e-6 relative (see ``_newton_roots``).
+The bisection is then replayed in plain floats against that point root,
+with no Phi but the same ``_bracket`` (see ``_replay``).  It asks for no K
+strictly inside its final bracket (after a shrink, its first hi is the
+floor's last halving), so real evaluations of Phi at the replay's final lo
+and hi, one batched call for every row of a sample, certify it.  A norm the
+certificate rejects is bisected on its own Phi.
 
 Divergent exponential moments are recognized in closed form for the
 canonical integrands (the growth exponent versus the base density's decay
@@ -72,7 +72,6 @@ METHOD_EMPIRICAL = "empirical"
 
 DEFAULT_TOL = 1e-6  # absolute bisection bracket width
 QUADRATURE_K_MAX = 1e9  # quadrature norms above this many times the scale count as divergent
-RESIDUAL_TARGET = 1e-6
 MAX_BISECTIONS = 200
 _EMPIRICAL_K_MAX = 1e18  # empirical norms above this ceiling count as divergent
 _NEWTON_STEPS = 100  # a row still moving after this many goes to the certificate as it is
@@ -157,18 +156,15 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
 
 
 def _bisect_norm(
-    phi, lo_start: float, p: float, tol: float, method: str, k_max: float, polish_residual: bool
+    phi, lo_start: float, p: float, tol: float, method: str, k_max: float
 ) -> OrliczNormResult:
-    """Smallest K with phi(K) <= 2 for a nonincreasing scalar ``phi``: bisects its ``_bracket``.
-
-    With ``polish_residual`` it also bisects until |phi(hi) - 2| <= ``RESIDUAL_TARGET``.
-    """
+    """Smallest K with phi(K) <= 2 for a nonincreasing scalar ``phi``: bisects its ``_bracket``."""
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     lo, f_lo, hi, f_hi = _bracket(phi, lo_start, k_max)
     if lo == 0.0:
         return OrliczNormResult(0.0, p, method, (0.0, hi), abs(f_hi - 2.0))
-    return _bisect_bracket(phi, lo, f_lo, hi, f_hi, p, tol, method, polish_residual, MAX_BISECTIONS)
+    return _bisect_bracket(phi, lo, f_lo, hi, f_hi, p, tol, method)
 
 
 def _bracket(phi, lo_start: float, k_max: float):
@@ -202,14 +198,17 @@ def _diverged(k_max: float) -> DivergenceError:
 
 
 def _bisect_bracket(
-    phi, lo: float, f_lo: float, hi: float, f_hi: float, p: float, tol: float, method: str,
-    polish_residual: bool, steps: int,
+    phi, lo: float, f_lo: float, hi: float, f_hi: float, p: float, tol: float, method: str
 ) -> OrliczNormResult:
-    """``_bisect_norm``'s bisection of (lo, hi), phi(hi) <= 2 < phi(lo), in at most ``steps``."""
-    for _ in range(steps):
-        if hi - lo <= tol and (not polish_residual or abs(f_hi - 2.0) <= RESIDUAL_TARGET):
-            break
+    """``_bisect_norm``'s bisection of (lo, hi), phi(hi) <= 2 < phi(lo).
+
+    It stops at a width of ``tol``, at adjacent doubles (whose midpoint is
+    an end, so no halving moves either) or after ``MAX_BISECTIONS`` steps.
+    """
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or not lo < mid < hi:
+            break
         f_mid = phi(mid)
         # phi >= 0, so values in order pass the test outright
         if not (f_hi <= f_mid <= f_lo or _monotone(f_lo, f_mid, f_hi)):
@@ -285,6 +284,26 @@ def _anderson_bjorck(g_new: float, g_old: float) -> float:
     return m if m > 0.0 else 0.5
 
 
+def _root_norm(
+    phi, g, floor: float, lo_start: float, k_max: float, p: float, tol: float, method: str
+) -> OrliczNormResult:
+    """Smallest K with phi(K) <= 2, from the bracket ``_locate_root`` finds on ``g``.
+
+    ``g`` has the sign of the test phi(K) <= 2, and phi is cheap to ask again
+    at the points g has seen.  A located (a, b) with phi(b) <= 2 < phi(a) is
+    bisected on only while it is wider than ``tol``; a root the secant
+    cannot bracket, or a bracket whose ends do not straddle 2, is bisected
+    from ``lo_start`` by ``_bisect_norm``, with all of its checks and errors.
+    """
+    located = _locate_root(g, floor, k_max)
+    if located is not None:
+        a, b = located
+        f_a, f_b = phi(a), phi(b)
+        if f_b <= 2.0 < f_a:
+            return _bisect_bracket(phi, a, f_a, b, f_b, p, tol, method)
+    return _bisect_norm(phi, lo_start, p, tol, method, k_max)
+
+
 def psi_norm_quadrature_canonical(
     law: CanonicalLaw,
     p: float,
@@ -296,11 +315,9 @@ def psi_norm_quadrature_canonical(
 
     The norm is homogeneous, so it is ``scale`` times the norm of the law at
     scale 1, shifted by ``center / scale``.  There a secant on log Phi - log 2
-    brackets the root to 1e-12 relative (``_locate_root``), and a bracket
-    still wider than ``tol / scale`` is bisected on.  A root the secant
-    cannot bracket, or a bracket whose Phi values do not straddle 2, is
-    bisected from the floor, with every check and error of ``_bisect_norm``.
-    The ceiling ``QUADRATURE_K_MAX`` is in units of the scale.
+    brackets the root to 1e-12 relative, and a bracket still wider than
+    ``tol / scale`` is bisected on (see ``_root_norm``).  The ceiling
+    ``QUADRATURE_K_MAX`` is in units of the scale.
     """
     if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
@@ -308,45 +325,18 @@ def psi_norm_quadrature_canonical(
         raise ParameterError(f"tol must be > 0, got {tol}")
     scale = law.scale
     unit = CanonicalLaw(law.base, 1.0, law.order)
+    # cached, so checking the located ends costs no quadrature
     phi = functools.cache(lambda K: exp_moment(unit, p, K, center / scale))
-    # phi / 2 is exact and log(x) <= 0 exactly when x <= 1, so the sign of g
-    # is the bisection's test phi <= 2
-    located = _locate_root(lambda K: math.log(phi(K) / 2.0), 1e-6, QUADRATURE_K_MAX)
-    # phi is cached, so checking the located ends costs no quadrature
-    if located is not None and phi(located[1]) <= 2.0 < phi(located[0]):
-        a, b = located
-        result = _bisect_bracket(
-            phi, a, phi(a), b, phi(b), p, tol / scale, METHOD_QUADRATURE, False, MAX_BISECTIONS
-        )
-    else:
-        try:
-            result = _bisect_norm(
-                phi, 1e-6, p, tol / scale, METHOD_QUADRATURE, QUADRATURE_K_MAX, False
-            )
-        except DivergenceError:
-            raise _diverged(scale * QUADRATURE_K_MAX) from None
+    try:
+        # phi / 2 is exact and log(x) <= 0 exactly when x <= 1, so the sign of
+        # g is the bisection's test phi <= 2
+        result = _root_norm(phi, lambda K: math.log(phi(K) / 2.0), 1e-6, 1e-6, QUADRATURE_K_MAX,
+                            p, tol / scale, METHOD_QUADRATURE)
+    except DivergenceError:
+        raise _diverged(scale * QUADRATURE_K_MAX) from None
     lo, hi = result.bracket
     return OrliczNormResult(scale * result.value, p, METHOD_QUADRATURE, (scale * lo, scale * hi),
                             result.residual)
-
-
-def _located_norm(
-    phi, located, lo_start: float, p: float, tol: float, method: str, k_max: float, polish: bool
-) -> OrliczNormResult:
-    """``_bisect_norm`` of the scalar ``phi``, bit for bit, steered by its root in ``located``.
-
-    ``located`` is an (a, b) of ``_locate_root``, or None, when the plain
-    bisection runs.  Otherwise phi(a) > 2 is known, so the bisection is
-    replayed against the point root a and certified (see
-    ``_located_bisection``).
-    """
-    if located is None:
-        return _bisect_norm(phi, lo_start, p, tol, method, k_max, polish)
-    (result,) = _located_bisection(
-        lambda K, rows: np.array([phi(k) for k in K.tolist()]), [located[0]], [lo_start], p, tol,
-        method, k_max, polish,
-    )
-    return result
 
 
 def psi_norm_quadrature(
@@ -412,10 +402,7 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     # at this K the largest sample alone pushes the mean above 2; the floor
     # at tol is corrected downward by the bisection if it overshoots
     lo = np.maximum(tol, top / math.log(2.0 * n) ** (1.0 / p))
-    found = _located_bisection(
-        phi, _newton_roots(x, top, p).tolist(), lo.tolist(), p, tol, METHOD_EMPIRICAL,
-        _EMPIRICAL_K_MAX, False,
-    )
+    found = _located_bisection(phi, _newton_roots(x, top, p).tolist(), lo.tolist(), p, tol)
     # an all-zero row has norm 0
     results = [OrliczNormResult(0.0, p, METHOD_EMPIRICAL, (0.0, tol), 1.0)] * len(rows)
     for i, result in zip(live.tolist(), found):
@@ -468,9 +455,7 @@ def _newton_start(y: np.ndarray) -> np.ndarray:
     return np.minimum(math.log(2.0 * n), m / q * np.log1p(q / (m * m)))
 
 
-def _located_bisection(
-    phi, roots, lo_start, p: float, tol: float, method: str, k_max: float, polish: bool
-):
+def _located_bisection(phi, roots, lo_start, p: float, tol: float):
     """``_bisect_norm`` of each row's phi, bit for bit, steered by located point roots.
 
     ``phi(K, rows)`` evaluates the rows ``rows`` at the matching entries of
@@ -479,56 +464,53 @@ def _located_bisection(
     takes every replay's final lo and hi.  The row is certified when
     phi(hi) <= 2 < phi(lo): the bisection asks for no K strictly inside its
     final bracket, so phi, being nonincreasing, decides every K the replay
-    asked for as the replay did, whatever the root.  The replay is then the
-    bisection, which goes on from its bracket on phi with the steps it has
-    left, as the residual ``polish`` may.  A row that fails the certificate,
-    or whose replay diverges or ends at the zero norm, is bisected alone on
-    phi, with every check and error of ``_bisect_norm``.
+    asked for as the replay did, whatever the root, and the replay's bracket
+    is the bisection's.  A row that fails the certificate, or whose replay
+    diverges or ends at the zero norm, is bisected alone on phi, with every
+    check and error of ``_bisect_norm``.
     """
-    replays = [_replay(lo, root, tol, k_max) for lo, root in zip(lo_start, roots)]
+    replays = [_replay(lo, root, tol) for lo, root in zip(lo_start, roots)]
     rows = [i for i, replay in enumerate(replays) if replay is not None]
-    points = [K for i in rows for K in replays[i][:2]]
+    points = [K for i in rows for K in replays[i]]
     values = iter(phi(np.array(points), np.repeat(np.array(rows, dtype=int), 2)).tolist())
-
-    def real(i):
-        return lambda K: phi(np.array([K]), np.array([i])).item()
-
     results = []
     for i, replay in enumerate(replays):
         if replay is not None:
-            lo, hi, steps = replay
+            lo, hi = replay
             f_lo, f_hi = next(values), next(values)
             if f_hi <= 2.0 < f_lo:
-                results.append(_bisect_bracket(
-                    real(i), lo, f_lo, hi, f_hi, p, tol, method, polish, MAX_BISECTIONS - steps
-                ))
+                results.append(OrliczNormResult(hi, p, METHOD_EMPIRICAL, (lo, hi), abs(f_hi - 2.0)))
                 continue
-        results.append(_bisect_norm(real(i), lo_start[i], p, tol, method, k_max, polish))
+        results.append(_bisect_norm(
+            lambda K: phi(np.array([K]), np.array([i])).item(), lo_start[i], p, tol,
+            METHOD_EMPIRICAL, _EMPIRICAL_K_MAX,
+        ))
     return results
 
 
-def _replay(lo_start: float, root: float, tol: float, k_max: float):
-    """``_bisect_norm`` on "phi(K) <= 2 exactly when K > root": (lo, hi, bisection steps).
+def _replay(lo_start: float, root: float, tol: float):
+    """``_bisect_norm``'s final (lo, hi) on "phi(K) <= 2 exactly when K > root".
 
     None where its ``_bracket`` ends at the zero norm or raises
-    ``DivergenceError``.  No residual polish: the bracket is the one the
-    polish starts from.
+    ``DivergenceError``.  It stops where ``_bisect_bracket`` does.
     """
     try:
-        lo, _, hi, _ = _bracket(lambda K: math.inf if K <= root else 1.0, lo_start, k_max)
+        lo, _, hi, _ = _bracket(
+            lambda K: math.inf if K <= root else 1.0, lo_start, _EMPIRICAL_K_MAX
+        )
     except DivergenceError:
         return None
     if lo == 0.0:
         return None
-    steps = 0
-    while hi - lo > tol and steps < MAX_BISECTIONS:
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or not lo < mid < hi:
+            break
         if mid > root:
             hi = mid
         else:
             lo = mid
-        steps += 1
-    return lo, hi, steps
+    return lo, hi
 
 
 _ANALYTIC_TABLE_NOTE = (

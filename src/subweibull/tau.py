@@ -15,11 +15,10 @@ is what the feasibility check decides.  Every cumulant built here has a
 convex C'', so the sup is the larger of C''(-1/K) and C''(1/K); a hand-built
 ``Cumulant`` must keep that property (see its docstring).  The check is
 monotone in K (a larger K both shrinks the window and raises the parabola),
-so the norm is found by the psi_p norms' bisection, whose answer a secant on
-the curvature margin locates first and two real checks certify (see
-``tau_norm``).  For the unit-rate centered exponential the binding equation
-is C''(1/K) = K**2 with solution K = 2, and the centered sum of n copies
-gives sqrt(n) + 1.
+so the norm is the root of the curvature margin, bracketed to 1e-12
+relative by the secant of the quadrature norms (see ``tau_norm``).  For the
+unit-rate centered exponential the binding equation is C''(1/K) = K**2 with
+solution K = 2, and the centered sum of n copies gives sqrt(n) + 1.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import (
     ParameterError,
     UnboundedSupremumError,
 )
-from .orlicz import _locate_root, _located_norm
+from .orlicz import _root_norm
 
 _DOMAIN_EDGE = 1e-12  # evaluations this close to a domain edge return inf
 
@@ -306,15 +305,13 @@ def tau_feasible(cumulant: Cumulant, K: float) -> bool:
 def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
     """Smallest K whose curvature bound certifies cumulant domination.
 
-    Feasibility is monotone in K, so the norm is the psi_p norms' bisection
-    (``orlicz._bisect_norm``) started at K = 1 on a stand-in for Phi that is
-    at most 2 exactly where K is feasible.  Its answer is found with a
-    fraction of the bisection's curvature scans: a secant locates the root
-    of the margin, the bisection is replayed in plain floats against the
-    last infeasible K it found, and real feasibility checks at the final
-    bracket certify the replay, falling back to the bisection itself (see
-    ``orlicz._located_norm``).  Raises ``InfeasibleError`` when no K up to
-    ``K_MAX`` works.
+    Feasibility is monotone in K, so the norm is the root of the curvature
+    margin, found by the quadrature norms' rule (``orlicz._root_norm``): a
+    secant brackets it to 1e-12 relative, and the bracket's feasible end is
+    the norm, bisected on only while the bracket is wider than ``tol``.  A
+    root the secant cannot bracket is bisected from K = 1 on a stand-in for
+    Phi that is at most 2 exactly where K is feasible.  Raises
+    ``InfeasibleError`` when no K up to ``K_MAX`` works.
     """
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
@@ -322,9 +319,9 @@ def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
         raise ParameterError("cumulant must vanish at 0")
     margin = functools.cache(lambda K: _margin(_window_curvature_sup(cumulant, K), K))
     try:
-        value = _located_norm(
-            lambda K: 1.0 if margin(K) <= 0.0 else math.inf, _locate_root(margin, 1e-12, K_MAX),
-            1.0, 1.0, tol, "tau", K_MAX, False,
+        value = _root_norm(
+            lambda K: 1.0 if margin(K) <= 0.0 else math.inf, margin, 1e-12, 1.0, K_MAX, 1.0, tol,
+            "tau",
         ).value
     except DivergenceError:
         raise InfeasibleError(f"no feasible K up to {K_MAX:g}") from None

@@ -323,19 +323,14 @@ def check_biconjugacy() -> CheckResult:
 
 
 def check_tau_values() -> CheckResult:
-    details = []
-    ok = True
-    got = tau.tau_norm(tau.exp_centered(), tol=1e-8).value
-    ok &= abs(got - 2.0) <= 1e-6
-    details.append(f"exp_centered: {got:.9g}")
-    for n in (1, 4, 9, 100):
-        got = tau.tau_norm(tau.iid_sum(tau.exp_centered(), n), tol=1e-6).value
-        ok &= abs(got - (math.sqrt(n) + 1.0)) <= 1e-4
-        details.append(f"sum n={n}: {got:.8g}")
-    for sigma in (0.5, 1.0, 2.0):
-        got = tau.tau_norm(tau.gaussian(sigma), tol=1e-8).value
-        ok &= abs(got - sigma) <= 1e-6
-    return _result("tau.values", ok, "; ".join(details))
+    """Each norm is its closed form, 2, sqrt(n) + 1 or sigma, to 1e-12 relative."""
+    cases = [(tau.exp_centered(), 1e-8, 2.0)]
+    cases += [(tau.iid_sum(tau.exp_centered(), n), 1e-6, math.sqrt(n) + 1.0)
+              for n in (1, 4, 9, 100)]
+    cases += [(tau.gaussian(sigma), 1e-8, sigma) for sigma in (0.5, 1.0, 2.0)]
+    worst = max(abs(tau.tau_norm(cum, tol).value - exact) / exact for cum, tol, exact in cases)
+    return _result("tau.values", worst <= 1e-12,
+                   f"max relative error = {worst:.3g} over {len(cases)} norms")
 
 
 def check_tau_mgf_domination() -> CheckResult:
@@ -375,8 +370,9 @@ def check_tau_scaling() -> CheckResult:
     worst = 0.0
     for a in (0.5, 2.0):
         got = tau.tau_norm(tau.scaled(base, a), tol=1e-8).value
-        worst = max(worst, abs(got - 2.0 * a))
-    return _result("tau.scaling", worst <= 1e-6, f"max |tau(aX) - a tau(X)| = {worst:.3g}")
+        worst = max(worst, abs(got - 2.0 * a) / (2.0 * a))
+    return _result("tau.scaling", worst <= 1e-12,
+                   f"max |tau(aX) - a tau(X)| / (a tau(X)) = {worst:.3g}")
 
 
 def check_rotation_invariance() -> CheckResult:

@@ -124,7 +124,7 @@ def _quadrature_reference(spec, p, tol, center=0.0):
     law = canonical(spec)
     return _outcome(
         orlicz._bisect_norm, lambda K: orlicz.exp_moment(law, p, K, center), 1e-6, p, tol,
-        orlicz.METHOD_QUADRATURE, orlicz.QUADRATURE_K_MAX, True,
+        orlicz.METHOD_QUADRATURE, orlicz.QUADRATURE_K_MAX,
     )
 
 
@@ -188,10 +188,6 @@ def test_quadrature_norm_is_certified_without_a_bisection(bisected_rows, mpmath_
 
 
 def test_certified_cases_cover_polish_and_infinite_phi():
-    # the residual polish bisects past a bracket of tol, so the last width is below tol / 2
-    for spec, p in _POLISHED:
-        lo, hi = _quadrature_reference(spec, p, 1e-6).bracket
-        assert hi - lo <= 0.5e-6
     # at the family's own order the exponential moment diverges at K = scale
     for spec in _GRID_LAWS.values():
         assert exp_moment(canonical(spec), spec.order, spec.scale) == math.inf
@@ -276,10 +272,11 @@ def test_certificate_checks_the_points_inside_the_bracket(bisected_rows, root, d
     def phi(K, rows):
         return np.array([phi_at(k) for k in K.tolist()])
 
-    args = (1.0, 1e-4, orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False)
-    expected = orlicz._bisect_norm(phi_at, 1e-4, *args)
+    expected = orlicz._bisect_norm(
+        phi_at, 1e-4, 1.0, 1e-4, orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX
+    )
     bisected_rows[0] = 0
-    (result,) = orlicz._located_bisection(phi, [3e-5], [1e-4], *args)
+    (result,) = orlicz._located_bisection(phi, [3e-5], [1e-4], 1.0, 1e-4)
     assert result == expected
     assert bisected_rows[0] == 1
 
@@ -760,17 +757,17 @@ def _asked_points(lo_start, root, tol):
     with contextlib.suppress(DivergenceError):
         orlicz._bisect_norm(
             _stand_in(root, asked), lo_start, 1.0, tol, orlicz.METHOD_EMPIRICAL,
-            orlicz._EMPIRICAL_K_MAX, False,
+            orlicz._EMPIRICAL_K_MAX,
         )
     return asked
 
 
-def _stand_in_bisection(lo_start, root, tol, polish):
+def _stand_in_bisection(lo_start, root, tol):
     """``_bisect_norm`` of ``_stand_in(root)``: its bracket, or None if it diverges or ends at 0."""
     try:
         result = orlicz._bisect_norm(
             _stand_in(root, []), lo_start, 1.0, tol, orlicz.METHOD_EMPIRICAL,
-            orlicz._EMPIRICAL_K_MAX, polish,
+            orlicz._EMPIRICAL_K_MAX,
         )
     except DivergenceError:
         return None
@@ -806,19 +803,7 @@ def test_replay_is_the_bisection_on_the_stand_in(rows, log_tol):
         elif kind == "asked":
             asked = _asked_points(lo, root, tol)
             root = asked[pick % len(asked)]
-        replay = orlicz._replay(lo, root, tol, orlicz._EMPIRICAL_K_MAX)
-        expected = _stand_in_bisection(lo, root, tol, False)
-        assert (replay and replay[:2]) == expected
-        if replay is not None:
-            # the stand-in never meets the residual target, so the polished
-            # bisection takes every step, and so does the replay's bracket
-            # bisected on with the steps the replay left
-            a, b, steps = replay
-            polished = orlicz._bisect_bracket(
-                _stand_in(root, []), a, math.inf, b, 1.0, 1.0, tol, orlicz.METHOD_EMPIRICAL,
-                True, orlicz.MAX_BISECTIONS - steps,
-            )
-            assert polished.bracket == _stand_in_bisection(lo, root, tol, True)
+        assert orlicz._replay(lo, root, tol) == _stand_in_bisection(lo, root, tol)
 
 
 @settings(max_examples=300, deadline=None)
@@ -838,7 +823,7 @@ def test_bisection_asks_for_no_point_inside_its_final_bracket(log_lo, log_root, 
     with contextlib.suppress(DivergenceError):
         result = orlicz._bisect_norm(
             lambda K: asked.append(K) or (math.inf if K < root else 1.0), lo_start, 1.0, tol,
-            orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX, False,
+            orlicz.METHOD_EMPIRICAL, orlicz._EMPIRICAL_K_MAX,
         )
         # the zero norm's bracket is (0, floor), and no replay takes it
         if result.value > 0.0:
@@ -866,11 +851,26 @@ def test_bisect_norm_finds_the_root():
     # take the expansion path, the floor 5 above the root 4 the shrink path
     for r, lo_start in enumerate([0.3, 5.0, 0.7]):
         phi = lambda K: 4.0 * (1 + r) / K
-        result = orlicz._bisect_norm(phi, lo_start, 1.0, 1e-9, "t", 1e9, True)
+        result = orlicz._bisect_norm(phi, lo_start, 1.0, 1e-9, "t", 1e9)
         assert result.value == pytest.approx(2.0 * (1 + r), rel=1e-8)
         lo, hi = result.bracket
         assert lo < 2.0 * (1 + r) <= hi == result.value and hi - lo <= 1e-9
-        assert result.residual == abs(phi(hi) - 2.0) <= orlicz.RESIDUAL_TARGET
+        assert result.residual == abs(phi(hi) - 2.0)
+
+
+def test_bisection_stops_at_adjacent_doubles():
+    # the root 2 is met from below, and at (2 - 2**-52, 2) the midpoint
+    # rounds to 2: two bracket probes and 52 halvings, not all 200
+    asked = []
+
+    def phi(K):
+        asked.append(K)
+        return 4.0 / K
+
+    result = orlicz._bisect_norm(phi, 1.0, 1.0, 5e-324, "t", 1e9)
+    assert result.bracket == (2.0 - 2.0**-52, 2.0)
+    assert len(asked) == 54
+    assert orlicz._replay(1.0, 2.0 - 2.0**-52, 5e-324) == result.bracket
 
 
 @pytest.mark.parametrize(
@@ -882,7 +882,7 @@ def test_bisect_norm_finds_the_root():
 )
 def test_bisect_norm_raises(bad_phi, error):
     with pytest.raises(error):
-        orlicz._bisect_norm(bad_phi, 1.0, 1.0, 1e-6, "t", 1e9, False)
+        orlicz._bisect_norm(bad_phi, 1.0, 1.0, 1e-6, "t", 1e9)
 
 
 def test_empirical_monotone_mean_exp():

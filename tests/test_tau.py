@@ -376,19 +376,25 @@ def tau_bisections(monkeypatch):
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
 @pytest.mark.parametrize("name", list(_TAU_CASES))
 def test_tau_norm_is_the_bisection_bit_for_bit(name, tol):
+    # the located bracket's feasible end: the bisection's root to 1e-12,
+    # feasible there and not just below, and the same bits at every tol
     cum = _TAU_CASES[name]()
-    assert_same_bits(tau_norm(cum, tol).value, _plain_tau_norm(cum, tol))
+    value = tau_norm(cum, tol).value
+    assert value == pytest.approx(_plain_tau_norm(cum, 1e-13), rel=1e-12, abs=0.0)
+    assert tau_feasible(cum, value)
+    assert not tau_feasible(cum, value * (1.0 - 2e-12))
+    assert_same_bits(value, tau_norm(cum, 1e-6 if tol != 1e-6 else 1e-8).value)
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-3, 1.0 - 1e-3])
 def test_tau_norm_falls_back_when_the_located_root_is_off(monkeypatch, tau_bisections, factor):
-    locate = tau._locate_root
+    locate = orlicz._locate_root
 
     def pushed(*args):
         a, b = locate(*args)
         return factor * a, factor * b
 
-    monkeypatch.setattr(tau, "_locate_root", pushed)
+    monkeypatch.setattr(orlicz, "_locate_root", pushed)
     for name in ("exp_centered", "sum100", "gaussian1"):
         cum = _TAU_CASES[name]()
         expected = _plain_tau_norm(cum, 1e-6)
@@ -398,21 +404,21 @@ def test_tau_norm_falls_back_when_the_located_root_is_off(monkeypatch, tau_bisec
 
 
 def test_tau_norm_certifies_a_wide_but_right_located_bracket(monkeypatch, tau_bisections):
-    # the replay reads the bracket's low end as the root, so a widened one
-    # fails the certificate and costs one bisection, with the same bits
-    locate = tau._locate_root
+    # a widened bracket still straddles the root, so it is bisected on down
+    # to tol, with no bisection from K = 1
+    locate = orlicz._locate_root
 
     def widened(*args):
         a, b = locate(*args)
         return 0.9 * a, 1.1 * b
 
-    monkeypatch.setattr(tau, "_locate_root", widened)
+    monkeypatch.setattr(orlicz, "_locate_root", widened)
     for name in ("exp_centered", "sum100", "gaussian1", "gaussian7.3"):
         cum = _TAU_CASES[name]()
-        expected = _plain_tau_norm(cum, 1e-6)
         tau_bisections[0] = 0
-        assert_same_bits(tau_norm(cum).value, expected)
-        assert tau_bisections[0] == 1
+        value = tau_norm(cum).value
+        assert tau_bisections[0] == 0
+        assert tau_feasible(cum, value) and not tau_feasible(cum, value - 1e-6)
 
 
 def test_tau_norm_takes_few_curvature_scans(monkeypatch):
