@@ -47,7 +47,9 @@ def dumps17(obj, indent: int = 0) -> str:
     Floats are tested first, as most values are floats.  A dataclass is
     written as the object of its fields, nested dataclasses included, which
     gives the bytes of writing ``dataclasses.asdict(obj)`` without its deep
-    copy.
+    copy.  A list or tuple of equal-length, non-empty rows of finite Python
+    floats (such as a margin profile) is written by one ``%``-format over a
+    template of its shape, with the bytes the element-wise recursion gives.
     """
     if isinstance(obj, float):
         # JSON spells the non-finite floats NaN, Infinity and -Infinity
@@ -64,6 +66,11 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        cells = _float_table_cells(obj)
+        if cells is not None:
+            cell = f"{inner}  %{montecarlo._FLOAT_SPEC}"
+            row = f"{inner}[\n" + ",\n".join([cell] * len(obj[0])) + f"\n{inner}]"
+            return ("[\n" + ",\n".join([row] * len(obj)) + f"\n{pad}]") % cells
         items = [f"{inner}{dumps17(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
@@ -73,6 +80,21 @@ def dumps17(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     return json.dumps(str(obj))
+
+
+def _float_table_cells(rows) -> tuple | None:
+    """The cells, row by row, of a table of equal-length, non-empty list or
+    tuple rows of finite Python floats; else None."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    cells = tuple([x for row in rows for x in row])
+    # exactly float: an np.float64 or a bool goes the element-wise way
+    if set(map(type, cells)) == {float} and all(map(math.isfinite, cells)):
+        return cells
+    return None
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -334,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1, help="summand count for exp_centered_sum")
     sp.add_argument("--sigma", type=float, default=1.0, help="std deviation for gaussian")
     sp.add_argument("--tol", type=float, default=1e-6,
-                    help="bound on the reported bracket's width, which is about 1e-12 "
-                         "relative anyway (default 1e-6)")
+                    help="bound on the reported bracket's width in units of sqrt C''(0), "
+                         "the standard deviation; the width is about 1e-12 relative "
+                         "anyway (default 1e-6)")
     sp.set_defaults(fn=cmd_tau)
 
     sp = sub.add_parser("conjugate", help="numerical convex conjugate")

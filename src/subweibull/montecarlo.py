@@ -304,7 +304,11 @@ def model_bounds(model: VectorModel) -> ModelBounds:
     """The model's deviation and tail bounds, with each coordinate norm computed once.
 
     The tail bound is the dimension-free one when p >= 2, else the Bernstein
-    bound for averages.
+    bound for averages of the terms |X_i|**p, whose order-1 norm is K_p**p
+    (the power identity).  At p = 1 it is taken at t / n.  For 1 < p < 2,
+    with c the L^p center, a deviation D >= t forces |S - c**p| >= s(t) =
+    c**p - (c - t)_+**p for the sum S of the terms, as x**p is convex, so
+    the bound is taken at s(t) / n.
     """
     spec, n, p = model.coordinate_spec, model.n, model.p
     k_p = coordinate_norm(spec, p)
@@ -316,9 +320,12 @@ def model_bounds(model: VectorModel) -> ModelBounds:
             lambda C: thm14_bound(p, k_p, l_p, C),
             lambda t, C: thm14_tail_bound(p, k_p, l_p, t, C),
         )
-    k_1 = k_p if p == 1.0 else coordinate_norm(spec, 1.0)
-    # the plan's t grid lives on the sum scale; the bound is for averages
-    return ModelBounds(prop13, None, lambda t, C: bernstein_bound(n, t / n, k_1, C).value)
+    if p == 1.0:
+        # the plan's t grid lives on the sum scale; the bound is for averages
+        return ModelBounds(prop13, None, lambda t, C: bernstein_bound(n, t / n, k_p, C).value)
+    c = center_value(model)
+    s = lambda t: c**p - max(c - t, 0.0) ** p
+    return ModelBounds(prop13, None, lambda t, C: bernstein_bound(n, s(t) / n, k_p**p, C).value)
 
 
 def calibrate_constant(dominates: Callable[[float], bool], floor: float = 0.0) -> float:
@@ -459,9 +466,12 @@ REPORT_COLUMNS = (
 TAIL_COLUMNS = ("family", "p", "n", "t", "freq", "se", "bound", "C")
 
 
+_FLOAT_SPEC = ".17g"  # 17 significant digits read back as the same double
+
+
 def format_cell(value) -> str:
     """Floats at 17 significant digits (``nan``, ``inf`` when not finite), else str."""
-    return format(value, ".17g") if isinstance(value, float) else str(value)
+    return format(value, _FLOAT_SPEC) if isinstance(value, float) else str(value)
 
 
 def csv_text(header: Sequence[str], rows) -> str:

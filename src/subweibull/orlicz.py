@@ -279,8 +279,12 @@ def _locate_root(g, floor: float, ceiling: float):
 
 
 def _anderson_bjorck(g_new: float, g_old: float) -> float:
-    """Weight for the kept end when a probe g_new replaces the same end, g_old, again."""
-    m = 1.0 - g_new / g_old
+    """Weight for the kept end when a probe g_new replaces the same end, g_old, again.
+
+    An end at g = 0 exactly (a root, as subnormal values of g can round to)
+    gets the plain halving weight.
+    """
+    m = 1.0 - g_new / g_old if g_old else 0.0
     return m if m > 0.0 else 0.5
 
 

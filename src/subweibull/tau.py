@@ -40,7 +40,7 @@ from .errors import (
 )
 from .orlicz import _root_norm
 
-_DOMAIN_EDGE = 1e-12  # evaluations this close to a domain edge return inf
+_DOMAIN_EDGE = 1e-12  # evaluations within this share of |edge| of a finite domain edge return inf
 
 
 def phi1(x):
@@ -72,14 +72,18 @@ def convex_conjugate(
 
     ``t`` is a scalar or an array.  The objective is concave, so a ternary
     search on [0, search_bound] (evenness reduces t to |t|) converges; +inf
-    values of f are treated as infeasible points.  Every element of ``t``
-    advances in lockstep, so ``f`` is called with an array shaped like ``t``
-    and must accept one; a scalar ``t`` calls ``f`` with 0-d values and
-    returns a float.  Raises ``UnboundedSupremumError`` when the objective is
-    still climbing at the search bound for any element.
+    values of f are treated as infeasible points.  A scalar ``t`` runs the
+    search in plain Python floats: ``f`` is called with floats and the result
+    is a float.  An array ``t`` advances every element in lockstep, so ``f``
+    is called with an array shaped like ``t`` and must accept one; each
+    element gets the bits of the scalar call.  Raises
+    ``UnboundedSupremumError`` when the objective is still climbing at the
+    search bound for any element.
     """
     if search_bound <= 0.0 or not math.isfinite(search_bound):
         raise ParameterError(f"search_bound must be finite and > 0, got {search_bound}")
+    if np.ndim(t) == 0:
+        return _scalar_conjugate(f, float(t), search_bound)
     ts = np.asarray(t, dtype=float)
     if np.isnan(ts).any():
         raise ParameterError(f"t must not be NaN, got {t}")
@@ -126,12 +130,53 @@ def convex_conjugate(
             & (outer - inner > 1e-9 * np.maximum(np.maximum(1.0, tt), np.abs(outer)))
         )
         if climbing.any():
-            raise UnboundedSupremumError(
-                f"objective still increasing at search_bound={search_bound:g}"
-                f" for t={ts[climbing][0]:g}"
-            )
+            raise _still_climbing(search_bound, ts[climbing][0])
         best = raise_to(best, outer, near)
-    return float(best) if tt.ndim == 0 else best
+    return best
+
+
+def _scalar_conjugate(f: Callable, t: float, search_bound: float) -> float:
+    """The lockstep search of ``convex_conjugate`` for one t, step for step, in floats."""
+    if math.isnan(t):
+        raise ParameterError(f"t must not be NaN, got {t}")
+    tt = abs(t)
+    infinite = math.isinf(tt)
+
+    def objective(u):
+        fu = float(f(u))
+        return (0.0 if infinite and fu == math.inf else tt) * u - fu
+
+    lo, hi, best = 0.0, search_bound, 0.0
+    width_tol = 1e-11 * max(1.0, search_bound)
+    for _ in range(300):
+        width = hi - lo
+        if not width > width_tol:
+            break
+        m1 = lo + width / 3.0
+        m2 = hi - width / 3.0
+        g1, g2 = objective(m1), objective(m2)
+        if g1 < g2:
+            lo = m1
+        else:
+            hi = m2
+        # best rises only on a strictly larger value, as in the lockstep search
+        best = g1 if g1 > best else best
+        best = g2 if g2 > best else best
+    g = objective(0.5 * (lo + hi))
+    best = g if g > best else best
+    if hi >= search_bound * (1.0 - 1e-6):
+        inner = objective(search_bound * (1.0 - 1e-6))
+        outer = objective(search_bound)
+        if outer > -math.inf and outer - inner > 1e-9 * max(1.0, tt, abs(outer)):
+            raise _still_climbing(search_bound, t)
+        best = outer if outer > best else best
+    return best
+
+
+def _still_climbing(search_bound: float, t: float) -> UnboundedSupremumError:
+    return UnboundedSupremumError(
+        f"objective still increasing at search_bound={search_bound:g} for t={t:g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +188,11 @@ class Cumulant:
     """Cumulant generating function with its second derivative and domain.
 
     ``fn`` and ``d2`` must accept numpy arrays; the open interval ``domain``
-    contains 0.  Values requested within 1e-12 of a domain edge come back as
-    +inf, which downstream feasibility checks read as infeasible.  ``d2``
-    must be convex on the domain, or at least reach its sup over every
-    window [-w, w] at an end: the domination norm reads only C''(-w) and
-    C''(w).
+    contains 0.  Values requested within 1e-12·|edge| of a finite domain
+    edge come back as +inf, which downstream feasibility checks read as
+    infeasible.  ``d2`` must be convex on the domain, or at least reach its
+    sup over every window [-w, w] at an end: the domination norm reads only
+    C''(-w) and C''(w).
     """
 
     fn: Callable
@@ -164,9 +209,9 @@ class Cumulant:
         lo, hi = self.domain
         inside = np.ones_like(t, dtype=bool)
         if math.isfinite(lo):
-            inside &= t > lo + _DOMAIN_EDGE
+            inside &= t > lo + _DOMAIN_EDGE * abs(lo)
         if math.isfinite(hi):
-            inside &= t < hi - _DOMAIN_EDGE
+            inside &= t < hi - _DOMAIN_EDGE * abs(hi)
         return inside
 
     def _eval(self, fn: Callable, t):
@@ -305,26 +350,44 @@ def tau_feasible(cumulant: Cumulant, K: float) -> bool:
 def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
     """Smallest K whose curvature bound certifies cumulant domination.
 
+    The norm is homogeneous, tau(aX) = a tau(X), so with a = sqrt(C''(0))
+    finite and > 0 the search runs in units of a: on u = K / a, the norm of
+    the cumulant of X / a, whose C''(0) is 1.  Its floor 1e-12, its ceiling
+    ``K_MAX`` and ``tol`` are in those units (a is the standard deviation of
+    X), and each u it asks about is decided by this cumulant's own test at
+    K = a * u, so the value returned is feasible.  A cumulant with C''(0) = 0
+    or inf is searched with a = 1.
+
     Feasibility is monotone in K, so the norm is the root of the curvature
     margin, found by the quadrature norms' rule (``orlicz._root_norm``): a
     secant brackets it to 1e-12 relative, and the bracket's feasible end is
     the norm, bisected on only while the bracket is wider than ``tol``.  A
-    root the secant cannot bracket is bisected from K = 1 on a stand-in for
+    root the secant cannot bracket is bisected from u = 1 on a stand-in for
     Phi that is at most 2 exactly where K is feasible.  Raises
-    ``InfeasibleError`` when no K up to ``K_MAX`` works.
+    ``InfeasibleError`` when no K up to a * ``K_MAX`` works.
     """
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     if not cumulant.value(0.0) == 0.0:
         raise ParameterError("cumulant must vanish at 0")
-    margin = functools.cache(lambda K: _margin(_window_curvature_sup(cumulant, K), K))
+    curvature = cumulant.curvature(0.0)
+    a = math.sqrt(curvature) if 0.0 < curvature < math.inf else 1.0
+    # margin(u) is the cumulant's own margin at K = a * u, whose sign is the
+    # feasibility test there, times a power of two near 1 / a**2: an exact
+    # scaling that keeps the secant's values near 1 at any a.  At a power of
+    # two a it equals the margin of X / a, so the search asks about the same
+    # u, and tau(2**k X) = 2**k tau(X) bit for bit
+    shift = -2 * math.frexp(a)[1]
+    margin = functools.cache(
+        lambda u: math.ldexp(_margin(_window_curvature_sup(cumulant, a * u), a * u), shift)
+    )
     try:
-        value = _root_norm(
-            lambda K: 1.0 if margin(K) <= 0.0 else math.inf, margin, 1e-12, 1.0, K_MAX, 1.0, tol,
+        value = a * _root_norm(
+            lambda u: 1.0 if margin(u) <= 0.0 else math.inf, margin, 1e-12, 1.0, K_MAX, 1.0, tol,
             "tau",
         ).value
     except DivergenceError:
-        raise InfeasibleError(f"no feasible K up to {K_MAX:g}") from None
+        raise InfeasibleError(f"no feasible K up to {a * K_MAX:g}") from None
     if value == 0.0:
         return TauNormResult(0.0, ((0.0, 0.0),))
     u = np.linspace(-1.0, 1.0, 201)  # = value * t, so |u| <= 1 by construction

@@ -60,6 +60,50 @@ def test_dumps17_writes_a_dataclass_as_its_asdict():
     )
 
 
+def reference_dumps17(obj, indent=0):
+    """The element-wise writer: one recursive call per value."""
+    if isinstance(obj, float):
+        return montecarlo.format_cell(obj) if math.isfinite(obj) else json.dumps(obj)
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(str(k))}: {reference_dumps17(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{reference_dumps17(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+def test_dumps17_float_tables_have_the_element_wise_bytes():
+    from subweibull import tau
+
+    tables = [
+        [[0.1, -0.0], [1e300, 5e-324]], ((1.0 / 3.0,),), [[1.0, 2.0, 3.0]] * 3,
+        [[1.0, math.nan]], [[math.inf, 1.0]], [(-math.inf, 1.0)], [[np.float64(0.1), 1.0]],
+        [[1.0, 2.0], [3.0]], [[1.0], []], [[]], [[1.0, [2.0]], [1.0, 2.0]],
+        [[True, 1.0]], [[1, 2.0]], [1.0, 2.0], [[1.0, 2.0], "x"],
+    ]
+    objs = [tau.tau_norm(tau.iid_sum(tau.exp_centered(), 100)), *tables]
+    objs += [{"table": table} for table in tables]
+    for obj in objs:
+        for indent in (0, 2):
+            assert dumps17(obj, indent) == reference_dumps17(obj, indent), obj
+
+
 def test_norm_quadrature_exp(capsys):
     code, out = run_cli(capsys, "norm", "--family", "exp", "--p", "1", "--method", "quadrature")
     assert code == 0

@@ -390,6 +390,34 @@ def test_report_bounds_are_model_bounds_at_fitted_constants(spec, p):
     assert [r.bound for r in report.tail_rows] == [bounds.tail(r.t, r.C) for r in report.tail_rows]
 
 
+@pytest.mark.parametrize(
+    "spec, p, n",
+    [(DistributionSpec.weibull(1.5, 2.0), 1.5, 64), (DistributionSpec.pnormal(1.5), 1.5, 256)],
+    ids=["weibull(1.5, 2)", "pnormal(1.5)"],
+)
+def test_tail_rows_between_orders_one_and_two_bound_the_sum_of_powers(spec, p, n):
+    # D >= t forces |S - c**p| >= c**p - (c - t)_+**p for S the sum of |X_i|**p,
+    # whose terms have order-1 norm K_p**p
+    model = VectorModel(spec, n, p)
+    bound = model_bounds(model).tail
+    c, k_1 = center_value(model), montecarlo.coordinate_norm(spec, p) ** p
+    report = run_report(ExperimentPlan(model, 20_000, 20240817), bootstrap=False)
+    for row in report.tail_rows:
+        s = c**p - max(c - row.t, 0.0) ** p
+        assert row.bound == bernstein_bound(n, s / n, k_1, row.C).value
+        assert bound(row.t, 1.0) >= row.freq - 3.0 * row.se
+    assert report.tail_rows[-1].bound < 1.0
+
+
+def test_exp_tail_rows_are_the_bernstein_bound_at_t_over_n():
+    model = VectorModel(EXP, 16, 1.0)
+    bound = model_bounds(model).tail
+    k_1 = montecarlo.coordinate_norm(EXP, 1.0)
+    for t in montecarlo.default_t_grid(model):
+        for C in (1.0, 1.5):
+            assert bound(t, C) == bernstein_bound(16, t / 16, k_1, C).value
+
+
 # ---------------------------------------------------------------------------
 # reports and CSV wire format
 

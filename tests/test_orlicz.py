@@ -257,6 +257,14 @@ def test_quadrature_certifies_a_wide_but_right_located_bracket(
                        _reference_norm(mpmath_norm, spec, p, result.value))
 
 
+def test_locate_root_keeps_an_end_where_g_is_exactly_zero():
+    # g = 0 exactly on [1.5, inf): the secant keeps landing on the b side, and
+    # the Anderson-Bjorck weight of an end at g = 0 is a halving, not 0 / 0
+    g = lambda K: 1.5 - K if K < 1.5 else 0.0
+    a, b = orlicz._locate_root(g, 1e-6, 1e9)
+    assert g(a) > 0.0 >= g(b) and a < 1.5 <= b
+
+
 @pytest.mark.parametrize(
     "root, dip",
     [

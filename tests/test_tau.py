@@ -207,6 +207,21 @@ def test_scalar_conjugate_returns_a_python_float():
         got = convex_conjugate(phi_inf, t, search_bound=2.0)
         assert type(got) is float
         assert_same_bits(got, reference_conjugate(phi_inf, t, 2.0))
+    # the plain-float search gives each element of the lockstep one, and a
+    # climbing objective names the signed t
+    quadratic = lambda u: 0.5 * u * u
+    for f in (phi_inf, phi1, quadratic):
+        for t in (0.0, -0.0, 0.25, -1.0, 1.5, -3.0, 7.5, math.inf, -math.inf):
+            try:
+                want = convex_conjugate(f, np.array([t]), search_bound=16.0)[0]
+            except UnboundedSupremumError as exc:
+                assert str(exc).endswith(f"for t={t:g}")
+                with pytest.raises(UnboundedSupremumError, match=rf"for t={t:g}$"):
+                    convex_conjugate(f, t, search_bound=16.0)
+                continue
+            got = convex_conjugate(f, t, search_bound=16.0)
+            assert type(got) is float
+            assert_same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +241,11 @@ def test_cumulant_domain_edge_buffer():
     c = exp_centered()
     assert c.value(1.0 - 1e-13) == math.inf
     assert math.isfinite(c.value(1.0 - 1e-9))
+    # the buffer is relative: an edge at 1e-13 keeps 0 and points up to 1 - 1e-9 of it
+    tiny = scaled(c, 1e13)
+    assert tiny.value(0.0) == 0.0
+    assert tiny.value(1e-13 * (1.0 - 1e-13)) == math.inf
+    assert math.isfinite(tiny.value(1e-13 * (1.0 - 1e-9)))
 
 
 def test_cumulant_array_evaluation():
@@ -265,9 +285,17 @@ def test_tau_centered_sum_sqrt_law(n):
     assert got == pytest.approx(math.sqrt(n) + 1.0, abs=1e-4)
 
 
-@pytest.mark.parametrize("sigma", [0.25, 1.0, 3.0])
+@pytest.mark.parametrize("sigma", [1e-13, 1e-12, 3e-12, 0.25, 1.0, 3.0, 1e6, 1e13])
 def test_tau_gaussian_is_sigma(sigma):
-    assert tau_norm(gaussian(sigma), tol=1e-8).value == pytest.approx(sigma, abs=1e-6)
+    # the search runs in units of sqrt C''(0) = sigma, so no scale is too small or large
+    assert tau_norm(gaussian(sigma), tol=1e-8).value == pytest.approx(sigma, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [-300, -45, -40, -1, 1, 30, 39, 40, 300])
+def test_tau_norm_commutes_with_powers_of_two(k):
+    # scaling by 2**k scales every float of the search exactly
+    got = tau_norm(scaled(exp_centered(), 2.0**k)).value
+    assert_same_bits(got, 2.0**k * tau_norm(exp_centered()).value)
 
 
 def test_tau_scaling():
@@ -301,17 +329,28 @@ def test_tau_tightness():
 
 
 def test_tau_infeasible_cumulant():
-    # the norm sigma = 1e15 lies above the search ceiling
-    with pytest.raises(InfeasibleError):
-        tau_norm(gaussian(1e15))
+    # C''(0) = 1, but the domain ends within 1 / K_MAX of 0, so every window
+    # up to the ceiling reaches past it
+    g = gaussian(1.0)
+    with pytest.raises(InfeasibleError, match=r"up to 1e\+12$"):
+        tau_norm(Cumulant(g.fn, g.d2, (-math.inf, 1e-13)))
+    # the ceiling is in units of sqrt C''(0)
+    with pytest.raises(InfeasibleError, match=r"up to 1e\+18$"):
+        tau_norm(scaled(Cumulant(g.fn, g.d2, (-math.inf, 1e-13)), 1e6))
 
 
 def test_tau_norm_of_a_tiny_gaussian_is_not_zero():
-    # the search halves K from 1 down to 1e-12 and reads no zero norm on the way
+    # the search runs in units of sigma, so neither the floor 1e-12 nor tol
+    # ends it early
     for tol in (1e-6, 1e-8):
         value = tau_norm(gaussian(1e-12), tol).value
-        assert 0.0 < value and abs(value - 1e-12) <= tol
+        assert value == pytest.approx(1e-12, rel=1e-12, abs=0.0)
         assert tau_feasible(gaussian(1e-12), value)
+    # C''(0) = 1e-320 is subnormal, and so are the margins near the root;
+    # the search sees them scaled by a power of two near 1 / C''(0)
+    value = tau_norm(gaussian(1e-160)).value
+    assert value == pytest.approx(1e-160, rel=1e-3)
+    assert tau_feasible(gaussian(1e-160), value)
 
 
 _TAU_CASES = {
@@ -327,20 +366,21 @@ _TAU_CASES = {
 }
 
 
-def _plain_tau_norm(cum, tol):
+def _plain_tau_norm(cum, tol, a=1.0):
     """The norm of a bisection on the real feasibility check, in its own arithmetic.
 
-    It doubles K from 1 until K is feasible, or halves it while K is, down
-    to a zero norm at 1e-12, then bisects until the bracket is within tol.
+    It runs on u = K / a: it doubles u from 1 until K = a * u is feasible,
+    or halves u while K is, down to a zero norm at u = 1e-12, then bisects
+    until the bracket is within tol, and returns a times its top.
     """
-    def feasible(K):
-        return tau_feasible(cum, K)
+    def feasible(u):
+        return tau_feasible(cum, a * u)
 
     hi = 1.0
     while not feasible(hi):
         hi *= 2.0
         if hi > tau.K_MAX:
-            raise InfeasibleError(f"no feasible K up to {tau.K_MAX:g}")
+            raise InfeasibleError(f"no feasible K up to {a * tau.K_MAX:g}")
     lo = 0.5 * hi
     if hi == 1.0:
         while lo > 1e-12 and feasible(lo):
@@ -356,7 +396,7 @@ def _plain_tau_norm(cum, tol):
             hi = mid
         else:
             lo = mid
-    return hi
+    return a * hi
 
 
 @pytest.fixture
@@ -397,7 +437,8 @@ def test_tau_norm_falls_back_when_the_located_root_is_off(monkeypatch, tau_bisec
     monkeypatch.setattr(orlicz, "_locate_root", pushed)
     for name in ("exp_centered", "sum100", "gaussian1"):
         cum = _TAU_CASES[name]()
-        expected = _plain_tau_norm(cum, 1e-6)
+        # the fallback bisects in units of sqrt C''(0)
+        expected = _plain_tau_norm(cum, 1e-6, math.sqrt(cum.curvature(0.0)))
         tau_bisections[0] = 0
         assert_same_bits(tau_norm(cum).value, expected)
         assert tau_bisections[0] == 1
@@ -405,7 +446,7 @@ def test_tau_norm_falls_back_when_the_located_root_is_off(monkeypatch, tau_bisec
 
 def test_tau_norm_certifies_a_wide_but_right_located_bracket(monkeypatch, tau_bisections):
     # a widened bracket still straddles the root, so it is bisected on down
-    # to tol, with no bisection from K = 1
+    # to tol (in units of sqrt C''(0)), with no bisection from u = 1
     locate = orlicz._locate_root
 
     def widened(*args):
@@ -418,7 +459,8 @@ def test_tau_norm_certifies_a_wide_but_right_located_bracket(monkeypatch, tau_bi
         tau_bisections[0] = 0
         value = tau_norm(cum).value
         assert tau_bisections[0] == 0
-        assert tau_feasible(cum, value) and not tau_feasible(cum, value - 1e-6)
+        width = 1e-6 * math.sqrt(cum.curvature(0.0))
+        assert tau_feasible(cum, value) and not tau_feasible(cum, value - width)
 
 
 def test_tau_norm_takes_few_curvature_scans(monkeypatch):
@@ -473,8 +515,8 @@ def test_window_curvature_sup_is_the_scan(name):
     cum = _CURVATURE_KINDS[name]()
     edge = cum.domain[1]
     if math.isfinite(edge):
-        # windows ending within 1e-12 of the domain edge: inf on both sides
-        extra = [1.0 / (edge - 0.5e-12), 1.0 / (edge - 1e-13)]
+        # windows ending within 1e-12 * edge of the domain edge: inf on both sides
+        extra = [1.0 / (edge * (1.0 - 0.5e-12)), 1.0 / (edge * (1.0 - 1e-13))]
     else:
         extra = [1e-8, 1e8]
     ks = [float(K) for K in np.geomspace(1e-2, 1e4, 48)] + extra
