@@ -7,7 +7,8 @@ output file of each call of the benchmark's ``cli_numerics`` workload,
 20240817 in JSON (the one output written from nested dataclasses) and in CSV,
 ``subweibull norm`` of four laws at extreme scales (weibull(2) at 1e10 and
 1e200, p = 2; weibull(5) and halfgauss_pow(5) at 1e80, p = 4), ``subweibull
-tau --cumulant gaussian`` at sigma 1.3 and 1e-12, ``subweibull conjugate --f
+tau --cumulant gaussian`` at sigma 1.3, 1e-12, 1e155 and 1e-200 (the last two
+outside gaussian's range, exit 2), ``subweibull conjugate --f
 quadratic --t -3 --search-bound 16`` (a scalar t below 0), and the report and
 tail CSVs of the benchmark's ``growth`` and ``tail_small_n`` workloads at
 20240817 and 19090677, each digested by the workload itself; workloads are
@@ -18,7 +19,7 @@ finite norm, and per tau cumulant (three tols, which leave its bits alone),
 each the digest of the reprs of its results, an exception as its class and
 message.  Each line is ``<sha256 or "-" when nothing was written>  exit
 <code>  <label>``, with ``exit -`` for the CSVs and the grid, which come
-from in-process calls.  That is 63 lines.  Run it in each checkout and
+from in-process calls.  That is 65 lines.  Run it in each checkout and
 compare the lists:
 
     python3 scripts/output_fingerprint.py > fingerprint.txt
@@ -51,7 +52,8 @@ EXTREME_NORM_ARGV = tuple(
         ("weibull", "4", "shape=5", "scale=1e80"), ("halfgauss_pow", "4", "p=5", "scale=1e80"),
     )
 )
-TAU_ARGV = tuple(("tau", "--cumulant", "gaussian", "--sigma", sigma) for sigma in ("1.3", "1e-12"))
+TAU_ARGV = tuple(("tau", "--cumulant", "gaussian", "--sigma", sigma)
+                 for sigma in ("1.3", "1e-12", "1e155", "1e-200"))
 CONJUGATE_ARGV = ("conjugate", "--f", "quadratic", "--t", "-3", "--search-bound", "16")
 CSV_SEEDS = (20_240_817, 19_090_677)  # the seeds of perfbench/reference_digests.json
 

@@ -344,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default="quadrature")
     sp.add_argument("--tol", type=float,
                     help="bracket width: for quadrature (default 1e-8) only a bound on the "
-                         "reported width, which is at most 1e-12 relative anyway; for "
-                         "empirical (default 1e-6) the bisection's stopping width")
+                         "reported width in units of the law's scale, which is at most "
+                         "1e-12 relative anyway; for empirical (default 1e-6) the "
+                         "bisection's stopping width")
     sp.add_argument("--samples", type=int, help="draw count for --method empirical")
     sp.add_argument("--seed", type=int)
     sp.set_defaults(fn=cmd_norm)

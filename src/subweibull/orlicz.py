@@ -320,8 +320,9 @@ def psi_norm_quadrature_canonical(
     The norm is homogeneous, so it is ``scale`` times the norm of the law at
     scale 1, shifted by ``center / scale``.  There a secant on log Phi - log 2
     brackets the root to 1e-12 relative, and a bracket still wider than
-    ``tol / scale`` is bisected on (see ``_root_norm``).  The ceiling
-    ``QUADRATURE_K_MAX`` is in units of the scale.
+    ``tol`` is bisected on (see ``_root_norm``).  ``tol`` and the ceiling
+    ``QUADRATURE_K_MAX`` are in units of the scale, so the norm of 2**k X is
+    2**k times the norm of X, bit for bit.
     """
     if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
@@ -335,7 +336,7 @@ def psi_norm_quadrature_canonical(
         # phi / 2 is exact and log(x) <= 0 exactly when x <= 1, so the sign of
         # g is the bisection's test phi <= 2
         result = _root_norm(phi, lambda K: math.log(phi(K) / 2.0), 1e-6, 1e-6, QUADRATURE_K_MAX,
-                            p, tol / scale, METHOD_QUADRATURE)
+                            p, tol, METHOD_QUADRATURE)
     except DivergenceError:
         raise _diverged(scale * QUADRATURE_K_MAX) from None
     lo, hi = result.bracket
@@ -348,9 +349,9 @@ def psi_norm_quadrature(
 ) -> OrliczNormResult:
     """Norm at order p by quadrature, from the located root of its unit law.
 
-    The bracket is about 1e-12 relative wide, or narrower than ``tol`` where
-    that is tighter, and ``residual`` is |Phi - 2| at its upper end (see
-    ``psi_norm_quadrature_canonical``).
+    The bracket is about 1e-12 relative wide, or narrower than ``tol`` times
+    the law's scale where that is tighter, and ``residual`` is |Phi - 2| at
+    its upper end (see ``psi_norm_quadrature_canonical``).
     """
     return psi_norm_quadrature_canonical(canonical(spec), p, tol)
 

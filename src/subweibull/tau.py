@@ -38,7 +38,7 @@ from .errors import (
     ParameterError,
     UnboundedSupremumError,
 )
-from .orlicz import _root_norm
+from .orlicz import _SMALLEST_NORMAL, _root_norm
 
 _DOMAIN_EDGE = 1e-12  # evaluations within this share of |edge| of a finite domain edge return inf
 
@@ -187,12 +187,18 @@ def _still_climbing(search_bound: float, t: float) -> UnboundedSupremumError:
 class Cumulant:
     """Cumulant generating function with its second derivative and domain.
 
-    ``fn`` and ``d2`` must accept numpy arrays; the open interval ``domain``
-    contains 0.  Values requested within 1e-12·|edge| of a finite domain
-    edge come back as +inf, which downstream feasibility checks read as
-    infeasible.  ``d2`` must be convex on the domain, or at least reach its
-    sup over every window [-w, w] at an end: the domination norm reads only
-    C''(-w) and C''(w).
+    ``fn`` and ``d2`` must accept numpy arrays and Python floats: ``value``
+    and ``curvature`` of a Python float call them on the float itself and
+    return a float, with an ``ArithmeticError`` read as NaN, and any other
+    ``t`` is evaluated as an array.  The built-in cumulants use only + - * /
+    in their curvatures, which numpy and Python both round correctly, so
+    both paths give the same bits; a hand-built ``d2`` that uses ``**`` or
+    numpy's transcendental functions may differ between them in the last
+    bit.  The open interval ``domain`` contains 0.  Values requested within
+    1e-12·|edge| of a finite domain edge come back as +inf, which downstream
+    feasibility checks read as infeasible.  ``d2`` must be convex on the
+    domain, or at least reach its sup over every window [-w, w] at an end:
+    the domination norm reads only C''(-w) and C''(w).
     """
 
     fn: Callable
@@ -215,6 +221,17 @@ class Cumulant:
         return inside
 
     def _eval(self, fn: Callable, t):
+        if type(t) is float:
+            # the edge rule of ``_mask``, on one float
+            lo, hi = self.domain
+            if (math.isfinite(lo) and not t > lo + _DOMAIN_EDGE * abs(lo)) or (
+                math.isfinite(hi) and not t < hi - _DOMAIN_EDGE * abs(hi)
+            ):
+                return math.inf
+            try:
+                return float(fn(t))
+            except ArithmeticError:
+                return math.nan
         arr = np.asarray(t, dtype=float)
         inside = self._mask(arr)
         with np.errstate(all="ignore"):
@@ -233,7 +250,7 @@ def exp_centered() -> Cumulant:
     """Unit-rate exponential minus its mean: C(t) = -t - ln(1 - t)."""
     return Cumulant(
         fn=lambda t: -t - np.log1p(-t),
-        d2=lambda t: (1.0 - t) ** -2.0,
+        d2=lambda t: 1.0 / ((1.0 - t) * (1.0 - t)),
         domain=(-math.inf, 1.0),
         name="exp_centered",
     )
@@ -252,11 +269,22 @@ def iid_sum(base: Cumulant, n: int) -> Cumulant:
 
 
 def gaussian(sigma: float) -> Cumulant:
+    """Normal law of standard deviation sigma: C(t) = sigma**2 t**2 / 2.
+
+    sigma**2 must be a finite normal double, so sigma lies between about
+    1.5e-154 and 1.34e154.
+    """
     if sigma <= 0.0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
+    variance = sigma * sigma
+    if not _SMALLEST_NORMAL <= variance < math.inf:
+        raise ParameterError(
+            f"sigma**2 must be a finite normal double (sigma from about 1.5e-154 to 1.34e154), "
+            f"got sigma = {sigma:g}"
+        )
     return Cumulant(
-        fn=lambda t: 0.5 * sigma**2 * t**2,
-        d2=lambda t: sigma**2 * np.ones_like(np.asarray(t, dtype=float)),
+        fn=lambda t: 0.5 * variance * (t * t),
+        d2=lambda t: np.full_like(t, variance, dtype=float),
         domain=(-math.inf, math.inf),
         name=f"gaussian_{sigma:g}",
     )
@@ -326,13 +354,17 @@ class TauNormResult:
 
 
 K_MAX = 1e12  # no feasible K up to this ceiling means no finite norm
+# the margin profile's points u = K t, so |u| <= 1 by construction, and phi_inf there
+_PROFILE_U = np.linspace(-1.0, 1.0, 201)
+_PROFILE_PHI = phi_inf(_PROFILE_U)
+_PROFILE_U.flags.writeable = _PROFILE_PHI.flags.writeable = False
 
 
 def _window_curvature_sup(cumulant: Cumulant, K: float) -> float:
     """sup of C'' over [-1/K, 1/K]: the larger end value, C'' being convex (a NaN counts as inf)."""
     w = 1.0 / K
-    ends = cumulant.curvature(np.array([-w, w]))
-    return float(np.max(np.where(np.isnan(ends), np.inf, ends)))
+    lo, hi = cumulant.curvature(-w), cumulant.curvature(w)
+    return math.inf if math.isnan(lo) or math.isnan(hi) else max(lo, hi)
 
 
 def _margin(sup: float, K: float) -> float:
@@ -390,9 +422,8 @@ def tau_norm(cumulant: Cumulant, tol: float = 1e-6) -> TauNormResult:
         raise InfeasibleError(f"no feasible K up to {a * K_MAX:g}") from None
     if value == 0.0:
         return TauNormResult(0.0, ((0.0, 0.0),))
-    u = np.linspace(-1.0, 1.0, 201)  # = value * t, so |u| <= 1 by construction
-    t = u / value
-    slack = phi_inf(u) - cumulant.value(t)
+    t = _PROFILE_U / value
+    slack = _PROFILE_PHI - cumulant.value(t)
     return TauNormResult(value, tuple(zip(t.tolist(), slack.tolist())))
 
 

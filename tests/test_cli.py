@@ -203,6 +203,7 @@ def test_quadrature_divergence_names_the_ceiling_in_the_law_units(capsys):
         ["concentrate", "--family", "exp", "--p", "1", "--n", "16", "--trials", "10000",
          "--seed", "1", "--t-grid", "nan"],
         ["tau", "--cumulant", "exp_centered", "--tol", "nan"],
+        ["tau", "--cumulant", "gaussian", "--sigma", "nan"],
         ["norm", "--family", "exp", "--p", "1", "--method", "quadrature", "--tol", "nan"],
         ["bernstein", "--n", "10", "--t", "nan", "--k", "1"],
         ["bernstein", "--n", "10", "--t", "1", "--k", "1", "--c1", "nan"],
@@ -216,6 +217,19 @@ def test_nan_input_is_a_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("sigma", ["1e155", "1e-200"])
+def test_tau_of_a_gaussian_whose_variance_is_not_a_normal_double_is_a_config_error(
+    capsys, sigma
+):
+    # sigma**2 overflows at 1e155 (an OverflowError traceback and exit 1 before)
+    # and underflows to 0 at 1e-200 (a norm of 0 before)
+    code = main(["tau", "--cumulant", "gaussian", "--sigma", sigma])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: sigma**2 must be a finite normal double")
 
 
 def test_norm_analytic_without_closed_form_is_config_error(capsys):

@@ -412,6 +412,23 @@ def test_scaling_homogeneity():
     assert scaled == pytest.approx(0.5 * base, rel=2e-6)
 
 
+@pytest.mark.parametrize(
+    "spec, p",
+    [(DistributionSpec.weibull(1.5), 1.0), (DistributionSpec.halfgauss_pow(2.5), 2.0),
+     (DistributionSpec.weibull(0.5), 0.5)],
+    ids=["weibull(1.5) p=1", "halfgauss_pow(2.5) p=2", "weibull(0.5) p=0.5"],
+)
+def test_quadrature_norm_commutes_with_powers_of_two(spec, p):
+    # tol and the ceiling are in units of the scale, so scaling by 2**k
+    # scales every float of the search exactly
+    unit = psi_norm_quadrature(spec, p)
+    for k in range(-300, 301, 20):
+        a = 2.0**k
+        got = psi_norm_quadrature(DistributionSpec(spec.family, spec.shape, a), p)
+        assert (got.value, got.bracket) == (a * unit.value, tuple(a * b for b in unit.bracket)), k
+        assert got.residual == unit.residual
+
+
 def test_quasinorm_small_p_homogeneity_and_definiteness():
     p = 0.5
     got = psi_norm_quadrature(DistributionSpec.weibull(p, 1.0), p).value

@@ -4,6 +4,7 @@ import pytest
 
 from subweibull import dist, orlicz, quadrature
 from subweibull.dist import DistributionSpec
+from subweibull.errors import NumericalError
 from subweibull.quadrature import improper_integral, segment_integral
 
 
@@ -117,6 +118,19 @@ def test_integrable_endpoint_singularities():
     assert got == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     got = improper_integral(lambda x: x**-0.9 * math.exp(-x) if x > 0.0 else math.inf)
     assert got == pytest.approx(math.gamma(0.1), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.95, 0.99])
+def test_mass_past_the_last_node_is_reported(alpha):
+    # x**-alpha on [0, 1] keeps about d**(1 - alpha) of its mass within d of
+    # 0, past the last node at d = 1e-150: 1e-15 of it at 0.9, 3e-8 at 0.95
+    # and 0.03 at 0.99, where the rule used to return 96.853 for 100
+    fn = lambda x: x**-alpha
+    if alpha <= 0.9:
+        assert segment_integral(fn, 0.0, 1.0) == pytest.approx(1.0 / (1.0 - alpha), rel=1e-12)
+    else:
+        with pytest.raises(NumericalError, match="past the rule's last node"):
+            segment_integral(fn, 0.0, 1.0)
 
 
 def test_unconverged_segment_returns_the_last_estimate():

@@ -285,7 +285,9 @@ def test_tau_centered_sum_sqrt_law(n):
     assert got == pytest.approx(math.sqrt(n) + 1.0, abs=1e-4)
 
 
-@pytest.mark.parametrize("sigma", [1e-13, 1e-12, 3e-12, 0.25, 1.0, 3.0, 1e6, 1e13])
+@pytest.mark.parametrize(
+    "sigma", [1.5e-154, 1e-13, 1e-12, 3e-12, 0.25, 1.0, 3.0, 1e6, 1e13, 1.34e154]
+)
 def test_tau_gaussian_is_sigma(sigma):
     # the search runs in units of sqrt C''(0) = sigma, so no scale is too small or large
     assert tau_norm(gaussian(sigma), tol=1e-8).value == pytest.approx(sigma, rel=1e-12, abs=0.0)
@@ -346,11 +348,14 @@ def test_tau_norm_of_a_tiny_gaussian_is_not_zero():
         value = tau_norm(gaussian(1e-12), tol).value
         assert value == pytest.approx(1e-12, rel=1e-12, abs=0.0)
         assert tau_feasible(gaussian(1e-12), value)
-    # C''(0) = 1e-320 is subnormal, and so are the margins near the root;
-    # the search sees them scaled by a power of two near 1 / C''(0)
-    value = tau_norm(gaussian(1e-160)).value
-    assert value == pytest.approx(1e-160, rel=1e-3)
-    assert tau_feasible(gaussian(1e-160), value)
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200, 1e155, 0.0, -1.0, math.nan, math.inf])
+def test_gaussian_needs_a_normal_finite_variance(sigma):
+    # sigma**2 subnormal, 0 or overflowing: tau read 0.99987 sigma at 1e-160
+    # and 0 at 1e-200, and 1e155 raised OverflowError
+    with pytest.raises(ParameterError, match="sigma"):
+        gaussian(sigma)
 
 
 _TAU_CASES = {
@@ -527,6 +532,36 @@ def test_window_curvature_sup_is_the_scan(name):
         assert tau._window_curvature_sup(cum, extra[0]) == math.inf
 
 
+@pytest.mark.parametrize("name", list(_CURVATURE_KINDS))
+def test_scalar_evaluation_is_the_array_element(name):
+    cum = _CURVATURE_KINDS[name]()
+    ts = [0.0, -0.0, 0.5, -0.5, math.inf, -math.inf]
+    for edge in cum.domain:
+        if math.isfinite(edge):
+            # at the edge buffer (inf) and one float inside it
+            cut = edge - math.copysign(1e-12 * abs(edge), edge)
+            ts += [cut, math.nextafter(cut, 0.0)]
+    # numpy scalars warn of exp_centered's inf - inf at -inf, where the
+    # array path is silenced; both read NaN
+    with np.errstate(invalid="ignore"):
+        for t in ts:
+            for method in (cum.value, cum.curvature):
+                got = method(t)
+                assert type(got) is float, (t, method)
+                assert_same_bits(got, method(np.array([t]))[0])
+
+
+def test_window_curvature_sup_reads_an_arithmetic_error_as_inf():
+    # 1 / (1 - t**2) is convex on (-1, 1) and divides by zero at its ends
+    cum = Cumulant(fn=lambda t: 0.0 * t, d2=lambda t: 1.0 / (1.0 - t * t),
+                   domain=(-math.inf, math.inf))
+    with pytest.raises(ZeroDivisionError):
+        cum.d2(1.0)
+    assert math.isnan(cum.curvature(1.0))
+    assert tau._window_curvature_sup(cum, 1.0) == math.inf
+    assert tau._window_curvature_sup(cum, 2.0) == 4.0 / 3.0
+
+
 def _margin_profiles_match_scalar_loop():
     """Per cumulant, whether the margin profile is the one-point-at-a-time loop's, bit for bit."""
     import numpy as np
@@ -553,6 +588,23 @@ def test_margin_profile_is_the_scalar_loop():
 
 def test_margin_profile_is_the_scalar_loop_without_avx512(without_avx512):
     assert without_avx512(_margin_profiles_match_scalar_loop) == [True] * 5
+
+
+def _tau_values():
+    """tau of cumulants built on exp_centered, whose curvature is 1 / (1 - t)**2."""
+    from subweibull import tau
+
+    e = tau.exp_centered()
+    cums = [e, tau.iid_sum(e, 2), tau.iid_sum(e, 100), tau.scaled(e, 0.7),
+            tau.sum_of([tau.scaled(e, 0.7), tau.gaussian(2.0), e])]
+    return [tau.tau_norm(cum).value for cum in cums]
+
+
+def test_tau_value_does_not_depend_on_simd_dispatch(without_avx512):
+    # d2 uses only correctly rounded + - * /; through numpy's general power,
+    # (1 - t) ** -2.0, the sum of two read 2.414213562372388 with AVX-512
+    # and 2.414213562372991 without
+    assert without_avx512(_tau_values) == _tau_values()
 
 
 def test_rotation_invariance_nine_exponentials():
