@@ -5,6 +5,8 @@ Covers ``subweibull verify`` stdout at its default seed and at 20240817, the
 output file of each call of the benchmark's ``cli_numerics`` workload,
 ``subweibull concentrate`` for exp at n = 16, p = 1, 10 000 trials and seed
 20240817 in JSON (the one output written from nested dataclasses) and in CSV,
+``subweibull concentrate`` for pnormal(3) at n = 256, p = 3, 10 000 trials in
+CSV (a bootstrap whose resample norms are skewed left),
 ``subweibull norm`` of four laws at extreme scales (weibull(2) at 1e10 and
 1e200, p = 2; weibull(5) and halfgauss_pow(5) at 1e80, p = 4), ``subweibull
 tau --cumulant gaussian`` at sigma 1.3, 1e-12, 1e155 and 1e-200 (the last two
@@ -19,7 +21,7 @@ finite norm, and per tau cumulant (three tols, which leave its bits alone),
 each the digest of the reprs of its results, an exception as its class and
 message.  Each line is ``<sha256 or "-" when nothing was written>  exit
 <code>  <label>``, with ``exit -`` for the CSVs and the grid, which come
-from in-process calls.  That is 65 lines.  Run it in each checkout and
+from in-process calls.  That is 66 lines.  Run it in each checkout and
 compare the lists:
 
     python3 scripts/output_fingerprint.py > fingerprint.txt
@@ -45,6 +47,9 @@ import workloads  # noqa: E402
 VERIFY_SEEDS = (None, 20_240_817)  # None: the command's default seed
 CONCENTRATE_ARGV = ("concentrate", "--family", "exp", "--p", "1", "--n", "16",
                     "--trials", "10000", "--seed", "20240817")
+SKEWED_CONCENTRATE_ARGV = ("concentrate", "--family", "pnormal", "--param", "p=3", "--p", "3",
+                           "--n", "256", "--trials", "10000", "--seed", "20240817",
+                           "--format", "csv")
 EXTREME_NORM_ARGV = tuple(
     ("norm", "--family", family, "--p", p, "--param", shape, "--param", scale)
     for family, p, shape, scale in (
@@ -159,7 +164,7 @@ def main() -> int:
         for fmt in ("json", "csv"):
             rc = cli.main([*CONCENTRATE_ARGV, "--format", fmt, "--output", path])
             print(f"{_digest(path)}  exit {rc}  {' '.join(CONCENTRATE_ARGV)} --format {fmt}")
-        for argv in (*EXTREME_NORM_ARGV, *TAU_ARGV, CONJUGATE_ARGV):
+        for argv in (SKEWED_CONCENTRATE_ARGV, *EXTREME_NORM_ARGV, *TAU_ARGV, CONJUGATE_ARGV):
             rc = cli.main([*argv, "--output", path])
             print(f"{_digest(path)}  exit {rc}  {' '.join(argv)}")
         for name in ("growth", "tail_small_n"):

@@ -18,9 +18,12 @@ Every plan of a growth suite shares those, so the suite draws each vector
 once and every dimension resamples its deviations with it.  The vectors of
 a chunk of resamples come from one re-keyed generator
 (``streams.keyed_generators``), with the bits of a fresh generator per
-stream, and each chunk's empirical norms come from one
-``psi_norm_empirical`` call, which certifies the bisections of all its
-resamples with one batched evaluation.
+stream, drawn as int32, which gives the int64 draw's values.  The interval's
+quantiles read only the 6 smallest and the 6 largest of the 200 resample
+norms.  So each resample is first tested against two levels around its
+row's norm, by one gather of a table of Phi's terms at each, and only the
+resamples the tests cannot place between the levels are normed by
+``psi_norm_empirical``, one call per chunk (see ``bootstrap_interval``).
 """
 
 from __future__ import annotations
@@ -48,17 +51,36 @@ from .errors import (
     NoFeasibleConstantError,
     ParameterError,
 )
-from .orlicz import psi_norm_analytic, psi_norm_empirical, psi_norm_quadrature
+from .orlicz import (
+    _EMPIRICAL_K_MAX,
+    _exp_terms,
+    psi_norm_analytic,
+    psi_norm_empirical,
+    psi_norm_quadrature,
+)
 from .streams import keyed_generators
 from .tau import bernstein_bound
 
 BOOTSTRAP_STREAM_BASE = 1 << 40
 BOOTSTRAP_RESAMPLES = 200
+_BOOTSTRAP_TOL = 1e-4  # bracket width of a resample's norm
+_QUANTILES = (0.025, 0.975)  # the levels of the percentile interval
+# np.quantile's linear rule reads sorted positions floor(q (R - 1)) and the
+# next, so the interval needs the 6 smallest and the 6 largest of R = 200 norms
+_ORDER_STATISTICS = max(
+    math.floor(_QUANTILES[0] * (BOOTSTRAP_RESAMPLES - 1)) + 2,
+    BOOTSTRAP_RESAMPLES - math.floor(_QUANTILES[1] * (BOOTSTRAP_RESAMPLES - 1)),
+)
+# delta-method sigmas below and above a row's norm at which bootstrap levels
+# sit.  The resample law is skewed left: over 24 rows the 6th largest norm
+# lay 1.27 to 1.97 sigma above it, the 6th smallest 1.78 to 4.77 below
+_LEVEL_SPREADS = (1.3, 0.9)
 _NO_INTERVAL = (math.nan, math.nan)  # boot_lo, boot_hi when the bootstrap is off
-# sample values one batch of empirical norms holds (resamples x trials).  On 2
-# cores a 20k-trial n=16 exp tail report took 158, 110 and 96 ms at 16 384,
-# 65 536 and 262 144, and a 1k-trial growth sweep 0.34, 0.31 and 0.30 s; 262 144
-# raised the tail report's peak RSS from 48 MB to 65 MB
+# sample values one chunk of bootstrap resamples holds (resamples x trials).
+# On 2 vCPUs a 20k-trial n=16 exp tail report took 73-81, 51-59 and 57-62 ms
+# (median of 15, two rounds) at 16 384, 65 536 and 262 144, and both 1k-trial
+# growth sweeps 200, 177 and 168 ms (median of 7); 262 144 raised the tail
+# report's peak RSS from 45 MB to 52 MB
 BATCH_VALUES = 65_536
 
 MIN_TRIALS_NORM = 1_000
@@ -215,35 +237,106 @@ def bootstrap_interval(
     gives a list with one (lo, hi) per row, each equal to the 1-D call on
     that row: resample r's indices depend only on (seed, r, trials), so they
     are drawn once and every row is resampled with them.
+
+    The interval is ``np.quantile`` of the resamples' ``psi_norm_empirical``
+    values at tol 1e-4, bit for bit, with only the norms its quantiles read
+    computed exactly.  Each row gets levels L < U around its own norm (see
+    ``_levels``).  Phi of a resample at a level is the mean of one gather of
+    the level's terms, the bits ``psi_norm_empirical`` would get.  A
+    resample with Phi(L) > 2 and Phi(U) <= 2 has its norm in (L, U + tol],
+    by the monotonicity the norm's certificate assumes (its final bracket has
+    Phi(lo) > 2 and is at most tol wide), and the row's norm stands in for
+    it; every other resample is normed.  With ``_ORDER_STATISTICS`` normed
+    values at or below L and as many above U + tol, the sorted positions the
+    quantiles read hold exact values.  A row short on a side has that side's
+    level moved to +inf (low) or 0 (high), which empties its band, and a
+    second pass norms its stand-ins.
     """
-    rows = np.atleast_2d(devs)
+    rows = np.abs(np.atleast_2d(devs))  # the values psi_norm_empirical takes
     trials = rows.shape[1]
-    # resamples normed together: about BATCH_VALUES sample values at a time
+    # resamples gathered together: about BATCH_VALUES sample values at a time
     chunk = max(1, BATCH_VALUES // trials)
+    bases = [result.value for result in psi_norm_empirical(rows, p, tol=_BOOTSTRAP_TOL)]
+    levels = [_levels(row, base, p) for row, base in zip(rows, bases)]
+    norms = np.full((BOOTSTRAP_RESAMPLES, len(rows)), math.nan)  # nan: a stand-in
+    todo = list(range(len(rows)))
+    while todo:
+        # each level's terms, once per row; none where the band is empty, or
+        # where a stand-in's norm could come near the ceiling, past which the
+        # norm raises
+        tables = {
+            d: [_exp_terms(rows[d].copy(), level, p) for level in levels[d]]
+            for d in todo
+            if 0.0 < levels[d][0] < levels[d][1] < 0.25 * _EMPIRICAL_K_MAX
+        }
 
-    def fill(r0: int, r1: int) -> np.ndarray:
-        norms = np.empty((r1 - r0, len(rows)))
-        for c0 in range(r0, r1, chunk):
-            c1 = min(c0 + chunk, r1)
-            # resample r draws from stream (seed, BOOTSTRAP_STREAM_BASE + r)
-            streams = keyed_generators(
-                seed, BOOTSTRAP_STREAM_BASE + c0, BOOTSTRAP_STREAM_BASE + c1
-            )
-            idx = np.stack([gen.integers(0, trials, trials) for gen in streams])
-            for d, row in enumerate(rows):
-                found = psi_norm_empirical(row[idx], p, tol=1e-4)
-                norms[c0 - r0:c1 - r0, d] = [result.value for result in found]
-        return norms
+        def fill(r0: int, r1: int) -> np.ndarray:
+            block = norms[r0:r1, todo]
+            for c0 in range(r0, r1, chunk):
+                c1 = min(c0 + chunk, r1)
+                # resample r draws from stream (seed, BOOTSTRAP_STREAM_BASE + r)
+                streams = keyed_generators(
+                    seed, BOOTSTRAP_STREAM_BASE + c0, BOOTSTRAP_STREAM_BASE + c1
+                )
+                idx = np.stack([gen.integers(0, trials, trials, dtype=np.int32) for gen in streams])
+                for j, d in enumerate(todo):
+                    exact = np.isnan(block[c0 - r0:c1 - r0, j])
+                    if d in tables:
+                        # Phi of each resample at both levels, as psi_norm_empirical takes it
+                        with np.errstate(over="ignore"):
+                            low, high = (np.add.reduce(np.take(table, idx), axis=1) / trials
+                                         for table in tables[d])
+                        exact &= ~((low > 2.0) & (high <= 2.0))
+                    picked = np.flatnonzero(exact)
+                    if len(picked):
+                        found = psi_norm_empirical(
+                            np.take(rows[d], idx[picked]), p, tol=_BOOTSTRAP_TOL
+                        )
+                        block[c0 - r0 + picked, j] = [result.value for result in found]
+            return block
 
-    # resample r keys its own stream, so one block per worker is safe
-    norms = _indexed_blocks(
-        fill, BOOTSTRAP_RESAMPLES, -(-BOOTSTRAP_RESAMPLES // worker_count()), (len(rows),)
-    )
+        # resample r keys its own stream, so one block per worker is safe
+        norms[:, todo] = _indexed_blocks(
+            fill, BOOTSTRAP_RESAMPLES, -(-BOOTSTRAP_RESAMPLES // worker_count()), (len(todo),)
+        )
+        short = []
+        for d in tables:
+            low, high = levels[d]
+            known = norms[:, d][~np.isnan(norms[:, d])]
+            below = np.count_nonzero(known <= low) >= _ORDER_STATISTICS
+            above = np.count_nonzero(known > high + _BOOTSTRAP_TOL) >= _ORDER_STATISTICS
+            if not (below and above):
+                levels[d] = (low if below else math.inf, high if above else 0.0)
+                short.append(d)
+        todo = short
+    # a stand-in lies in (L, U + tol], as does the row's norm (L <= base <= U)
+    filled = np.where(np.isnan(norms), bases, norms)
     intervals = [
-        (float(np.quantile(column, 0.025)), float(np.quantile(column, 0.975)))
-        for column in norms.T
+        (float(np.quantile(column, _QUANTILES[0])), float(np.quantile(column, _QUANTILES[1])))
+        for column in filled.T
     ]
     return intervals if np.ndim(devs) == 2 else intervals[0]
+
+
+def _levels(x: np.ndarray, base: float, p: float) -> tuple[float, float]:
+    """(L, U) around ``base``, the norm of the sample ``x`` >= 0, for ``bootstrap_interval``.
+
+    The spread of a resample norm is taken by the delta method: with
+    u = (x/base)**p and e = exp(u), Phi's mean moves by sd(e)/sqrt(T) and its
+    slope in K is -p/base * mean(u e), so sigma = sd(e) / (sqrt(T) p/base
+    mean(u e)).  The levels sit ``_LEVEL_SPREADS`` sigmas below and above
+    base.  A zero norm gives the empty band (0, 0).
+    """
+    if base == 0.0:
+        return 0.0, 0.0
+    u = x / base
+    if p != 1.0:  # x**1.0 is x
+        u **= p
+    # mean exp(u) <= 2 at the norm, so no term overflows
+    e = np.exp(u)
+    sigma = float(np.std(e)) / (math.sqrt(len(x)) * p / base * float(np.mean(u * e)))
+    below, above = _LEVEL_SPREADS
+    return base - below * sigma, base + above * sigma
 
 
 @dataclass(frozen=True)

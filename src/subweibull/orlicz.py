@@ -393,14 +393,8 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     top = top[live]
 
     def phi(K: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # exp(min((x/K)**p, cap)) in one buffer; in place gives the same bits
-        terms = x[idx]
+        terms = _exp_terms(x[idx], K[:, None], p)
         with np.errstate(over="ignore"):
-            terms /= K[:, None]
-            if p != 1.0:  # x**1.0 is x
-                terms **= p
-            np.minimum(terms, _EXP_CAP, out=terms)
-            np.exp(terms, out=terms)
             # np.mean of a row, bit for bit
             return np.add.reduce(terms, axis=1) / n
 
@@ -413,6 +407,22 @@ def psi_norm_empirical(samples, p: float, tol: float = DEFAULT_TOL):
     for i, result in zip(live.tolist(), found):
         results[i] = result
     return results if a.ndim == 2 else results[0]
+
+
+def _exp_terms(terms: np.ndarray, K, p: float) -> np.ndarray:
+    """exp(min((terms/K)**p, cap)) in place, the terms of the sample Phi(K); returns ``terms``.
+
+    Every operation acts on each value alone, so gathering values before or
+    after this gives the same bits: the mean of a gathered table of terms at
+    K is Phi(K) of the gathered sample.
+    """
+    with np.errstate(over="ignore"):
+        terms /= K
+        if p != 1.0:  # x**1.0 is x
+            terms **= p
+        np.minimum(terms, _EXP_CAP, out=terms)
+        np.exp(terms, out=terms)
+    return terms
 
 
 def _newton_roots(x: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:

@@ -37,11 +37,14 @@ singularity such as a density's at 0.
 - Ends.  Nodes are placed by their distance from the nearer end, down to
   1e-150 of the half-width, and a node that rounds onto an end is dropped:
   ``fn`` is never evaluated at or outside an end.  Where a side's walk runs
-  out to the table's last node without meeting its tail, the mass past that
-  node is taken as d * |fn| there, d its distance from the end; above
-  ``REL_TOL`` of the estimate (or 2**-60 of the floor) the piece raises
-  ``NumericalError`` rather than return a truncated integral: x**-0.95 on
-  [0, 1] keeps 3e-8 of its mass there.
+  out to the table's last node, or meets a node that rounds onto the end,
+  without meeting its tail, the mass it leaves is taken as d * |fn|, with fn
+  at its last node inside and d the distance from the end of the table's
+  last node or of the node that rounded; above ``REL_TOL`` of the estimate
+  (or 2**-60 of the floor) the piece raises ``NumericalError`` rather than
+  return a truncated integral: x**-0.95 on [0, 1] keeps 3e-8 of its mass
+  past the table, and (x - 1)**-0.5 on [1, 2] 2e-8 within about an ulp of
+  1, where no node can go.
 - A non-finite value of ``fn`` makes the integral ``math.inf``.
 
 The rule is plain ``math`` on scalars: it loads no scipy, and no value
@@ -116,17 +119,19 @@ def _tanh_sinh(fn: Callable[[float], float], a: float, b: float, floor: float = 
     if not a < mid < b:  # no float lies inside
         return 0.0
     level0, finer = _node_table()
-    total = 0.5 * math.pi * fn(mid)
+    f_mid = fn(mid)
+    total = 0.5 * math.pi * f_mid
     sides = []
     for end, scale in ((a, c), (b, -c)):
-        terms = []
-        for distance, weight in level0:
+        values = []
+        for distance, _ in level0:
             x = end + scale * distance
             if x == end:  # this node and those beyond it round onto the end
                 break
-            terms.append(weight * fn(x))
+            values.append(fn(x))
+        terms = [weight * value for (_, weight), value in zip(level0, values)]
         total += sum(terms)
-        sides.append((end, scale, terms))
+        sides.append((end, scale, terms, values))
     estimate = c * total
     if not math.isfinite(estimate):
         return math.inf
@@ -135,27 +140,32 @@ def _tanh_sinh(fn: Callable[[float], float], a: float, b: float, floor: float = 
     stop = _FLOOR_REL * floor
     tail = max(_TAIL_REL * abs(total), stop / c)
     walks = []
-    for end, scale, terms in sides:
+    for end, scale, terms, values in sides:
         n = len(terms)
         while n and -tail < terms[n - 1] < tail:
             n -= 1
-        walks.append((end, scale, n))
+        # fn at the node a walk starts past: the last level-0 node kept, else the middle
+        start = values[n - 1] if n else f_mid
+        walks.append((end, scale, n, start))
     h = 1.0
     for splits in finer:
         h *= 0.5
         added = 0.0
-        beyond = 0.0  # this level's bound on the mass past the table's last node
-        for end, scale, n in walks:
+        beyond = 0.0  # this level's bound on the mass past its last node near an end
+        for end, scale, n, start in walks:
             inner, outer = splits[n]
             for distance, weight in inner:
                 added += weight * fn(end + scale * distance)
+            last = start  # fn at the walk's last node inside the end
             for distance, weight in outer:
                 x = end + scale * distance
-                if x == end:
+                if x == end:  # no node samples the stretch within this one's distance
+                    beyond += abs(scale * distance * last)
                     break
                 value = fn(x)
                 term = weight * value
                 added += term
+                last = value
                 if -tail < term < tail:
                     break
             else:

@@ -240,6 +240,116 @@ def test_growth_suite_draws_each_bootstrap_index_vector_once(monkeypatch):
     assert sorted(calls) == [BOOTSTRAP_STREAM_BASE + r for r in range(BOOTSTRAP_RESAMPLES)]
 
 
+@pytest.mark.parametrize("trials", [1_000, 1_001, 20_000, 65_537, 100_000, 2**31 - 1])
+def test_int32_index_vectors_are_the_int64_draws(trials):
+    # both draw numpy's buffered 32-bit Lemire integers for a range below
+    # 2**32; the vector is capped at 100 000 values, which the range alone decides
+    size = min(trials, 100_000)
+    wide = RandomStream(5, BOOTSTRAP_STREAM_BASE).generator().integers(0, trials, size)
+    narrow = RandomStream(5, BOOTSTRAP_STREAM_BASE).generator().integers(
+        0, trials, size, dtype=np.int32
+    )
+    assert narrow.dtype == np.int32
+    assert np.array_equal(narrow, wide)
+
+
+def _per_resample_intervals(rows, p, seed):
+    """Each row's interval by its definition: all 200 resamples normed, int64 indices."""
+    rows = np.atleast_2d(rows)
+    trials = rows.shape[1]
+    idx = np.stack([
+        RandomStream(seed, BOOTSTRAP_STREAM_BASE + r).generator().integers(0, trials, trials)
+        for r in range(BOOTSTRAP_RESAMPLES)
+    ])
+    intervals = []
+    for row in rows:
+        norms = [
+            result.value
+            for r0 in range(0, BOOTSTRAP_RESAMPLES, 20)
+            for result in psi_norm_empirical(row[idx[r0:r0 + 20]], p, tol=1e-4)
+        ]
+        intervals.append((np.quantile(norms, 0.025), np.quantile(norms, 0.975)))
+    return intervals
+
+
+@pytest.fixture
+def bootstrap_passes(monkeypatch):
+    """The list of every resample's bootstrap stream, once per time it is drawn."""
+    drawn = []
+    keyed = montecarlo.keyed_generators
+
+    def counted(seed, start, stop):
+        drawn.extend(range(start, stop))
+        return keyed(seed, start, stop)
+
+    monkeypatch.setattr(montecarlo, "keyed_generators", counted)
+    return drawn
+
+
+BOOTSTRAP_FAMILIES = pytest.mark.parametrize(
+    "spec, p",
+    [(EXP, 1.0), (DistributionSpec.pnormal(2.0), 2.0), (DistributionSpec.pnormal(3.0), 3.0)],
+    ids=["exp", "pnormal2", "pnormal3"],
+)
+
+
+@BOOTSTRAP_FAMILIES
+@pytest.mark.parametrize(
+    "trials, grid", [(1_000, (16, 64, 256, 1024, 4096)), (20_000, (16, 256))], ids=["1k", "20k"]
+)
+@pytest.mark.parametrize("seed", [20_240_817, 19_090_677, 8, 31])
+def test_bootstrap_is_the_per_resample_interval(bootstrap_passes, spec, p, trials, grid, seed):
+    # the stand-ins never reach a quantile: every call is certified in one pass
+    plans = [ExperimentPlan(VectorModel(spec, n, p), trials, seed) for n in grid]
+    rows = np.ascontiguousarray(deviations(plans).T)
+    assert bootstrap_interval(rows, p, seed) == _per_resample_intervals(rows, p, seed)
+    assert len(bootstrap_passes) == BOOTSTRAP_RESAMPLES
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+def test_bootstrap_short_side_falls_back_to_exact_norms(monkeypatch, bootstrap_passes, side):
+    # a level that certifies none of the 6 norms its side needs: a second pass
+    # norms the stand-ins, and the interval is still the definition's
+    levels = montecarlo._levels
+
+    def off(x, base, p):
+        low, high = levels(x, base, p)
+        return (1e-3 * base, high) if side == "low" else (low, 10.0 * base)
+
+    monkeypatch.setattr(montecarlo, "_levels", off)
+    devs = deviations(ExperimentPlan(VectorModel(EXP, 16, 1.0), 1_000, 8))
+    assert bootstrap_interval(devs, 1.0, 8) == _per_resample_intervals(devs, 1.0, 8)[0]
+    assert len(bootstrap_passes) == 2 * BOOTSTRAP_RESAMPLES
+
+
+def _degenerate_rows():
+    spike = np.zeros(1_000)
+    spike[417] = 3.0
+    # a norm of about 3e17, whose stand-ins could come near the 1e18 ceiling
+    near_ceiling = 5e16 * deviations(ExperimentPlan(VectorModel(EXP, 16, 1.0), 1_000, 8))
+    return {"zeros": np.zeros(1_000), "constant": np.full(1_000, 0.7), "spike": spike,
+            "near the ceiling": near_ceiling}
+
+
+@pytest.mark.parametrize("name", ["zeros", "constant", "spike", "near the ceiling"])
+def test_bootstrap_of_degenerate_rows_is_the_per_resample_interval(monkeypatch, name):
+    normed = []
+    norm = montecarlo.psi_norm_empirical
+
+    def counted(samples, p, tol):
+        normed.append(len(np.atleast_2d(samples)))
+        return norm(samples, p, tol)
+
+    monkeypatch.setattr(montecarlo, "psi_norm_empirical", counted)
+    row = _degenerate_rows()[name]
+    assert bootstrap_interval(row, 1.0, 8) == _per_resample_intervals(row, 1.0, 8)[0]
+    # a zero norm, a constant row's zero spread, or a level past a quarter of
+    # the ceiling leaves no band: every resample is normed, in one pass; the
+    # spike's band holds stand-ins
+    resamples = sum(normed) - 1
+    assert resamples == BOOTSTRAP_RESAMPLES if name != "spike" else resamples < BOOTSTRAP_RESAMPLES
+
+
 def test_growth_suite_computes_each_coordinate_norm_once(monkeypatch):
     computed = []
     quadrature = montecarlo.psi_norm_quadrature

@@ -771,6 +771,45 @@ def test_empirical_norm_at_p2_takes_few_exponential_passes(monkeypatch):
     assert counter.calls <= 6
 
 
+def _gathered_tables_are_sample_phi():
+    """Per case, whether the mean of a gathered table of terms is Phi of the gathered sample.
+
+    Both sides as the code forms them: the sample's Phi gathers first and
+    divides by a column of K, as ``psi_norm_empirical`` does; the table is
+    one row's terms at a scalar K, gathered after.  Rows of 100, 1001 and
+    20 000 exponentials, p = 1, 2, 3, at K near the norm and at a K where
+    the 708 cap binds.  Also returns how many cases had capped terms.
+    """
+    import numpy as np
+
+    from subweibull.orlicz import _EXP_CAP, _exp_terms
+
+    rng = np.random.default_rng(33)
+    same, capped = [], 0
+    for length in (100, 1001, 20_000):
+        x = rng.exponential(size=length)
+        idx = rng.integers(0, length, (7, length), dtype=np.int32)
+        for p in (1.0, 2.0, 3.0):
+            # at the second K only the largest value passes the cap
+            for K in (1.3, float(x.max()) / (_EXP_CAP + 1.0) ** (1.0 / p)):
+                table = _exp_terms(x.copy(), K, p)
+                capped += bool(np.any(table == np.exp(_EXP_CAP)))
+                gathered = np.add.reduce(np.take(table, idx), axis=1) / length
+                phi = np.add.reduce(_exp_terms(x[idx], np.full(7, K)[:, None], p), axis=1)
+                same.append(gathered.tobytes() == (phi / length).tobytes())
+    return same, capped
+
+
+def test_gathered_tables_are_the_sample_phi_bit_for_bit():
+    same, capped = _gathered_tables_are_sample_phi()
+    assert same == [True] * 18
+    assert capped == 9
+
+
+def test_gathered_tables_are_the_sample_phi_without_avx512(without_avx512):
+    assert without_avx512(_gathered_tables_are_sample_phi) == [[True] * 18, 9]
+
+
 def _stand_in(root, asked):
     """A phi above 2 exactly at or below ``root``, appending each K it is asked for to ``asked``."""
     return lambda K: asked.append(K) or (math.inf if K <= root else 1.0)

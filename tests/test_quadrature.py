@@ -133,6 +133,18 @@ def test_mass_past_the_last_node_is_reported(alpha):
             segment_integral(fn, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "fn, a, b",
+    [(lambda x: (x - 1.0) ** -0.5, 1.0, 2.0), (lambda x: (1.0 - x) ** -0.99, 0.0, 1.0)],
+    ids=["(x - 1)**-0.5 on [1, 2]", "(1 - x)**-0.99 on [0, 1]"],
+)
+def test_mass_within_an_ulp_of_a_nonzero_end_is_reported(fn, a, b):
+    # nodes near 1 come no closer than about 1e-16 of it: the rule returned
+    # 1.99999998 for 2 and 31.12 for 100, as converged
+    with pytest.raises(NumericalError, match="past the rule's last node"):
+        segment_integral(fn, a, b)
+
+
 def test_unconverged_segment_returns_the_last_estimate():
     # a kink that is not a breakpoint leaves the rule only O(h^2) accurate, so
     # the last level's change stays above REL_TOL; its estimate is returned
