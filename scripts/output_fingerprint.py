@@ -19,9 +19,10 @@ one line per quadrature law (p in 0.5, 1, 2, 3, 4 and two tols), per sample
 row (p in 0.5, 1, 2, 3 and two tols) plus the batch of the rows with a
 finite norm, and per tau cumulant (three tols, which leave its bits alone),
 each the digest of the reprs of its results, an exception as its class and
-message.  Each line is ``<sha256 or "-" when nothing was written>  exit
+message, and one line of the canonical laws' closed-form facts (see
+``law_facts``).  Each line is ``<sha256 or "-" when nothing was written>  exit
 <code>  <label>``, with ``exit -`` for the CSVs and the grid, which come
-from in-process calls.  That is 66 lines.  Run it in each checkout and
+from in-process calls.  That is 67 lines.  Run it in each checkout and
 compare the lists:
 
     python3 scripts/output_fingerprint.py > fingerprint.txt
@@ -34,6 +35,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +43,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from subweibull import DistributionSpec, RandomStream, cli, orlicz, sample, tau  # noqa: E402
+from subweibull import DistributionSpec, RandomStream, cli, dist, orlicz, sample, tau  # noqa: E402
 import workloads  # noqa: E402
 
 VERIFY_SEEDS = (None, 20_240_817)  # None: the command's default seed
@@ -76,6 +78,15 @@ QUADRATURE_TOLS = (1e-6, 1e-8)
 SAMPLE_P = (0.5, 1.0, 2.0, 3.0)
 SAMPLE_TOLS = (1e-4, 1e-6)
 TAU_TOLS = (1e-4, 1e-6, 1e-8)
+FACT_LAWS = (DistributionSpec.exponential(), _W(0.7, 1.5), _P(1.0), _P(2.0), _P(3.0), _P(4.0),
+             _H(2.5))
+FACT_SCALES = (1.0, 1e80, 1e-160)
+FACT_ALPHAS = (0.25, 0.5, 1.0, 1.7, 2.0, 3.0, 8.0)
+# growth rates a and exponents r of E exp(a * B**r), on and around both bases' boundaries
+FACT_RATES = (0.25, 0.5, 0.75, 1.0, 2.0)
+FACT_EXPONENTS = (0.5, 1.0 - 2e-9, 1.0, 1.0 + 2e-9, 1.5, 2.0 - 2e-9, 2.0, 2.0 + 2e-9, 4.0)
+FACT_T = (-2.0, -0.5, 0.0, 0.1, 0.25, 0.375, 0.5, 0.75, 1.0, 3.0)
+FACT_TAIL_T = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0)
 
 
 def _sample_rows() -> dict[str, np.ndarray]:
@@ -140,6 +151,34 @@ def norm_grid() -> list[tuple[str, str]]:
     return lines
 
 
+def law_facts() -> tuple[str, str]:
+    """(digest, label) of the closed-form facts of the canonical laws.
+
+    Each law of ``FACT_LAWS`` at each scale of ``FACT_SCALES`` gives its
+    exponents, ``e``, its absolute moments and its convergence verdicts; each
+    family at the scales it admits gives its analytic norm, its MGF table and
+    its exact upper tail.
+    """
+    calls = []
+    for spec in FACT_LAWS:
+        for scale in FACT_SCALES:
+            law = replace(dist.canonical(spec), scale=scale)
+            calls += [functools.partial(law.exponent, p) for p in QUADRATURE_P]
+            calls.append(lambda law=law: law.e)
+            calls += [functools.partial(law.moment_abs, alpha) for alpha in FACT_ALPHAS]
+            calls += [functools.partial(law.exp_moment_converges, a, r)
+                      for a in FACT_RATES for r in FACT_EXPONENTS]
+            if spec.family in ("exp", "pnormal") and scale != 1.0:
+                continue
+            scaled = replace(spec, scale=scale)
+            calls.append(functools.partial(orlicz.psi_norm_analytic, scaled, spec.order))
+            calls += [functools.partial(dist.mgf, scaled, t, power)
+                      for power in (None, spec.order, 2.0 * spec.order) for t in FACT_T]
+            calls += [functools.partial(dist.exact_upper_tail, scaled, scale * t)
+                      for t in FACT_TAIL_T]
+    return _results_digest(calls), "law facts"
+
+
 def _digest(path: str) -> str:
     if not os.path.exists(path):
         return "-"
@@ -173,7 +212,7 @@ def main() -> int:
                 digests = workload.digest([call.invoke() for call in workload.calls])
                 for key, digest in digests.items():
                     print(f"{digest}  exit -  {name} --seed {seed} {key}")
-    for digest, label in norm_grid():
+    for digest, label in (*norm_grid(), law_facts()):
         print(f"{digest}  exit -  {label}")
     return 0
 

@@ -301,7 +301,8 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    trials = args.trials if args.trials is not None else (100_000 if args.full else 20_000)
+    budget = verify.FULL_TRIALS if args.full else verify.TRIALS
+    trials = args.trials if args.trials is not None else budget
     results = verify.run_all(trials=trials, seed=args.seed)
     width = max(len(r.name) for r in results)
     lines = []
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the full invariant suite")
     common(sp)
     sp.add_argument("--trials", type=int, help="Monte Carlo budget per experiment")
-    sp.add_argument("--seed", type=int, default=777)
+    sp.add_argument("--seed", type=int, default=verify.SEED)
     sp.add_argument("--full", action="store_true", help="acceptance-strength trial count")
     sp.set_defaults(fn=cmd_verify)
 

@@ -13,13 +13,14 @@ upper tails, and an inverse-transform sampler driven by a counter-based
 - ``halfgauss_pow``  ``scale * |g|**(2/p)``, the one-sided relative of
                      ``pnormal``
 
-Every family is one law, ``|X| = scale * B**(m/q)`` of order ``q`` for a base
-variable ``B`` that is either a unit exponential (``m = 1``) or ``|g|``
-(``m = 2``), with a fair sign for ``pnormal``.  :func:`canonical` is the one
-map from a family to that law (:class:`CanonicalLaw`), and every family fact
-is read from it: the density, the exact tail, the MGF table, the sampler, the
-analytic norms of :mod:`subweibull.orlicz` and the centered cumulants of
-:mod:`subweibull.tau`.  The quadrature routines integrate in ``B``, where the
+Every family is one law, ``|X| = scale * B**(1/(k*q))`` of order ``q`` for a
+base variable ``B`` with ``B**(1/k) * k ~ Gamma(k)``: a unit exponential
+(``k = 1``) for ``exp`` and ``weibull``, ``|g|`` (``k = 1/2``) otherwise,
+with a fair sign for ``pnormal``.  :func:`canonical` is the one map from a
+family to that law (:class:`CanonicalLaw`), and every family fact is read
+from it: one formula in ``k`` where the bases share it, a branch on ``k``
+where their closed forms differ (the density, the exact tail, the MGF table
+and the sampler).  The quadrature routines integrate in ``B``, where the
 change of variables absorbs the ``|x|**(p/2-1)`` endpoint singularity of the
 ``pnormal`` density into a smooth integrand.
 """
@@ -45,10 +46,6 @@ FAMILIES = (FAMILY_EXP, FAMILY_WEIBULL, FAMILY_PNORMAL, FAMILY_HALFGAUSS)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_SQRT_PI = math.sqrt(math.pi)
-
-BASE_EXP = "exp1"
-BASE_ABSGAUSS = "absgauss"
 
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 
@@ -112,21 +109,20 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class CanonicalLaw:
-    """``|X| = scale * B**e`` with ``e = 1/order`` (exp base) or ``2/order``.
+    """``|X| = scale * B**e`` with ``e = 1/(k*order)`` and ``B**(1/k) * k ~ Gamma(k)``.
 
-    ``order`` is kept instead of ``e`` so that exponent ratios such as
-    ``p/order`` stay exact in floating point when ``p == order``.
+    ``k`` is 1 for the unit exponential and 1/2 for ``|g|`` (g**2/2 ~
+    Gamma(1/2)).  ``order`` is kept instead of ``e`` so that exponent ratios
+    such as ``p/order`` stay exact in floating point when ``p == order``.
     """
 
-    base: str
+    k: float
     scale: float
     order: float
 
     def exponent(self, p: float) -> float:
         """r such that |X|**p = scale**p * B**r."""
-        if self.base == BASE_EXP:
-            return p / self.order
-        return 2.0 * p / self.order
+        return p / (self.k * self.order)
 
     @property
     def e(self) -> float:
@@ -134,40 +130,38 @@ class CanonicalLaw:
 
     def abs_power(self, p: float) -> "CanonicalLaw":
         """Canonical form of the pushforward |X|**p."""
-        return CanonicalLaw(self.base, self.scale**p, self.order / p)
+        return CanonicalLaw(self.k, self.scale**p, self.order / p)
 
     def log_base_pdf(self, x: float) -> float:
-        if self.base == BASE_EXP:
+        if self.k == 1.0:
             return -x
         return _LOG_SQRT_2_OVER_PI - 0.5 * x * x
 
     def moment_abs(self, alpha: float) -> float:
-        """E|X|**alpha in closed form."""
-        k = alpha / self.order
-        if self.base == BASE_EXP:
-            return self.scale**alpha * math.gamma(k + 1.0)
-        return self.scale**alpha * 2.0**k * math.gamma(k + 0.5) / _SQRT_PI
+        """E|X|**alpha = scale**alpha * E (G/k)**(alpha/order) in closed form, G ~ Gamma(k)."""
+        s = alpha / self.order
+        return self.scale**alpha * (1.0 / self.k) ** s * math.gamma(self.k + s) / math.gamma(self.k)
 
     def exp_moment_converges(self, a: float, r: float) -> bool:
         """Whether E exp(a * B**r) is finite for a > 0, decided in closed form.
 
-        Off the boundary r alone decides.  The boundary cases r == 1 (exp
-        base) and r == 2 (gauss base) are recognized within 1e-9 to absorb
-        float rounding of exponent ratios.
+        ``B**(1/k)`` has the tail of Gamma(k)/k, ``exp(-k B**(1/k))``, so off
+        the boundary r == 1/k, r alone decides, and on it a < k does.  The
+        boundary is recognized within 1e-9 to absorb float rounding of
+        exponent ratios.
         """
-        boundary = 1.0 if self.base == BASE_EXP else 2.0
-        crit = 1.0 if self.base == BASE_EXP else 0.5
+        boundary = 1.0 / self.k
         if r < boundary - 1e-9:
             return True
         if r > boundary + 1e-9:
             return False
-        return a < crit
+        return a < self.k
 
 
 def canonical(spec: DistributionSpec) -> CanonicalLaw:
-    """The family's law: an exponential base for exp and weibull, ``|g|`` otherwise."""
-    base = BASE_EXP if spec.family in (FAMILY_EXP, FAMILY_WEIBULL) else BASE_ABSGAUSS
-    return CanonicalLaw(base, spec.scale, spec.order)
+    """The family's law: an exponential base (k = 1) for exp and weibull, else ``|g|``."""
+    k = 1.0 if spec.family in (FAMILY_EXP, FAMILY_WEIBULL) else 0.5
+    return CanonicalLaw(k, spec.scale, spec.order)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +187,8 @@ def density(spec: DistributionSpec, x: float) -> float:
     c = law.scale * (2.0 if spec.symmetric else 1.0)
     if z == 0.0 and q <= m:
         # at q == m, |X| = scale * B: the base density at 0 over c
-        return math.inf if q < m else (1.0 if law.base == BASE_EXP else _SQRT_2_OVER_PI) / c
-    if law.base == BASE_ABSGAUSS:
+        return math.inf if q < m else (1.0 if law.k == 1.0 else _SQRT_2_OVER_PI) / c
+    if law.k != 1.0:
         c *= _SQRT_2PI
     return (q / c) * z ** (q / m - 1.0) * math.exp(-(z**q) / m)
 
@@ -206,6 +200,16 @@ def moment_abs(spec: DistributionSpec, alpha: float) -> float:
     return canonical(spec).moment_abs(alpha)
 
 
+def _base_integral(law: CanonicalLaw, log_h, known_divergent: bool = False) -> float:
+    """E h(B) = integral of exp(log h(x) + log pdf(x)) over the base variable; inf past 708."""
+
+    def integrand(x: float) -> float:
+        val = log_h(x) + law.log_base_pdf(x)
+        return math.exp(val) if val < 708.0 else math.inf
+
+    return improper_integral(integrand, known_divergent=known_divergent)
+
+
 def moment_abs_quadrature(spec: DistributionSpec, alpha: float) -> float:
     """E|X|**alpha by quadrature in the canonical base variable."""
     if alpha <= 0.0:
@@ -213,14 +217,7 @@ def moment_abs_quadrature(spec: DistributionSpec, alpha: float) -> float:
     law = canonical(spec)
     r = law.exponent(alpha)
     log_c = alpha * math.log(law.scale)
-
-    def integrand(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        val = log_c + r * math.log(x) + law.log_base_pdf(x)
-        return math.exp(val) if val < 708.0 else math.inf
-
-    return improper_integral(integrand)
+    return _base_integral(law, lambda x: log_c + r * math.log(x))
 
 
 def mean(spec: DistributionSpec) -> float:
@@ -238,7 +235,7 @@ def exact_upper_tail(spec: DistributionSpec, t: float) -> float:
     law = canonical(spec)
     # |X| >= t  <=>  B >= (t/scale)**(q/m)
     b = (t / law.scale) ** (law.order / law.exponent(law.order))
-    return math.exp(-b) if law.base == BASE_EXP else math.erfc(b / math.sqrt(2.0))
+    return math.exp(-b) if law.k == 1.0 else math.erfc(b / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,7 @@ def mgf(spec: DistributionSpec, t: float, power: float | None = None) -> float |
     if power != law.order:
         return None
     u = law.scale**law.order * t
-    if law.base == BASE_EXP:
+    if law.k == 1.0:
         return 1.0 / (1.0 - u) if u < 1.0 else math.inf
     return (1.0 - 2.0 * u) ** -0.5 if u < 0.5 else math.inf
 
@@ -273,32 +270,20 @@ def mgf_quadrature(spec: DistributionSpec, t: float, power: float | None = None)
     """E exp(tX) or E exp(t|X|**p) by quadrature; ``math.inf`` on divergence."""
     t = float(t)
     law = canonical(spec)
-    e = law.e
     if power is None and spec.symmetric:
         # E exp(tX) = E cosh(t |X|) by symmetry
-        r = law.exponent(1.0)
-        a = abs(t) * law.scale
-        divergent = a > 0.0 and not law.exp_moment_converges(a, r)
+        r, a = law.exponent(1.0), abs(t) * law.scale
 
-        def integrand(x: float) -> float:
-            y = abs(t) * law.scale * x**e
+        def log_h(x: float) -> float:
+            y = a * x**r
             # log cosh(y), overflow-safe
-            log_cosh = y + math.log1p(math.exp(-2.0 * y)) - math.log(2.0)
-            val = log_cosh + law.log_base_pdf(x)
-            return math.exp(val) if val < 708.0 else math.inf
+            return y + math.log1p(math.exp(-2.0 * y)) - math.log(2.0)
 
-        return improper_integral(integrand, known_divergent=divergent)
-
-    p_eff = 1.0 if power is None else float(power)
-    r = law.exponent(p_eff)
-    a = t * law.scale**p_eff
-    divergent = a > 0.0 and not law.exp_moment_converges(a, r)
-
-    def integrand(x: float) -> float:
-        val = a * x**r + law.log_base_pdf(x)
-        return math.exp(val) if val < 708.0 else math.inf
-
-    return improper_integral(integrand, known_divergent=divergent)
+    else:
+        p_eff = 1.0 if power is None else float(power)
+        r, a = law.exponent(p_eff), t * law.scale**p_eff
+        log_h = lambda x: a * x**r
+    return _base_integral(law, log_h, a > 0.0 and not law.exp_moment_converges(a, r))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +302,7 @@ BLOCK_DRAWS = 65_536
 
 
 def _uniforms_per_draw(spec: DistributionSpec) -> int:
-    if canonical(spec).base == BASE_EXP:
+    if canonical(spec).k == 1.0:
         return 1
     return 3 if spec.symmetric else 2
 
@@ -335,7 +320,7 @@ def _transform_uniforms(
     k = _uniforms_per_draw(spec)
     x = np.negative(u[..., 0::k], out=out)
     np.log1p(x, out=x)
-    if law.base == BASE_EXP:
+    if law.k == 1.0:
         # B = -log1p(-u)
         np.negative(x, out=x)
     else:

@@ -355,6 +355,11 @@ def _binomial_se(count: int, trials: int) -> float:
     return math.sqrt(phat * (1.0 - phat) / trials)
 
 
+def bound_dominates(bound: float, freq: float, se: float) -> bool:
+    """Whether a tail bound dominates a row's frequency: within 3 SE of it or above."""
+    return bound >= freq - 3.0 * se
+
+
 def tail_exceedance(
     plan: ExperimentPlan, *, devs: np.ndarray | None = None
 ) -> list[tuple[float, float, float]]:
@@ -493,7 +498,7 @@ def _report(
         if bounds.thm14 is None:
             # the Bernstein bound needs C1 >= 1
             tail_c = calibrate_constant(
-                lambda C: all(bounds.tail(t, C) >= freq - 3.0 * se for t, freq, se in freq_rows),
+                lambda C: all(bound_dominates(bounds.tail(t, C), f, se) for t, f, se in freq_rows),
                 floor=1.0,
             )
         else:

@@ -45,9 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
-    _LOG_SQRT_2_OVER_PI,
-    BASE_ABSGAUSS,
-    BASE_EXP,
     DistributionSpec,
     CanonicalLaw,
     canonical,
@@ -123,20 +120,21 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
         if inv_kp < _SMALLEST_NORMAL:  # subnormal or 0: the same moment in units of K
             raise OverflowError
     except OverflowError:
-        units = CanonicalLaw(law.base, law.scale / K, law.order)
+        units = CanonicalLaw(law.k, law.scale / K, law.order)
         return math.inf if K == 1.0 else exp_moment(units, p, 1.0, center / K)
     r = law.exponent(p)
     if not law.exp_moment_converges(a, r):
         return math.inf
     e = law.e
     c = law.scale
-    gauss = law.base == BASE_ABSGAUSS
+    gauss = law.k != 1.0
+    log_pdf0 = law.log_base_pdf(0.0)  # for |g|, its density's log constant
     cap = math.exp(_EXP_CAP)
-    at_inf = 0.0 if r < (2.0 if gauss else 1.0) - 1e-9 else cap
+    at_inf = 0.0 if r < 1.0 / law.k - 1e-9 else cap
     exp, inf = math.exp, math.inf
 
     # law.log_base_pdf inlined, its float operations in its order, so every
-    # value keeps its bits (a + (-x) is a - x)
+    # value keeps its bits (a + (-x) is a - x) with no call per node
     def integrand(x: float) -> float:
         y = c * x**e - center
         y = -y if y < 0.0 else y
@@ -146,7 +144,7 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
             val = y**p * inv_kp
         except OverflowError:  # y**p > 1e308 is above the cap for every K**p < 1e305
             return cap
-        val = val + (_LOG_SQRT_2_OVER_PI - 0.5 * x * x) if gauss else val - x
+        val = val + (log_pdf0 - 0.5 * x * x) if gauss else val - x
         return cap if val > _EXP_CAP else exp(val)
 
     breakpoints = ()
@@ -329,7 +327,7 @@ def psi_norm_quadrature_canonical(
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     scale = law.scale
-    unit = CanonicalLaw(law.base, 1.0, law.order)
+    unit = CanonicalLaw(law.k, 1.0, law.order)
     # cached, so checking the located ends costs no quadrature
     phi = functools.cache(lambda K: exp_moment(unit, p, K, center / scale))
     try:
@@ -537,10 +535,10 @@ _ANALYTIC_TABLE_NOTE = (
 def psi_norm_analytic(spec: DistributionSpec, p: float) -> OrliczNormResult:
     """Closed-form norm at the law's own order q, ``scale * (2 or 8/3)**(1/q)``.
 
-    There ``|X/K|**q = (scale/K)**q * B**m``, so the norm solves
-    E exp(s B**m) = 2 for ``s = (scale/K)**q``.  The base MGFs give
-    1/(1-s) = 2, s = 1/2, for the unit exponential (m = 1), and
-    (1-2s)**-0.5 = 2, s = 3/8, for ``|g|`` (m = 2): K = scale * (1/s)**(1/q).
+    There ``|X/K|**q = (scale/K)**q * G/k`` with G ~ Gamma(k), so the norm
+    solves E exp(s G/k) = (1 - s/k)**-k = 2 for ``s = (scale/K)**q``:
+    1/s = 1/(k (1 - 2**(-1/k))), which is 2 for the unit exponential (k = 1)
+    and 8/3 for ``|g|`` (k = 1/2), and K = scale * (1/s)**(1/q).
     """
     if not p > 0.0:
         raise ParameterError(f"p must be > 0, got {p}")
@@ -549,7 +547,7 @@ def psi_norm_analytic(spec: DistributionSpec, p: float) -> OrliczNormResult:
         raise NoClosedFormError(
             f"no closed form for family {spec.family!r} at order {p}; {_ANALYTIC_TABLE_NOTE}"
         )
-    value = law.scale * (2.0 if law.base == BASE_EXP else 8.0 / 3.0) ** (1.0 / p)
+    value = law.scale * (1.0 / (law.k * (1.0 - 2.0 ** (-1.0 / law.k)))) ** (1.0 / p)
     return OrliczNormResult(value, p, METHOD_ANALYTIC, (value, value), 0.0)
 
 

@@ -38,13 +38,13 @@ singularity such as a density's at 0.
   1e-150 of the half-width, and a node that rounds onto an end is dropped:
   ``fn`` is never evaluated at or outside an end.  Where a side's walk runs
   out to the table's last node, or meets a node that rounds onto the end,
-  without meeting its tail, the mass it leaves is taken as d * |fn|, with fn
-  at its last node inside and d the distance from the end of the table's
-  last node or of the node that rounded; above ``REL_TOL`` of the estimate
-  (or 2**-60 of the floor) the piece raises ``NumericalError`` rather than
-  return a truncated integral: x**-0.95 on [0, 1] keeps 3e-8 of its mass
-  past the table, and (x - 1)**-0.5 on [1, 2] 2e-8 within about an ulp of
-  1, where no node can go.
+  without meeting its tail, the mass it leaves is taken as d * |fn| at the
+  side's node nearest the end over all levels so far, d that node's distance
+  from the end; above ``REL_TOL`` of the estimate (or 2**-60 of the floor)
+  the piece raises ``NumericalError`` rather than return a truncated
+  integral: x**-0.95 on [0, 1] keeps 3e-8 of its mass past the table, and
+  (x - 1)**-0.5 on [1, 2] 2e-8 within about an ulp of 1, where no node can
+  go.
 - A non-finite value of ``fn`` makes the integral ``math.inf``.
 
 The rule is plain ``math`` on scalars: it loads no scipy, and no value
@@ -144,33 +144,36 @@ def _tanh_sinh(fn: Callable[[float], float], a: float, b: float, floor: float = 
         n = len(terms)
         while n and -tail < terms[n - 1] < tail:
             n -= 1
-        # fn at the node a walk starts past: the last level-0 node kept, else the middle
-        start = values[n - 1] if n else f_mid
-        walks.append((end, scale, n, start))
+        # distance and fn of the side's nearest node to the end so far: the
+        # last level-0 node kept, else the middle
+        near, last = (level0[n - 1][0], values[n - 1]) if n else (1.0, f_mid)
+        walks.append([end, scale, n, near, last])
     h = 1.0
     for splits in finer:
         h *= 0.5
         added = 0.0
-        beyond = 0.0  # this level's bound on the mass past its last node near an end
-        for end, scale, n, start in walks:
+        beyond = 0.0  # this level's bound on the mass nearer an end than any node
+        for walk in walks:
+            end, scale, n, near, last = walk
             inner, outer = splits[n]
             for distance, weight in inner:
                 added += weight * fn(end + scale * distance)
-            last = start  # fn at the walk's last node inside the end
             for distance, weight in outer:
                 x = end + scale * distance
-                if x == end:  # no node samples the stretch within this one's distance
-                    beyond += abs(scale * distance * last)
+                if x == end:  # no node samples the stretch within the nearest one's distance
+                    beyond += abs(scale * near * last)
                     break
                 value = fn(x)
                 term = weight * value
                 added += term
-                last = value
+                if distance < near:
+                    near, last = distance, value
                 if -tail < term < tail:
                     break
             else:
                 if outer and n == len(level0):  # the walk reached the table's last node
-                    beyond += abs(scale * distance * value)
+                    beyond += abs(scale * near * last)
+            walk[3:] = near, last
         total += added
         previous, estimate = estimate, c * h * total
         if not math.isfinite(estimate):

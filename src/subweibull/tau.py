@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import BASE_EXP, DistributionSpec, canonical
+from .dist import DistributionSpec, canonical
 from .errors import (
     DivergenceError,
     InfeasibleError,
@@ -332,7 +332,7 @@ def sum_of(cumulants: Sequence[Cumulant]) -> Cumulant:
 def centered_cumulant(spec: DistributionSpec) -> Cumulant:
     """Closed-form cumulant of X - EX: the scaled exponential and the normal law."""
     law = canonical(spec)
-    if law.base == BASE_EXP and law.order == 1.0:
+    if law.k == 1.0 and law.order == 1.0:  # X = scale * a unit exponential
         return exp_centered() if law.scale == 1.0 else scaled(exp_centered(), law.scale)
     if spec.symmetric and law.order == 2.0:
         return gaussian(law.scale)

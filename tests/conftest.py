@@ -74,18 +74,18 @@ def without_avx512():
 _UNIT_NORMS = {}
 
 
-def _mpmath_unit_norm(base, order, p, center, guess):
+def _mpmath_unit_norm(k, order, p, center, guess):
     """Root K of E exp((|B**e - center| / K)**p) = 2 at 30 digits, found from ``guess``.
 
-    ``B`` is a unit exponential (``base`` "exp1", e = 1/order) or ``|g|``
-    (e = 2/order), integrated with mpmath's own tanh-sinh rule, split at the
+    ``B`` is a unit exponential (``k`` 1, e = 1/order) or ``|g|``
+    (``k`` 1/2, e = 2/order), integrated with mpmath's own tanh-sinh rule, split at the
     center's kink.  Cached by everything but the guess.
     """
-    key = (base, order, p, center)
+    key = (k, order, p, center)
     if key not in _UNIT_NORMS:
         with mp.workdps(30):
-            e = (1 if base == "exp1" else 2) / mp.mpf(order)
-            density = (lambda b: mp.exp(-b)) if base == "exp1" else (lambda g: 2 * mp.npdf(g))
+            e = (1 if k == 1.0 else 2) / mp.mpf(order)
+            density = (lambda b: mp.exp(-b)) if k == 1.0 else (lambda g: 2 * mp.npdf(g))
             c = mp.mpf(center)
             kink = {c ** (1 / e)} if c > 0 else set()
             knots = sorted({mp.mpf(k) for k in (0, 1, 4, 16)} | kink)
@@ -105,7 +105,7 @@ def mpmath_norm():
     """
 
     def norm(law, p, guess, center=0.0):
-        unit = _mpmath_unit_norm(law.base, law.order, p, center / law.scale, guess / law.scale)
+        unit = _mpmath_unit_norm(law.k, law.order, p, center / law.scale, guess / law.scale)
         return law.scale * unit
 
     return norm

@@ -149,9 +149,9 @@ def _norm_argv(family, p, *params):
     return argv
 
 
-def _unit_norm_times(scale, base, order, p, guess):
+def _unit_norm_times(scale, k, order, p, guess):
     """scale times the order-p norm of the unit law, by mpmath (see ``mpmath_norm``)."""
-    return lambda mpmath_norm: scale * mpmath_norm(CanonicalLaw(base, 1.0, order), p, guess)
+    return lambda mpmath_norm: scale * mpmath_norm(CanonicalLaw(k, 1.0, order), p, guess)
 
 
 @pytest.mark.parametrize(
@@ -163,9 +163,9 @@ def _unit_norm_times(scale, base, order, p, guess):
         (_norm_argv("weibull", "2", "shape=2", "scale=1e-160"),
          lambda _: math.sqrt(2.0) * 1e-160),
         (_norm_argv("weibull", "4", "shape=5", "scale=1e80"),
-         _unit_norm_times(1e80, "exp1", 5.0, 4.0, 1.13)),
+         _unit_norm_times(1e80, 1.0, 5.0, 4.0, 1.13)),
         (_norm_argv("halfgauss_pow", "4", "p=5", "scale=1e80"),
-         _unit_norm_times(1e80, "absgauss", 5.0, 4.0, 1.17)),
+         _unit_norm_times(1e80, 0.5, 5.0, 4.0, 1.17)),
         # divergent, with (scale/K)**p underflowing to 0
         (_norm_argv("halfgauss_pow", "3", "p=2", "scale=1e-100"), None),
         (_norm_argv("weibull", "2", "shape=1", "scale=1e-200"), None),
@@ -580,6 +580,50 @@ def test_bound_domination_fails_on_inflated_exp_frequencies(monkeypatch, inflate
     result = verify.check_bound_domination()
     assert result.passed is not inflated
     assert ("exp n=100: 12 rows, 0 violations" in result.detail) is not inflated
+
+
+def test_a_bound_at_freq_minus_three_se_dominates_in_the_fit_and_in_verify(monkeypatch):
+    # on bound = freq - 3 se the converse form freq > bound + 3 se rounds to
+    # a violation; the Bernstein fit and tail_domination read one predicate
+    freq, se = 0.0016, 0.0001999599959991998
+    on = freq - 3.0 * se
+    assert freq > on + 3.0 * se
+    spec = DistributionSpec.exponential()
+    plan = ExperimentPlan(VectorModel(spec, 16, 1.0), montecarlo.MIN_TRIALS_TAIL, 1)
+    t_grid = [float(t) for t in range(montecarlo.TAIL_POINTS)]
+    monkeypatch.setattr(montecarlo, "tail_exceedance",
+                        lambda plan, devs: [(t, freq, se) for t in t_grid])
+
+    def report_at(bound):
+        bounds = montecarlo.ModelBounds(lambda C: math.inf, None, lambda t, C: bound)
+        monkeypatch.setattr(montecarlo, "model_bounds", lambda model: bounds)
+        return montecarlo._report(plan, np.ones(100), (math.nan, math.nan))
+
+    report = report_at(on)
+    assert [row.bound for row in report.tail_rows] == [on] * montecarlo.TAIL_POINTS
+    assert verify.tail_domination([(spec, report)]).passed
+    below = math.nextafter(on, 0.0)
+    with pytest.raises(montecarlo.NoFeasibleConstantError):
+        report_at(below)
+    rows = tuple(replace(row, bound=below) for row in report.tail_rows)
+    result = verify.tail_domination([(spec, replace(report, tail_rows=rows))])
+    assert not result.passed
+    assert "12 rows, 12 violations" in result.detail
+
+
+def test_verify_budget_is_the_module_constants(monkeypatch, tmp_path):
+    seen = {}
+
+    def run_all(trials, seed):
+        seen.update(trials=trials, seed=seed)
+        return [verify.CheckResult("stub", True, "")]
+
+    monkeypatch.setattr(verify, "run_all", run_all)
+    out = str(tmp_path / "verify.txt")
+    for argv, trials in ((["verify"], verify.TRIALS), (["verify", "--full"], verify.FULL_TRIALS)):
+        assert main([*argv, "--output", out]) == 0
+        assert seen == {"trials": trials, "seed": verify.SEED}
+    assert (verify.TRIALS, verify.FULL_TRIALS, verify.SEED) == (20_000, 100_000, 777)
 
 
 def test_bound_domination_fails_on_one_inflated_exp_row(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +26,14 @@ from subweibull import (
     spec_from_json,
 )
 from subweibull import verify
-from subweibull.dist import BLOCK_DRAWS, _transform_uniforms, _uniforms_per_draw, sample_streams
+from subweibull.dist import (
+    BLOCK_DRAWS,
+    _transform_uniforms,
+    _uniforms_per_draw,
+    canonical,
+    sample_streams,
+)
+from subweibull.quadrature import improper_integral
 
 EXP = DistributionSpec.exponential()
 
@@ -601,3 +609,122 @@ def test_law_based_forms_are_bitwise_the_family_expressions(spec):
             assert psi_norm_analytic(spec, p).value == ref, p
     u = RandomStream(3, 1).uniforms(_uniforms_per_draw(spec) * 999)
     assert np.array_equal(_transform_uniforms(spec, u), _ref_transform(spec, u))
+
+
+# ---------------------------------------------------------------------------
+# the canonical law's facts, one formula in k, against each base's closed form
+
+_FACT_LAWS = [EXP, DistributionSpec.weibull(0.7, 1.5),
+              *(DistributionSpec.pnormal(p) for p in (1.0, 2.0, 3.0, 4.0)),
+              DistributionSpec.halfgauss_pow(2.5)]
+
+
+def _base_closed_forms(exp_base, scale, order):
+    """(exponent, moment_abs, converges, analytic norm) as each base writes them."""
+
+    def exponent(p):
+        return p / order if exp_base else 2.0 * p / order
+
+    def moment_abs(alpha):
+        s = alpha / order
+        if exp_base:
+            return scale**alpha * math.gamma(s + 1.0)
+        return scale**alpha * 2.0**s * math.gamma(s + 0.5) / math.sqrt(math.pi)
+
+    boundary, critical = (1.0, 1.0) if exp_base else (2.0, 0.5)
+
+    def converges(a, r):
+        if r < boundary - 1e-9:
+            return True
+        if r > boundary + 1e-9:
+            return False
+        return a < critical
+
+    def norm(p):
+        return scale * (2.0 if exp_base else 8.0 / 3.0) ** (1.0 / p)
+
+    return exponent, moment_abs, converges, norm
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e80, 1e-160])
+@pytest.mark.parametrize("spec", _FACT_LAWS, ids=lambda s: f"{s.family}({s.shape:g},{s.scale:g})")
+def test_canonical_law_facts_are_bitwise_the_base_closed_forms(spec, scale):
+    exp_base = spec.family in ("exp", "weibull")
+    law = replace(canonical(spec), scale=scale)
+    assert law.k == (1.0 if exp_base else 0.5)
+    exponent, moment_abs_ref, converges, norm = _base_closed_forms(exp_base, scale, spec.order)
+    for p in (0.5, 1.0, 2.0, 3.0, spec.order):
+        assert law.exponent(p) == exponent(p), p
+    assert law.e == exponent(1.0)
+    for alpha in (0.25, 0.5, 1.0, 1.7, 2.0, 3.0, 8.0):
+        assert _value_or_error(law.moment_abs, alpha) == _value_or_error(moment_abs_ref, alpha)
+    k = law.k
+    for a in (0.5 * k, k, 2.0 * k):
+        for r in (1.0 / k - 2e-9, 1.0 / k, 1.0 / k + 2e-9):
+            assert law.exp_moment_converges(a, r) == converges(a, r), (a, r)
+    assert law.exp_moment_converges(k, 1.0 / k - 2e-9)
+    assert not law.exp_moment_converges(k, 1.0 / k)
+    assert not law.exp_moment_converges(0.5 * k, 1.0 / k + 2e-9)
+    if spec.family in ("weibull", "halfgauss_pow") or scale == 1.0:
+        analytic = psi_norm_analytic(replace(spec, scale=scale), spec.order).value
+        assert analytic == norm(spec.order)
+
+
+def _reference_moment(spec, alpha):
+    """moment_abs_quadrature with its integrand built by hand."""
+    law = canonical(spec)
+    r = law.exponent(alpha)
+    log_c = alpha * math.log(law.scale)
+
+    def integrand(x):
+        if x <= 0.0:
+            return 0.0
+        val = log_c + r * math.log(x) + law.log_base_pdf(x)
+        return math.exp(val) if val < 708.0 else math.inf
+
+    return improper_integral(integrand)
+
+
+def _reference_mgf(spec, t, power):
+    """mgf_quadrature with its two integrands built by hand."""
+    law = canonical(spec)
+    e = law.e
+    if power is None and spec.symmetric:
+        r = law.exponent(1.0)
+        a = abs(t) * law.scale
+        divergent = a > 0.0 and not law.exp_moment_converges(a, r)
+
+        def integrand(x):
+            y = abs(t) * law.scale * x**e
+            log_cosh = y + math.log1p(math.exp(-2.0 * y)) - math.log(2.0)
+            val = log_cosh + law.log_base_pdf(x)
+            return math.exp(val) if val < 708.0 else math.inf
+
+        return improper_integral(integrand, known_divergent=divergent)
+    p_eff = 1.0 if power is None else float(power)
+    r = law.exponent(p_eff)
+    a = t * law.scale**p_eff
+    divergent = a > 0.0 and not law.exp_moment_converges(a, r)
+
+    def integrand(x):
+        val = a * x**r + law.log_base_pdf(x)
+        return math.exp(val) if val < 708.0 else math.inf
+
+    return improper_integral(integrand, known_divergent=divergent)
+
+
+@pytest.mark.parametrize("spec", _FACT_LAWS, ids=lambda s: f"{s.family}({s.shape:g},{s.scale:g})")
+def test_base_integral_quadratures_are_the_hand_built_integrands(spec):
+    for alpha in (0.5, 1.0, 2.5):
+        assert moment_abs_quadrature(spec, alpha) == _reference_moment(spec, alpha), alpha
+    for power in (None, 1.0, spec.order):
+        for t in (-1.0, 0.0, 0.3, 0.9):
+            got = mgf_quadrature(spec, t, power)
+            assert got == _reference_mgf(spec, t, power), (power, t)

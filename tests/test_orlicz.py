@@ -367,7 +367,7 @@ def _exp_moment_by_the_method_integrand(law, p, K, center):
     if not law.exp_moment_converges(a, r):
         return math.inf
     e, c, inv_kp = law.e, law.scale, K**-p
-    boundary = 1.0 if law.base == "exp1" else 2.0
+    boundary = 1.0 if law.k == 1.0 else 2.0
 
     def integrand(x):
         y = c * x**e - center

@@ -145,6 +145,28 @@ def test_mass_within_an_ulp_of_a_nonzero_end_is_reported(fn, a, b):
         segment_integral(fn, a, b)
 
 
+@pytest.mark.parametrize(
+    "power, a, b",
+    [(lambda x, s: (x - 1.0) ** -s, 1.0, 2.0), (lambda x, s: (1.0 - x) ** -s, 0.0, 1.0),
+     (lambda x, s: (2.0 - x) ** -s, 1.0, 2.0)],
+    ids=["(x - 1)**-s on [1, 2]", "(1 - x)**-s on [0, 1]", "(2 - x)**-s on [1, 2]"],
+)
+def test_a_singularity_at_a_nonzero_end_is_resolved_or_reported(power, a, b):
+    # the mass within the distance of the side's nearest node is bounded by
+    # that distance times |fn| there; bounded by the distance of the node
+    # that rounded onto the end, (1 - x)**-0.3 came back 2.1e-12 off, unreported
+    resolved = 0
+    for i in range(5, 100):
+        s = i / 100
+        try:
+            got = segment_integral(lambda x: power(x, s), a, b)
+        except NumericalError:
+            continue
+        assert abs(got - 1.0 / (1.0 - s)) <= quadrature.REL_TOL / (1.0 - s), s
+        resolved += 1
+    assert resolved >= 10
+
+
 def test_unconverged_segment_returns_the_last_estimate():
     # a kink that is not a breakpoint leaves the rule only O(h^2) accurate, so
     # the last level's change stays above REL_TOL; its estimate is returned
