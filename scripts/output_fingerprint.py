@@ -19,11 +19,12 @@ one line per quadrature law (p in 0.5, 1, 2, 3, 4 and two tols), per sample
 row (p in 0.5, 1, 2, 3 and two tols) plus the batch of the rows with a
 finite norm, and per tau cumulant (three tols, which leave its bits alone),
 each the digest of the reprs of its results, an exception as its class and
-message, and one line of the canonical laws' closed-form facts (see
-``law_facts``).  Each line is ``<sha256 or "-" when nothing was written>  exit
-<code>  <label>``, with ``exit -`` for the CSVs and the grid, which come
-from in-process calls.  That is 67 lines.  Run it in each checkout and
-compare the lists:
+message, one line of the canonical laws' closed-form facts (see
+``law_facts``) and one of large moments by quadrature (see
+``large_moments``).  Each line is ``<sha256 or "-" when nothing was
+written>  exit <code>  <label>``, with ``exit -`` for the CSVs and the grid,
+which come from in-process calls.  That is 68 lines.  Run it in each
+checkout and compare the lists:
 
     python3 scripts/output_fingerprint.py > fingerprint.txt
 """
@@ -87,6 +88,10 @@ FACT_RATES = (0.25, 0.5, 0.75, 1.0, 2.0)
 FACT_EXPONENTS = (0.5, 1.0 - 2e-9, 1.0, 1.0 + 2e-9, 1.5, 2.0 - 2e-9, 2.0, 2.0 + 2e-9, 4.0)
 FACT_T = (-2.0, -0.5, 0.0, 0.1, 0.25, 0.375, 0.5, 0.75, 1.0, 3.0)
 FACT_TAIL_T = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0)
+# E|X|**alpha up to and past the integrator's 1e150 ceiling: alpha! for exp, (2 alpha)! for
+# weibull(0.5)
+LARGE_MOMENTS = ((DistributionSpec.exponential(), (60.0, 70.0, 80.0, 90.0, 100.0)),
+                 (_W(0.5), (30.0, 35.0, 40.0, 45.0, 50.0)))
 
 
 def _sample_rows() -> dict[str, np.ndarray]:
@@ -179,6 +184,13 @@ def law_facts() -> tuple[str, str]:
     return _results_digest(calls), "law facts"
 
 
+def large_moments() -> tuple[str, str]:
+    """(digest, label) of ``moment_abs_quadrature`` on ``LARGE_MOMENTS``."""
+    calls = [functools.partial(dist.moment_abs_quadrature, spec, alpha)
+             for spec, alphas in LARGE_MOMENTS for alpha in alphas]
+    return _results_digest(calls), "large moments"
+
+
 def _digest(path: str) -> str:
     if not os.path.exists(path):
         return "-"
@@ -212,7 +224,7 @@ def main() -> int:
                 digests = workload.digest([call.invoke() for call in workload.calls])
                 for key, digest in digests.items():
                     print(f"{digest}  exit -  {name} --seed {seed} {key}")
-    for digest, label in (*norm_grid(), law_facts()):
+    for digest, label in (*norm_grid(), law_facts(), large_moments()):
         print(f"{digest}  exit -  {label}")
     return 0
 

@@ -49,6 +49,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 
+_EXP_CAP = 708.0  # log of the largest double we let an integrand return
+
 
 def _require_positive(name: str, value: float) -> float:
     value = float(value)
@@ -200,14 +202,14 @@ def moment_abs(spec: DistributionSpec, alpha: float) -> float:
     return canonical(spec).moment_abs(alpha)
 
 
-def _base_integral(law: CanonicalLaw, log_h, known_divergent: bool = False) -> float:
-    """E h(B) = integral of exp(log h(x) + log pdf(x)) over the base variable; inf past 708."""
+def _base_integral(law: CanonicalLaw, log_h) -> float:
+    """E h(B) = integral of exp(log h(x) + log pdf(x)) over the base variable; inf past e**708."""
 
     def integrand(x: float) -> float:
         val = log_h(x) + law.log_base_pdf(x)
-        return math.exp(val) if val < 708.0 else math.inf
+        return math.exp(val) if val < _EXP_CAP else math.inf
 
-    return improper_integral(integrand, known_divergent=known_divergent)
+    return improper_integral(integrand)
 
 
 def moment_abs_quadrature(spec: DistributionSpec, alpha: float) -> float:
@@ -267,7 +269,7 @@ def mgf(spec: DistributionSpec, t: float, power: float | None = None) -> float |
 
 
 def mgf_quadrature(spec: DistributionSpec, t: float, power: float | None = None) -> float:
-    """E exp(tX) or E exp(t|X|**p) by quadrature; ``math.inf`` on divergence."""
+    """E exp(tX) or E exp(t|X|**p) by quadrature; ``math.inf`` where the law says it diverges."""
     t = float(t)
     law = canonical(spec)
     if power is None and spec.symmetric:
@@ -283,7 +285,9 @@ def mgf_quadrature(spec: DistributionSpec, t: float, power: float | None = None)
         p_eff = 1.0 if power is None else float(power)
         r, a = law.exponent(p_eff), t * law.scale**p_eff
         log_h = lambda x: a * x**r
-    return _base_integral(law, log_h, a > 0.0 and not law.exp_moment_converges(a, r))
+    if a > 0.0 and not law.exp_moment_converges(a, r):
+        return math.inf
+    return _base_integral(law, log_h)
 
 
 # ---------------------------------------------------------------------------

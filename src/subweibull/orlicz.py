@@ -29,10 +29,11 @@ certificate rejects is bisected on its own Phi.
 
 Divergent exponential moments are recognized in closed form for the
 canonical integrands (the growth exponent versus the base density's decay
-decides it); the quadrature layer additionally detects divergence from the
-behaviour of its geometric tail extension.  For 0 < p < 1 the functional is
-only a quasi-norm: it is absolutely homogeneous and definite but does not
-satisfy the triangle inequality, and nothing here assumes it does.
+decides it, ``CanonicalLaw.exp_moment_converges``); the quadrature layer
+integrates only what the law calls convergent.  For 0 < p < 1 the
+functional is only a quasi-norm: it is absolutely homogeneous and definite
+but does not satisfy the triangle inequality, and nothing here assumes it
+does.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import numpy as np
 from .dist import (
     DistributionSpec,
     CanonicalLaw,
+    _EXP_CAP,
     canonical,
     exact_upper_tail,
     mean,
@@ -60,8 +62,6 @@ from .errors import (
     VerificationError,
 )
 from .quadrature import improper_integral
-
-_EXP_CAP = 708.0  # log of the largest double we let an integrand return
 
 METHOD_ANALYTIC = "analytic"
 METHOD_QUADRATURE = "quadrature"
@@ -130,7 +130,7 @@ def exp_moment(law: CanonicalLaw, p: float, K: float, center: float = 0.0) -> fl
     gauss = law.k != 1.0
     log_pdf0 = law.log_base_pdf(0.0)  # for |g|, its density's log constant
     cap = math.exp(_EXP_CAP)
-    at_inf = 0.0 if r < 1.0 / law.k - 1e-9 else cap
+    at_inf = 0.0 if law.exp_moment_converges(math.inf, r) else cap
     exp, inf = math.exp, math.inf
 
     # law.log_base_pdf inlined, its float operations in its order, so every

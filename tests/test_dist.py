@@ -25,7 +25,7 @@ from subweibull import (
     sample,
     spec_from_json,
 )
-from subweibull import verify
+from subweibull import dist, verify
 from subweibull.dist import (
     BLOCK_DRAWS,
     _transform_uniforms,
@@ -202,9 +202,18 @@ def test_mgf_quadrature_matches_closed_form(t):
     assert numeric == pytest.approx(oracle, rel=1e-8)
 
 
-def test_mgf_quadrature_detects_divergence():
+def test_mgf_quadrature_detects_divergence(monkeypatch):
+    # the law decides, so the integrator is never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("a moment the law calls divergent reached the integrator")
+
+    monkeypatch.setattr(dist, "improper_integral", refuse)
     assert mgf_quadrature(EXP, 1.0) == math.inf
     assert mgf_quadrature(EXP, 1.5) == math.inf
+    # E exp(t |X|**3) of pnormal(3) is (1 - 2t)**-0.5, divergent from t = 1/2
+    assert mgf_quadrature(DistributionSpec.pnormal(3.0), 0.5, power=3.0) == math.inf
+    # |X| of weibull(0.5) is B**2, above the exponential base's boundary at any t > 0
+    assert mgf_quadrature(DistributionSpec.weibull(0.5), 1e-3, power=1.0) == math.inf
 
 
 def test_mgf_quadrature_symmetric_identity():
@@ -225,6 +234,16 @@ def test_moments_closed_vs_quadrature():
             assert moment_abs_quadrature(spec, alpha) == pytest.approx(
                 moment_abs(spec, alpha), rel=1e-9
             )
+
+
+def test_large_convergent_moments_are_not_read_as_divergent():
+    # E X**a of exp is a!, and weibull(0.5) has E X**a = (2a)!: 1.2e100 to 1.5e138,
+    # all below the integrator's 1e150 ceiling
+    for spec, alphas in ((EXP, (70.0, 80.0, 90.0)),
+                         (DistributionSpec.weibull(0.5), (35.0, 40.0, 45.0))):
+        for alpha in alphas:
+            got = moment_abs_quadrature(spec, alpha)
+            assert got == pytest.approx(moment_abs(spec, alpha), rel=1e-12), (spec, alpha)
 
 
 def test_pnormal_normalization_moment():
@@ -707,7 +726,7 @@ def _reference_mgf(spec, t, power):
             val = log_cosh + law.log_base_pdf(x)
             return math.exp(val) if val < 708.0 else math.inf
 
-        return improper_integral(integrand, known_divergent=divergent)
+        return math.inf if divergent else improper_integral(integrand)
     p_eff = 1.0 if power is None else float(power)
     r = law.exponent(p_eff)
     a = t * law.scale**p_eff
@@ -717,7 +736,7 @@ def _reference_mgf(spec, t, power):
         val = a * x**r + law.log_base_pdf(x)
         return math.exp(val) if val < 708.0 else math.inf
 
-    return improper_integral(integrand, known_divergent=divergent)
+    return math.inf if divergent else improper_integral(integrand)
 
 
 @pytest.mark.parametrize("spec", _FACT_LAWS, ids=lambda s: f"{s.family}({s.shape:g},{s.scale:g})")

@@ -53,17 +53,6 @@ def test_slowly_converging_not_misflagged():
     assert got == pytest.approx(100.0, rel=1e-9)
 
 
-def test_known_divergent_short_circuit():
-    calls = []
-
-    def fn(x):
-        calls.append(x)
-        return 0.0
-
-    assert improper_integral(fn, known_divergent=True) == math.inf
-    assert not calls
-
-
 def test_breakpoint_kink():
     # |x - 1| weighted by e^{-x}: integrable kink at 1
     got = improper_integral(lambda x: abs(x - 1.0) * math.exp(-x), breakpoints=(1.0,))
