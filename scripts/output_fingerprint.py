@@ -63,7 +63,7 @@ EXTREME_NORM_ARGV = tuple(
 TAU_ARGV = tuple(("tau", "--cumulant", "gaussian", "--sigma", sigma)
                  for sigma in ("1.3", "1e-12", "1e155", "1e-200"))
 CONJUGATE_ARGV = ("conjugate", "--f", "quadratic", "--t", "-3", "--search-bound", "16")
-CSV_SEEDS = (20_240_817, 19_090_677)  # the seeds of perfbench/reference_digests.json
+CSV_SEEDS = (20_240_817, 19_090_677)  # the seeds of tests/reference_digests.json
 
 _W, _P, _H = DistributionSpec.weibull, DistributionSpec.pnormal, DistributionSpec.halfgauss_pow
 QUADRATURE_LAWS = (

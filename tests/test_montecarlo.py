@@ -121,8 +121,8 @@ def _digests(reports):
 
 
 def test_csv_bits_match_reference_digests():
-    # the benchmark's recorded outputs at the acceptance seed; read, never written
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json"
+    # the CSV digests recorded at the acceptance seed; read, never written
+    path = Path(__file__).resolve().parent / "reference_digests.json"
     reference = json.loads(path.read_text())
     seed = 20_240_817
     grid = (16, 64, 256, 1024, 4096)
