@@ -40,7 +40,7 @@ class InfeasibleError(NumericalError):
 
 
 class NoFeasibleConstantError(NumericalError):
-    """Every candidate constant in the grid failed the domination check."""
+    """An inverted constant is not finite, or a few ulps up it still fails its domination check."""
 
 
 class VerificationError(SubweibullError):

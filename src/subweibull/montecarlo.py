@@ -1,4 +1,4 @@
-"""Monte Carlo harness: deviation norms, tail frequencies, constant fitting.
+"""Monte Carlo harness: deviation norms, tail frequencies, constants by inversion.
 
 Reproducibility contract: trial j of a plan always draws from stream
 ``(seed, j)``, results are assembled into arrays indexed by trial before any
@@ -87,8 +87,8 @@ MIN_TRIALS_NORM = 1_000
 MIN_TRIALS_TAIL = 10_000
 TAIL_POINTS = 12  # rows of the default tail grid
 
-# candidate universal constants, ascending
-CONSTANT_GRID = tuple(np.geomspace(0.5, 32.0, 40).tolist())
+# ulps an inverted constant may be stepped up before its closed form counts as wrong
+MAX_CONSTANT_STEPS = 64
 
 ENV_THREADS = "SUBWEIBULL_THREADS"
 
@@ -396,6 +396,28 @@ class ModelBounds(NamedTuple):
     prop13: Callable[[float], float]
     thm14: Callable[[float], float] | None  # None unless p >= 2
     tail: Callable[[float, float], float]  # tail(t, C)
+    # tail_inverse(t, target): the smallest C with tail(t, C) >= target < 2
+    # in exact arithmetic; 0 where target <= 0 or the bound is 2 for every C
+    tail_inverse: Callable[[float, float], float]
+
+
+def _phi1_inverse(v: float) -> float:
+    """The u >= 0 with phi1(u) = v >= 0."""
+    return math.sqrt(2.0 * v) if v <= 0.5 else v + 0.5
+
+
+def _tail_inverse(
+    scale: Callable[[float], float], root: Callable[[float], float]
+) -> Callable[[float, float], float]:
+    """``tail_inverse`` of a bound 2 exp(-g) whose g <= G exactly when scale(t) / C <= root(G)."""
+
+    def tail_inverse(t: float, target: float) -> float:
+        x = scale(t)
+        if target <= 0.0 or x == 0.0:
+            return 0.0
+        return x / root(math.log(2.0 / target))
+
+    return tail_inverse
 
 
 def model_bounds(model: VectorModel) -> ModelBounds:
@@ -407,6 +429,12 @@ def model_bounds(model: VectorModel) -> ModelBounds:
     with c the L^p center, a deviation D >= t forces |S - c**p| >= s(t) =
     c**p - (c - t)_+**p for the sum S of the terms, as x**p is convex, so
     the bound is taken at s(t) / n.
+
+    Each tail bound is 2 exp(-g) with g falling in C, so it reaches a target
+    in (0, 2) exactly when g <= log(2 / target), which solves for C: the
+    Bernstein bound at x needs x / (2 C K) <= phi1^-1(log(2 / target) / n),
+    and the dimension-free one needs L**(p-1) t / (2**(1/p) C K_p**p) <=
+    log(2 / target)**(1/p).
     """
     spec, n, p = model.coordinate_spec, model.n, model.p
     k_p = coordinate_norm(spec, p)
@@ -417,28 +445,46 @@ def model_bounds(model: VectorModel) -> ModelBounds:
             prop13,
             lambda C: thm14_bound(p, k_p, l_p, C),
             lambda t, C: thm14_tail_bound(p, k_p, l_p, t, C),
+            _tail_inverse(
+                lambda t: l_p ** (p - 1.0) * t / (2.0 ** (1.0 / p) * k_p**p),
+                lambda g: g ** (1.0 / p),
+            ),
         )
+    # the plan's t grid lives on the sum scale; the bound is for averages of
+    # terms of order-1 norm k
     if p == 1.0:
-        # the plan's t grid lives on the sum scale; the bound is for averages
-        return ModelBounds(prop13, None, lambda t, C: bernstein_bound(n, t / n, k_p, C).value)
-    c = center_value(model)
-    s = lambda t: c**p - max(c - t, 0.0) ** p
-    return ModelBounds(prop13, None, lambda t, C: bernstein_bound(n, s(t) / n, k_p**p, C).value)
+        x, k = (lambda t: t / n), k_p
+    else:
+        c = center_value(model)
+        x, k = (lambda t: (c**p - max(c - t, 0.0) ** p) / n), k_p**p
+    return ModelBounds(
+        prop13,
+        None,
+        lambda t, C: bernstein_bound(n, x(t), k, C).value,
+        _tail_inverse(lambda t: x(t) / (2.0 * k), lambda g: _phi1_inverse(g / n)),
+    )
 
 
-def calibrate_constant(dominates: Callable[[float], bool], floor: float = 0.0) -> float:
-    """Smallest ``CONSTANT_GRID`` point C >= ``floor`` with ``dominates(C)``.
+def calibrate_constant(dominates: Callable[[float], bool], C: float) -> float:
+    """The closed-form constant ``C``, stepped up by ulps until ``dominates(C)`` holds.
 
-    ``floor`` keeps the scan inside a bound's own domain.  Raises
-    ``NoFeasibleConstantError`` when no such point dominates, which flags
-    either a bug or an undersized grid.
+    ``C`` is the exact inverse of a bound that is monotone in the constant,
+    so it is the smallest constant the evidence allows; rounding can leave it
+    an ulp or two short of its own float predicate.  A ``C`` of 0 stands
+    when its predicate holds there.  Raises ``NoFeasibleConstantError`` when
+    ``C`` is not finite and >= 0, or when ``MAX_CONSTANT_STEPS`` steps do not
+    make it dominate, which flags a wrong closed form.
     """
-    for C in CONSTANT_GRID:
-        if C >= floor and dominates(C):
+    if not 0.0 <= C < math.inf:
+        raise NoFeasibleConstantError(f"the inverted constant {C!r} is not finite and >= 0")
+    start = C = float(C)
+    for _ in range(MAX_CONSTANT_STEPS + 1):
+        if dominates(C):
             return C
+        C = math.nextafter(C, math.inf)
     raise NoFeasibleConstantError(
-        f"no constant in [{max(floor, CONSTANT_GRID[0]):g}, {CONSTANT_GRID[-1]:g}] "
-        "dominates the evidence"
+        f"the inverted constant {start!r} does not dominate the evidence "
+        f"within {MAX_CONSTANT_STEPS} ulps"
     )
 
 
@@ -468,8 +514,9 @@ def run_report(plan: ExperimentPlan, *, bootstrap: bool = True) -> Concentration
     """Full per-(family, n) record: norms, fitted constants, tail comparison.
 
     Tail rows are included whenever trials allows; for p >= 2 they carry the
-    dimension-free tail bound at its fitted constant, otherwise the average
-    Bernstein bound at its fitted constant.
+    dimension-free tail bound, otherwise the average Bernstein bound, at one
+    tail constant: the largest of every row's inverse at freq - 3 se and a
+    floor, ``thm14_C`` for p >= 2 and 1 (the Bernstein domain) otherwise.
     """
     devs = deviations(plan)
     interval = bootstrap_interval(devs, plan.model.p, plan.seed) if bootstrap else _NO_INTERVAL
@@ -485,24 +532,25 @@ def _report(
     emp = psi_norm_empirical(devs, model.p).value
     boot_lo, boot_hi = interval
 
-    p13_c = calibrate_constant(lambda C: bounds.prop13(C) >= emp)
+    p13_c = calibrate_constant(
+        lambda C: bounds.prop13(C) >= emp, (emp / bounds.prop13(1.0)) ** model.p
+    )
     if bounds.thm14 is None:
         t14_c = t14_val = math.nan
+        tail_floor = 1.0  # the Bernstein bound's domain
     else:
-        t14_c = calibrate_constant(lambda C: bounds.thm14(C) >= emp)
+        t14_c = calibrate_constant(lambda C: bounds.thm14(C) >= emp, emp / bounds.thm14(1.0))
         t14_val = bounds.thm14(t14_c)
+        tail_floor = t14_c
 
     rows: tuple[TailRow, ...] = ()
     if plan.trials >= MIN_TRIALS_TAIL:
         freq_rows = tail_exceedance(plan, devs=devs)
-        if bounds.thm14 is None:
-            # the Bernstein bound needs C1 >= 1
-            tail_c = calibrate_constant(
-                lambda C: all(bound_dominates(bounds.tail(t, C), f, se) for t, f, se in freq_rows),
-                floor=1.0,
-            )
-        else:
-            tail_c = t14_c
+        # the smallest constant at or above the floor whose bound dominates every row
+        tail_c = calibrate_constant(
+            lambda C: all(bound_dominates(bounds.tail(t, C), f, se) for t, f, se in freq_rows),
+            max([tail_floor] + [bounds.tail_inverse(t, f - 3.0 * se) for t, f, se in freq_rows]),
+        )
         rows = tuple(
             TailRow(t=t, freq=freq, se=se, bound=bounds.tail(t, tail_c), C=tail_c)
             for t, freq, se in freq_rows

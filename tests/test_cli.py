@@ -595,7 +595,9 @@ def test_a_bound_at_freq_minus_three_se_dominates_in_the_fit_and_in_verify(monke
                         lambda plan, devs: [(t, freq, se) for t in t_grid])
 
     def report_at(bound):
-        bounds = montecarlo.ModelBounds(lambda C: math.inf, None, lambda t, C: bound)
+        bounds = montecarlo.ModelBounds(
+            lambda C: math.inf, None, lambda t, C: bound, lambda t, target: 0.0
+        )
         monkeypatch.setattr(montecarlo, "model_bounds", lambda model: bounds)
         return montecarlo._report(plan, np.ones(100), (math.nan, math.nan))
 

@@ -30,8 +30,9 @@ from subweibull.dist import moment_abs_quadrature
 from subweibull.montecarlo import (
     BOOTSTRAP_RESAMPLES,
     BOOTSTRAP_STREAM_BASE,
-    CONSTANT_GRID,
     ENV_THREADS,
+    MAX_CONSTANT_STEPS,
+    bound_dominates,
     bootstrap_interval,
     deviations,
     growth_suite,
@@ -445,13 +446,88 @@ def test_exp_average_tail_below_bernstein():
 # calibration
 
 
-def test_calibrate_trivial_huge_constant():
-    assert calibrate_constant(lambda C: C >= CONSTANT_GRID[-1]) == CONSTANT_GRID[-1]
+def _fits(spec, p, n, trials):
+    """A real report of (spec, n, p) without bootstrap, and its model's bounds."""
+    model = VectorModel(spec, n, p)
+    return run_report(ExperimentPlan(model, trials, 4), bootstrap=False), model_bounds(model)
 
 
-def test_calibrate_infeasible_grid():
+def _tail_predicate(report, bounds):
+    return lambda C: all(
+        bound_dominates(bounds.tail(r.t, C), r.freq, r.se) for r in report.tail_rows
+    )
+
+
+@pytest.mark.parametrize("fit", ["prop13", "thm14", "bernstein tail", "thm14 tail"])
+def test_fitted_constant_is_the_tight_closed_form_inverse(fit):
+    # each fitted C dominates its evidence, and 1e-9 below it no longer does,
+    # unless C sits at its floor
+    if fit == "prop13":
+        report, bounds = _fits(EXP, 1.0, 64, 2_000)
+        C, floor = report.prop13_C, 0.0
+        holds = lambda C: bounds.prop13(C) >= report.emp_dev_norm
+    elif fit == "thm14":
+        report, bounds = _fits(DistributionSpec.pnormal(2.0), 2.0, 16, 2_000)
+        C, floor = report.thm14_C, 0.0
+        holds = lambda C: bounds.thm14(C) >= report.emp_dev_norm
+    elif fit == "bernstein tail":
+        # no row binds: every row's inverse lies below the domain floor 1
+        report, bounds = _fits(EXP, 1.0, 16, 10_000)
+        C, floor = report.tail_rows[0].C, 1.0
+        holds = _tail_predicate(report, bounds)
+        assert all(bounds.tail_inverse(r.t, r.freq - 3.0 * r.se) < 1.0 for r in report.tail_rows)
+    else:
+        report, bounds = _fits(DistributionSpec.pnormal(3.0), 3.0, 256, 10_000)
+        C, floor = report.tail_rows[0].C, report.thm14_C
+        holds = _tail_predicate(report, bounds)
+        assert C > floor  # a row binds above the deviation fit
+    assert holds(C)
+    assert C == floor or not holds(C * (1.0 - 1e-9))
+
+
+@pytest.mark.parametrize(
+    "spec, p, n",
+    [(EXP, 1.0, 16), (DistributionSpec.weibull(1.5, 2.0), 1.5, 64),
+     (DistributionSpec.pnormal(3.0), 3.0, 256)],
+    ids=["bernstein p=1", "bernstein 1<p<2", "thm14"],
+)
+def test_tail_inverse_inverts_the_tail_bound(spec, p, n):
+    model = VectorModel(spec, n, p)
+    bounds = model_bounds(model)
+    for t in montecarlo.default_t_grid(model)[1:]:
+        for C in (1.0, 1.7, 3.0):
+            # the fit's targets, freq - 3 se, lie at or below 1
+            target = bounds.tail(t, C)
+            if 0.0 < target <= 1.0:
+                assert bounds.tail_inverse(t, target) == pytest.approx(C, rel=1e-9)
+        # a target at or below 0 and the zero deviation impose nothing
+        assert bounds.tail_inverse(t, 0.0) == bounds.tail_inverse(t, -0.01) == 0.0
+    assert bounds.tail_inverse(0.0, 0.5) == 0.0
+
+
+def test_calibrate_steps_a_closed_form_an_ulp_short_of_its_predicate():
+    # emp / thm14(1) rounds one ulp below the C whose bound reaches emp
+    thm14 = model_bounds(VectorModel(DistributionSpec.pnormal(2.0), 16, 2.0)).thm14
+    emp = 0.8631
+    raw = emp / thm14(1.0)
+    assert thm14(raw) < emp
+    assert calibrate_constant(lambda C: thm14(C) >= emp, raw) == math.nextafter(raw, math.inf)
+
+
+@pytest.mark.parametrize("C", [math.inf, math.nan, -1.0])
+def test_calibrate_rejects_an_estimate_that_is_not_finite_and_nonnegative(C):
     with pytest.raises(NoFeasibleConstantError):
-        calibrate_constant(lambda C: False)
+        calibrate_constant(lambda C: True, C)
+
+
+def test_calibrate_raises_when_the_step_cap_runs_out():
+    start = 0.25
+    last = start
+    for _ in range(MAX_CONSTANT_STEPS):
+        last = math.nextafter(last, math.inf)
+    assert calibrate_constant(lambda C: C >= last, start) == last
+    with pytest.raises(NoFeasibleConstantError):
+        calibrate_constant(lambda C: C > last, start)
 
 
 def test_calibrate_propagates_parameter_error():
@@ -459,18 +535,7 @@ def test_calibrate_propagates_parameter_error():
         raise ParameterError("bad input")
 
     with pytest.raises(ParameterError):
-        calibrate_constant(dominates)
-
-
-def test_calibrate_returns_smallest_feasible():
-    assert CONSTANT_GRID == tuple(np.geomspace(0.5, 32.0, 40))
-    plan = ExperimentPlan(VectorModel(EXP, 64, 1.0), 2_000, 7)
-    emp = psi_norm_empirical(deviations(plan), 1.0).value
-    c = calibrate_constant(lambda C: prop13_bound(64, 1.0, 2.0, C) >= emp)
-    i = CONSTANT_GRID.index(c)
-    assert i > 0
-    assert prop13_bound(64, 1.0, 2.0, c) >= emp
-    assert prop13_bound(64, 1.0, 2.0, CONSTANT_GRID[i - 1]) < emp
+        calibrate_constant(dominates, 1.0)
 
 
 def test_bernstein_fit_evaluates_no_constant_below_one(monkeypatch):
