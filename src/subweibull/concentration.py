@@ -66,14 +66,18 @@ def lp_norm(x, p: float):
         scaled = rows / np.where(top == 0.0, 1.0, top)[:, None]
         if p != 1.0:  # x**1.0 is x
             scaled **= p
-        sums = np.add.reduce(scaled, axis=1)
-        # Python float pow: np.power can differ from it in the last bit; at
-        # p = 1 the root is the sum itself
-        roots = sums if p == 1.0 else np.fromiter(
-            map(pow, sums.tolist(), repeat(1.0 / p)), float, len(sums)
-        )
-        norms = top * roots
+        norms = top * _roots(np.add.reduce(scaled, axis=1), p)
     return float(norms[0]) if a.ndim < 2 else norms
+
+
+def _roots(sums: np.ndarray, p: float) -> np.ndarray:
+    """``sums**(1/p)`` by Python float pow, which np.power can differ from in the last bit.
+
+    At p = 1 the root is the sum itself.
+    """
+    if p == 1.0:
+        return sums
+    return np.fromiter(map(pow, sums.tolist(), repeat(1.0 / p)), float, len(sums))
 
 
 def prop13_bound(n: int, p: float, K_p: float, C: float) -> float:

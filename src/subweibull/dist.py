@@ -2,8 +2,10 @@
 
 Four scalar families are supported, each with an exact density, closed-form
 moments, a partial closed-form table of moment generating functions, exact
-upper tails, and an inverse-transform sampler driven by a counter-based
-:class:`~subweibull.streams.RandomStream`:
+upper tails, and a sampler driven by a counter-based
+:class:`~subweibull.streams.RandomStream`: one base variate per draw, a
+uniform mapped by the inverse transform for the exponential base, and one of
+numpy's ziggurat standard normals for the ``|g|`` base:
 
 - ``exp``            unit-rate exponential
 - ``weibull``        ``scale * E**(1/shape)`` for ``E ~ exp``
@@ -16,7 +18,7 @@ upper tails, and an inverse-transform sampler driven by a counter-based
 Every family is one law, ``|X| = scale * B**(1/(k*q))`` of order ``q`` for a
 base variable ``B`` with ``B**(1/k) * k ~ Gamma(k)``: a unit exponential
 (``k = 1``) for ``exp`` and ``weibull``, ``|g|`` (``k = 1/2``) otherwise,
-with a fair sign for ``pnormal``.  :func:`canonical` is the one map from a
+with the sign of ``g`` for ``pnormal``.  :func:`canonical` is the one map from a
 family to that law (:class:`CanonicalLaw`), and every family fact is read
 from it: one formula in ``k`` where the bases share it, a branch on ``k``
 where their closed forms differ (the density, the exact tail, the MGF table
@@ -35,7 +37,13 @@ import numpy as np
 
 from .errors import NoClosedFormError, ParameterError
 from .quadrature import improper_integral
-from .streams import RandomStream, _check_count, uniform_block
+from .streams import (
+    RandomStream,
+    _check_count,
+    _check_streams,
+    keyed_generators,
+    uniform_block,
+)
 
 FAMILY_EXP = "exp"
 FAMILY_WEIBULL = "weibull"
@@ -293,83 +301,74 @@ def mgf_quadrature(spec: DistributionSpec, t: float, power: float | None = None)
 # ---------------------------------------------------------------------------
 # sampling
 
-# draws per block: ``sample`` streams its uniforms through one block of this
-# many draws, and ``montecarlo.deviations`` fills its trials in blocks of about
-# this many draws (rows x n).  On 2 cores, 20k rows of 16 exp draws
-# took 26 ms on 2 threads and 35 ms on 1 at 65 536; at 16 384 2 threads were
-# slower than 1, and 131 072 and 262 144 added 5 MB and 14 MB to the tail
+# draws per block: ``sample`` draws and maps its base variates one block of
+# this many draws at a time, and ``montecarlo.deviations`` fills its trials in
+# blocks of about this many draws (rows x n).  On 2 cores, 20k rows of 16 exp
+# draws took 26 ms on 2 threads and 35 ms on 1 at 65 536; at 16 384 2 threads
+# were slower than 1, and 131 072 and 262 144 added 5 MB and 14 MB to the tail
 # report's peak RSS
 BLOCK_DRAWS = 65_536
 
-# uniforms are consumed interleaved: draw j of a call uses positions
-# k*j .. k*j + (k-1) of the stream, where k is the family's draws-per-sample
 
-
-def _uniforms_per_draw(spec: DistributionSpec) -> int:
-    if canonical(spec).k == 1.0:
-        return 1
-    return 3 if spec.symmetric else 2
-
-
-def _transform_uniforms(
-    spec: DistributionSpec, u: np.ndarray, out: np.ndarray | None = None
+def _to_draws(
+    spec: DistributionSpec, v: np.ndarray, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """Map uniforms of shape (..., k*count) to draws of shape (..., count).
+    """Map base variates ``v`` to draws in place, one variate per draw, and return ``v``.
 
-    The draws are built in place in one buffer, ``out`` when given, by the
-    same elementwise operations in the same order as the expressions in the
-    comments, so they carry the bits of those expressions.
+    ``v`` holds uniforms u for exp and weibull, with B = -log1p(-u), and
+    standard normals g for pnormal and halfgauss_pow, with B = |g|.  The
+    draw is scale * B**e, and copysign(|g|**e, g) for pnormal.  It is built
+    by the same elementwise operations in the same order as these
+    expressions, so it carries their bits.  pnormal's |g|**e is built in
+    ``scratch`` (a new array when None), as g must keep its sign until the
+    copysign.
     """
     law = canonical(spec)
-    k = _uniforms_per_draw(spec)
-    x = np.negative(u[..., 0::k], out=out)
-    np.log1p(x, out=x)
     if law.k == 1.0:
         # B = -log1p(-u)
-        np.negative(x, out=x)
+        np.negative(v, out=v)
+        np.log1p(v, out=v)
+        x = np.negative(v, out=v)
+    elif not spec.symmetric:
+        x = np.abs(v, out=v)
+    elif law.e == 1.0:
+        return v  # pnormal(2): copysign(|g|, g) is g
     else:
-        # B = |g| for the Box-Muller g = sqrt(-2 log1p(-u1)) * cos(2 pi u2)
-        x *= -2.0
-        np.sqrt(x, out=x)
-        angle = np.multiply(u[..., 1::k], 2.0 * np.pi)
-        x *= np.cos(angle, out=angle)
-        np.abs(x, out=x)
+        x = np.abs(v, out=scratch)
     # scale * B ** e; a power or a factor of exactly 1 would leave the bits as they are
     if law.e != 1.0:
         x **= law.e
     if law.scale != 1.0:
         x *= law.scale
     if spec.symmetric:
-        # the sign uniform u3: negative at u3 >= 0.5.  Uniforms are multiples
-        # of 2**-53 and 0.5 - 2**-54 is the largest double below 0.5, so the
-        # difference is never zero and is negative exactly when u3 >= 0.5.
-        return np.copysign(x, np.subtract(0.5 - 2.0**-54, u[..., 2::3], out=angle), out=x)
-    return x
+        np.copysign(x, v, out=v)
+    return v
 
 
 def sample(spec: DistributionSpec, stream: RandomStream, count: int) -> np.ndarray:
     """``count`` i.i.d. draws; a pure function of (spec, stream, count).
 
-    Exponential draws use the inverse transform -log1p(-U); the Gaussian-based
-    families use Box-Muller with an independent fair sign where needed.  The
-    uniforms pass through one reused block of ``BLOCK_DRAWS`` draws, so the
-    call holds its output plus one block, whatever ``count``.  The draws have
-    the bits of ``_transform_uniforms(spec, stream.uniforms(k * count))``, k
-    the family's uniforms per draw.
+    exp and weibull map the stream's uniforms by the inverse transform; the
+    Gaussian-based families map the standard normals of its generator,
+    numpy's ziggurat sampler (Marsaglia and Tsang, J. Stat. Softw. 2000),
+    one per draw, whose sign is pnormal's.  Each block of ``BLOCK_DRAWS``
+    base variates is drawn straight into the output and mapped there, so
+    the call holds its output plus at most one block of scratch, whatever
+    ``count``.  The draws have the bits of ``_to_draws`` of the stream's
+    first ``count`` base variates drawn at once.
     """
     _check_count(count)
     count = int(count)
-    k = _uniforms_per_draw(spec)
     gen = stream.generator()
+    draw = gen.random if canonical(spec).k == 1.0 else gen.standard_normal
     out = np.empty(count)
-    block = np.empty(k * min(count, BLOCK_DRAWS))
+    scratch = np.empty(min(count, BLOCK_DRAWS))
     for j0 in range(0, count, BLOCK_DRAWS):
         j1 = min(j0 + BLOCK_DRAWS, count)
-        u = block[: k * (j1 - j0)]
-        # consecutive fills continue the stream, so draw j still reads
-        # uniforms k*j .. k*j + (k-1)
-        gen.random(out=u)
-        _transform_uniforms(spec, u, out[j0:j1])
+        # consecutive fills continue the stream, so draw j still reads its
+        # own base variate
+        draw(out=out[j0:j1])
+        _to_draws(spec, out[j0:j1], scratch[: j1 - j0])
     return out
 
 
@@ -379,13 +378,20 @@ def sample_streams(
     """Row i holds sample(spec, RandomStream(seed, start + i), count).
 
     Batches the arithmetic of many substreams into whole-matrix operations;
-    the per-row values are identical to per-stream calls because
-    ``uniform_block`` gives each row the bits of its stream's uniforms,
-    whichever way it computes them, and every transform is elementwise.
+    the per-row values are identical to per-stream calls because each row
+    holds the bits of its stream's base variates and every map is
+    elementwise.  Uniform rows come from ``uniform_block``; each normal row
+    is filled by ``standard_normal(out=row)`` from ``keyed_generators``.
     """
     _check_count(count)
-    u = uniform_block(seed, start, stop, _uniforms_per_draw(spec) * int(count))
-    return _transform_uniforms(spec, u)
+    if canonical(spec).k == 1.0:
+        v = uniform_block(seed, start, stop, int(count))
+    else:
+        _check_streams(seed, start, stop)
+        v = np.empty((stop - start, int(count)))
+        for row, gen in zip(v, keyed_generators(seed, start, stop)):
+            gen.standard_normal(out=row)
+    return _to_draws(spec, v)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ which slot, so a plan's outputs are bitwise identical for any setting of
 ``SUBWEIBULL_THREADS``.
 
 Draws are nested prefixes: the first n draws of stream ``(seed, j)`` do not
-depend on how many draws follow.  So the sample of trial j at dimension n is
+depend on how many draws follow, for the uniforms and for numpy's ziggurat
+normals alike.  So the sample of trial j at dimension n is
 the first n coordinates of its sample at any larger dimension, and a growth
 suite draws each trial once, at the largest n of its grid, with every report
 bitwise equal to the one its plan gives alone.
@@ -40,12 +41,13 @@ import numpy as np
 
 from .concentration import (
     VectorModel,
+    _roots,
     lp_norm,
     prop13_bound,
     thm14_bound,
     thm14_tail_bound,
 )
-from .dist import BLOCK_DRAWS, DistributionSpec, moment_abs, sample_streams
+from .dist import BLOCK_DRAWS, DistributionSpec, canonical, moment_abs, sample_streams
 from .errors import (
     NoClosedFormError,
     NoFeasibleConstantError,
@@ -201,6 +203,13 @@ def deviations(plans: ExperimentPlan | Sequence[ExperimentPlan]) -> np.ndarray:
     n gives shape (trials, len(plans)), column i for plans[i]: trial j is
     drawn once, at the largest n, and each column reduces its prefix, so every
     column equals the one its plan gives alone, bit for bit.
+
+    A coordinate law whose order equals p is reduced in its Gamma variable:
+    |X_i|**p = scale**p * w_i, with w = B**(1/k) drawn on the trial's stream
+    (the exponential's draws, or the squares of pnormal(2)'s), so the norm
+    is scale * (sum w)**(1/p) by ``np.add.reduce`` and Python ``pow``.  That
+    is ``lp_norm`` of ``sample``'s draws to a few ulps, not bit for bit.
+    Any other law is reduced by ``lp_norm`` of its draws.
     """
     one = isinstance(plans, ExperimentPlan)
     plans = [plans] if one else list(plans)
@@ -220,9 +229,25 @@ def deviations(plans: ExperimentPlan | Sequence[ExperimentPlan]) -> np.ndarray:
     parts = workers * -(-first.trials * top // (workers * BLOCK_DRAWS))
     block = -(-first.trials // parts)
 
+    law = canonical(spec)
+    matched = law.order == p
+    drawn = spec
+    if matched:
+        # |X_i|**p = scale**p * w_i with w = B**(1/k), drawn on trial j's own
+        # stream: B by the exponential, or g**2 from pnormal(2)'s draws g.  So
+        # the norm is scale * (sum of w)**(1/p), with no power per coordinate
+        drawn = DistributionSpec.exponential() if law.k == 1.0 else DistributionSpec.pnormal(2.0)
+
+    def norm(rows: np.ndarray) -> np.ndarray:
+        if not matched:
+            return lp_norm(rows, p)
+        return law.scale * _roots(np.add.reduce(rows, axis=1), p)
+
     def fill(j0: int, j1: int) -> np.ndarray:
-        rows = sample_streams(spec, first.seed, j0, j1, top)
-        return np.stack([np.abs(lp_norm(rows[:, :n], p) - c) for n, c in dims], axis=1)
+        rows = sample_streams(drawn, first.seed, j0, j1, top)
+        if matched and law.k != 1.0:
+            rows *= rows
+        return np.stack([np.abs(norm(rows[:, :n]) - c) for n, c in dims], axis=1)
 
     devs = _indexed_blocks(fill, first.trials, block, (len(dims),))
     return devs[:, 0] if one else devs

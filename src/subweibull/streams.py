@@ -21,7 +21,8 @@ streams at once, by one of two paths; both give row ``i`` the bits of
   generator per row.  Philox keeps no state beyond its key, counter and
   output buffer, so the generator re-keyed to ``(seed, j)`` with a zero
   counter and an empty buffer is exactly a fresh generator for stream ``j``.
-  The Monte Carlo bootstrap draws its resample indices the same way.
+  The Monte Carlo bootstrap draws its resample indices the same way, and
+  ``dist.sample_streams`` its rows of ziggurat normals.
 """
 
 from __future__ import annotations

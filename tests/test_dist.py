@@ -28,8 +28,7 @@ from subweibull import (
 from subweibull import dist, verify
 from subweibull.dist import (
     BLOCK_DRAWS,
-    _transform_uniforms,
-    _uniforms_per_draw,
+    _to_draws,
     canonical,
     sample_streams,
 )
@@ -341,6 +340,13 @@ _FAMILIES = [
 ]
 
 
+def _base_variates(spec, stream, count):
+    """The stream's first ``count`` base variates, drawn at once: uniforms, or normals for |g|."""
+    if spec.family in ("exp", "weibull"):
+        return stream.uniforms(count)
+    return stream.generator().standard_normal(count)
+
+
 @pytest.mark.parametrize("spec", _FAMILIES, ids=lambda spec: spec.family)
 @pytest.mark.parametrize(
     "count", [1, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 2 * BLOCK_DRAWS + 3]
@@ -358,7 +364,7 @@ def test_streamed_sample_is_the_whole_stream_transformed(spec, count, monkeypatc
     got = sample(spec, stream, count)
     monkeypatch.setattr(np.random, "Philox", philox)
     assert len(built) == 1
-    whole = _transform_uniforms(spec, stream.uniforms(_uniforms_per_draw(spec) * count))
+    whole = _to_draws(spec, _base_variates(spec, stream, count))
     assert got.tobytes() == whole.tobytes()
 
 
@@ -426,19 +432,14 @@ def test_pnormal_symmetric_by_construction():
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
-def test_pnormal_sign_matches_the_masked_negative(q):
-    # u3 at and either side of 0.5, and u1 = 0, whose draw is a signed zero
-    u3 = np.array([0.5, 0.5 - 2.0**-53, 0.0, 1.0 - 2.0**-53] * 3)
-    u1 = np.repeat([0.0, 0.3, 1.0 - 2.0**-53], 4)
-    u2 = np.tile([0.1, 0.3, 0.7, 0.9], 3)
-    u = np.stack([u1, u2, u3], axis=-1).reshape(1, -1)
-    x = np.abs(np.sqrt(np.log1p(-u1) * -2.0) * np.cos(u2 * (2.0 * np.pi)))
-    if q != 2.0:
-        x **= 2.0 / q
-    np.negative(x, out=x, where=u3 >= 0.5)
-    got = _transform_uniforms(DistributionSpec.pnormal(q), u)[0]
-    assert got.tobytes() == x.tobytes()
-    assert np.array_equal(np.signbit(got), u3 >= 0.5)
+def test_pnormal_sign_bit_is_the_stream_normals_sign_bit(q):
+    stream = RandomStream(20_240_817, 9)
+    g = stream.generator().standard_normal(4_000)
+    x = sample(DistributionSpec.pnormal(q), stream, 4_000)
+    assert np.array_equal(np.signbit(x), np.signbit(g))
+    # signed zeros included: the map is copysign, not a mask
+    signed = _to_draws(DistributionSpec.pnormal(q), np.array([0.0, -0.0, -1.5, 2.0]))
+    assert np.array_equal(np.signbit(signed), [False, True, True, False])
 
 
 def test_weibull_equals_powered_exponential_in_law():
@@ -576,14 +577,13 @@ def _ref_psi_norm_analytic(spec, p):
     return None
 
 
-def _ref_transform(spec, u):
+def _ref_transform(spec, v):
+    """The draws of base variates ``v``: uniforms u for exp and weibull, else normals g."""
     if spec.family in ("exp", "weibull"):
-        return spec.scale * (-np.log1p(-u)) ** (1.0 / spec.shape)
-    k = 3 if spec.symmetric else 2
-    g = np.sqrt(-2.0 * np.log1p(-u[0::k])) * np.cos(u[1::k] * (2.0 * np.pi))
-    x = np.abs(g) ** (2.0 / spec.shape)
+        return spec.scale * (-np.log1p(-v)) ** (1.0 / spec.shape)
+    x = np.abs(v) ** (2.0 / spec.shape)
     if spec.symmetric:
-        return np.where(u[2::3] >= 0.5, -x, x)
+        return np.copysign(x, v)
     return spec.scale * x
 
 
@@ -626,8 +626,8 @@ def test_law_based_forms_are_bitwise_the_family_expressions(spec):
                 psi_norm_analytic(spec, p)
         else:
             assert psi_norm_analytic(spec, p).value == ref, p
-    u = RandomStream(3, 1).uniforms(_uniforms_per_draw(spec) * 999)
-    assert np.array_equal(_transform_uniforms(spec, u), _ref_transform(spec, u))
+    v = _base_variates(spec, RandomStream(3, 1), 999)
+    assert _to_draws(spec, v.copy()).tobytes() == _ref_transform(spec, v).tobytes()
 
 
 # ---------------------------------------------------------------------------

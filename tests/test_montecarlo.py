@@ -96,12 +96,37 @@ def test_center_weibull_scale_law():
 
 
 def test_deviations_match_direct_sampling():
-    plan = ExperimentPlan(VectorModel(DistributionSpec.pnormal(2.0), 32, 2.0), 1000, 5)
+    # an order other than p is reduced by lp_norm of sample's draws, bit for
+    # bit; order p in its Gamma variable, to 1e-12 of the center
+    for spec, p, matched in ((DistributionSpec.halfgauss_pow(3.0, 1.5), 2.0, False),
+                             (DistributionSpec.pnormal(2.0), 2.0, True)):
+        plan = ExperimentPlan(VectorModel(spec, 32, p), 1000, 5)
+        devs = deviations(plan)
+        center = center_value(plan.model)
+        for j in (0, 17, 999):
+            x = sample(spec, RandomStream(5, j), 32)
+            direct = abs(lp_norm(x, p) - center)
+            if matched:
+                assert abs(devs[j] - direct) <= 1e-12 * center
+            else:
+                assert devs[j] == direct
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [(EXP, 1.0), (DistributionSpec.weibull(1.5, 2.0), 1.5), (DistributionSpec.pnormal(2.0), 2.0),
+     (DistributionSpec.pnormal(3.0), 3.0), (DistributionSpec.halfgauss_pow(2.5, 1.7), 2.5)],
+    ids=lambda v: f"{v.family}({v.shape:g},{v.scale:g})" if isinstance(v, DistributionSpec) else f"p={v:g}",
+)
+@pytest.mark.parametrize("n", [16, 4096])
+def test_matched_deviations_are_lp_norm_of_the_draws(spec, p, n):
+    # every trial: scale * (sum of w)**(1/p) against lp_norm of sample's draws
+    plan = ExperimentPlan(VectorModel(spec, n, p), 1_000, 20_240_817)
     devs = deviations(plan)
     center = center_value(plan.model)
-    for j in (0, 17, 999):
-        x = sample(plan.model.coordinate_spec, RandomStream(5, j), 32)
-        assert devs[j] == abs(lp_norm(x, 2.0) - center)
+    direct = [abs(lp_norm(sample(spec, RandomStream(20_240_817, j), n), p) - center)
+              for j in range(plan.trials)]
+    assert np.max(np.abs(devs - direct)) <= 1e-12 * center
 
 
 def test_reproducible_across_worker_counts(threads):
@@ -122,17 +147,20 @@ def _digests(reports):
 
 
 def test_csv_bits_match_reference_digests():
-    # the CSV digests recorded at the acceptance seed; read, never written
+    # the CSV digests recorded at the acceptance seed; read, never written.
+    # numpy does not promise one Generator stream across versions (NEP 19), so
+    # a failure names the numpy version the digests were recorded with
     path = Path(__file__).resolve().parent / "reference_digests.json"
     reference = json.loads(path.read_text())
+    versions = f"digests recorded with numpy {reference['numpy']}, running numpy {np.__version__}"
     seed = 20_240_817
     grid = (16, 64, 256, 1024, 4096)
     growth = growth_suite(DistributionSpec.pnormal(2.0), 2.0, grid, 1_000, seed) + growth_suite(
         EXP, 1.0, grid, 1_000, seed
     )
-    assert _digests(growth) == reference["growth"][str(seed)]["digest"]
+    assert _digests(growth) == reference["growth"][str(seed)]["digest"], versions
     tail = run_report(ExperimentPlan(VectorModel(EXP, 16, 1.0), 20_000, seed))
-    assert _digests([tail]) == reference["tail_small_n"][str(seed)]["digest"]
+    assert _digests([tail]) == reference["tail_small_n"][str(seed)]["digest"], versions
 
 
 def _benchmark_outputs(seed):
@@ -164,6 +192,25 @@ def test_csv_bits_do_not_depend_on_simd_dispatch(without_avx512):
     here, there = _benchmark_outputs(seed), without_avx512(_benchmark_outputs, seed)
     assert there["deviations"] != here["deviations"], "the draws did not change: nothing tested"
     assert there["csv"] == here["csv"]
+
+
+def _pnormal_growth_deviations(seed):
+    """A hash of the pnormal(2) growth sweep's raw deviations at ``seed``."""
+    import hashlib
+
+    from subweibull import DistributionSpec, ExperimentPlan, VectorModel
+    from subweibull import montecarlo as mc
+
+    plans = [ExperimentPlan(VectorModel(DistributionSpec.pnormal(2.0), n, 2.0), 1_000, seed)
+             for n in (16, 64, 256, 1024, 4096)]
+    return hashlib.sha256(mc.deviations(plans).tobytes()).hexdigest()
+
+
+def test_pnormal_deviations_do_not_depend_on_simd_dispatch(without_avx512):
+    # ziggurat normals, their squares, np.add.reduce and Python pow: no step
+    # whose bits numpy's AVX-512 paths change
+    seed = 20_240_817
+    assert without_avx512(_pnormal_growth_deviations, seed) == _pnormal_growth_deviations(seed)
 
 
 SUITE_FAMILIES = pytest.mark.parametrize(
